@@ -188,28 +188,32 @@ def parity_audit(
 
     violations = 0
     records = [] if keep_records else None
+    lo = hi = None
     for t in range(trials):
         rng = Random(seed + t)
         if kind == "monochrome":
             S, p = _draw_monochrome(rng, d, n, bound)
             rep = monochrome_depth(S, p, "open")
-            core = in_convex_hull(p, S, strict=True)
         else:
             config, p, rep = _draw_colourful(rng, d, sizes, bound)
-            core = core_membership(config, p, strict=True)
         if rep.count % 2 != 0:
             violations += 1
+        lo = rep.count if lo is None else min(lo, rep.count)
+        hi = rep.count if hi is None else max(hi, rep.count)
         if keep_records:
+            if kind == "monochrome":
+                core = in_convex_hull(p, S, strict=True)
+            else:
+                core = core_membership(config, p, strict=True)
             records.append(TrialRecord(t, seed + t, rep.count, core, True))
-    depths = [r.depth for r in records] if records else [0]
     return AuditReport(
         kind=f"parity:{kind}",
         dim=d,
         trials=trials,
         seed=seed,
         violations=violations,
-        min_observed=min(depths),
-        max_observed=max(depths),
+        min_observed=lo,
+        max_observed=hi,
         reference_bounds=(0, 0),
         records=tuple(records) if records is not None else None,
         extra={"n": n, "sizes": list(sizes) if sizes else None},

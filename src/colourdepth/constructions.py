@@ -91,15 +91,12 @@ class ConstructionSpec:
     dim: int
     epsilon: Fraction | None = None
     seed: int = 0
-    direction_tolerance: Fraction = Fraction(1, 10**BASE_DIGITS)
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dimension must be at least 1")
         if self.epsilon is not None and self.epsilon <= 0:
             raise InputError("epsilon must be positive")
-        if self.direction_tolerance <= 0:
-            raise InputError("direction_tolerance must be positive")
 
 
 # ----------------------------------------------------------- float scaffolding
@@ -559,21 +556,17 @@ def gen_random_core_config(
 
 
 _KINDS = {
-    "identical": lambda spec, digits: gen_identical(spec.dim),
-    "sminus": lambda spec, digits: gen_sminus(spec.dim, spec.epsilon, seed=spec.seed),
-    "sprime": lambda spec, digits: gen_sprime(spec.dim, spec.epsilon, seed=spec.seed),
-    "splus": lambda spec, digits: gen_splus(spec.dim, spec.epsilon, seed=spec.seed),
+    "identical": lambda spec: gen_identical(spec.dim),
+    "sminus": lambda spec: gen_sminus(spec.dim, spec.epsilon, seed=spec.seed),
+    "sprime": lambda spec: gen_sprime(spec.dim, spec.epsilon, seed=spec.seed),
+    "splus": lambda spec: gen_splus(spec.dim, spec.epsilon, seed=spec.seed),
 }
 
 
 def generate(spec: ConstructionSpec) -> VerifiedConfiguration:
     """Dispatch on spec.kind; `random_core` uses dim+1 points per colour."""
-    digits = BASE_DIGITS
-    tol = spec.direction_tolerance
-    while Fraction(1, 10**digits) > tol and digits < MAX_DIGITS:
-        digits += 1
     if spec.kind in _KINDS:
-        return _KINDS[spec.kind](spec, digits)
+        return _KINDS[spec.kind](spec)
     if spec.kind == "random_core":
         return gen_random_core_config(spec.dim, spec.dim + 1, spec.seed)
     raise InputError(f"unknown construction kind {spec.kind!r}")

@@ -1,12 +1,13 @@
 """Monochrome and colourful simplicial depth counting.
 
 The counts enumerate vertex tuples and decide containment of the query point
-exactly.  Colourful counting first translates the configuration so that the
-query point sits at the origin (translation is exact in rationals and leaves
-every containment decision unchanged); containment of the origin then reduces
-to sign tests on integer determinants of the scaled vertex directions, since
-scaling a point by a positive rational never changes whether the origin lies
-in a hull spanned with it.
+exactly.  Counting first translates the points so that the query point sits
+at the origin (translation is exact in rationals and leaves every containment
+decision unchanged).  Each translated point is then scaled to an integer
+vector, since scaling by a positive rational never changes whether the origin
+lies in a hull spanned with it, and every tuple is decided by the integer
+kernel of `exact`: cofactor signs for a simplex, and the Caratheodory hull
+search for degenerate tuples in closed mode.
 
 Enumeration order is lexicographic over colour index then point index, so
 witness lists and counts are reproducible byte for byte, and the enumeration
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,9 +26,9 @@ from .exact import (
     InputError,
     Mode,
     Point,
-    _det_int,
     _hull_contains,
-    _sign,
+    _int_row,
+    _origin_status,
     cone_contains,
     DegenerateConeError,
     in_convex_hull,
@@ -123,49 +123,14 @@ class ConeCount(NamedTuple):
     degenerate: int
 
 
-def _scaled_int(p: Point) -> tuple[int, ...]:
-    s = lcm(*(c.denominator for c in p.coords))
-    return tuple(int(c * s) for c in p.coords)
-
-
-def _origin_status(cols: Sequence[tuple[int, ...]]) -> tuple[bool, bool, bool]:
-    """(open_hit, closed_hit, degenerate) for the simplex on d+1 scaled columns.
-
-    Uses the cofactor expansion of the homogeneous system along its last row:
-    the i-th barycentric coordinate of the origin has the sign of
-    (-1)^(d+1+i) * minor_i relative to the full determinant.
-    """
-    d1 = len(cols)
-    minors = []
-    for i in range(d1):
-        m = [list(cols[j]) for j in range(d1) if j != i]
-        minors.append(_det_int(m))
-    det = 0
-    for i in range(d1):
-        term = minors[i] if (d1 - 1 + i) % 2 == 0 else -minors[i]
-        det += term
-    if det == 0:
-        return False, False, True
-    ds = _sign(det)
-    has_zero = False
-    for i in range(d1):
-        s = minors[i] if (d1 - 1 + i) % 2 == 0 else -minors[i]
-        s = _sign(s) * ds
-        if s < 0:
-            return False, False, False
-        if s == 0:
-            has_zero = True
-    return (not has_zero), True, False
-
-
 def _count_tuples(
     vertex_tuples: Iterable[tuple],
-    point_cols: dict,
-    point_raw: dict,
+    point_cols,
     mode: Mode,
     want_witnesses: bool,
 ):
-    """Shared counting core.  vertex_tuples yields (witness, keys) pairs."""
+    """Shared counting core.  vertex_tuples yields (witness, keys) pairs;
+    point_cols maps each key to the integer vector of its translated point."""
     count = degenerate = boundary = 0
     witnesses = [] if want_witnesses else None
     for witness, keys in vertex_tuples:
@@ -173,16 +138,11 @@ def _count_tuples(
         open_hit, closed_hit, degen = _origin_status(cols)
         if degen:
             degenerate += 1
-            if mode == "closed":
-                verts = [point_raw[k] for k in keys]
-                if _hull_contains(origin(len(cols[0])), verts):
-                    count += 1
-                    if want_witnesses:
-                        witnesses.append(witness)
-            continue
-        if closed_hit and not open_hit:
-            boundary += 1
-        hit = open_hit if mode == "open" else closed_hit
+            hit = mode == "closed" and _hull_contains(cols)
+        else:
+            if closed_hit and not open_hit:
+                boundary += 1
+            hit = open_hit if mode == "open" else closed_hit
         if hit:
             count += 1
             if want_witnesses:
@@ -207,16 +167,14 @@ def monochrome_depth(
             raise InputError("dimension mismatch between S and p")
     if len(S) < d + 1:
         raise InputError(f"need at least {d + 1} points, got {len(S)}")
-    shifted = [q - p for q in S]
-    cols = {i: _scaled_int(q) for i, q in enumerate(shifted)}
-    raw = dict(enumerate(shifted))
+    cols = [_int_row((q - p).coords) for q in S]
 
     def tuples():
         for sub in combinations(range(len(S)), d + 1):
             yield sub, sub
 
     count, degenerate, boundary, wit = _count_tuples(
-        tuples(), cols, raw, mode, want_witnesses
+        tuples(), cols, mode, want_witnesses
     )
     return DepthReport(mode, count, tuple(wit) if wit is not None else None,
                        degenerate, boundary)
@@ -243,12 +201,11 @@ def colourful_depth(
     if r < d + 1:
         raise InputError(f"need at least {d + 1} colour classes, got {r}")
     shifted = config.translated(-p)
-    cols = {}
-    raw = {}
-    for ci, cls in enumerate(shifted.classes):
-        for pi, q in enumerate(cls):
-            cols[(ci, pi)] = _scaled_int(q)
-            raw[(ci, pi)] = q
+    cols = {
+        (ci, pi): _int_row(q.coords)
+        for ci, cls in enumerate(shifted.classes)
+        for pi, q in enumerate(cls)
+    }
 
     def tuples():
         for colour_sub in combinations(range(r), d + 1):
@@ -258,7 +215,7 @@ def colourful_depth(
                 yield keys, keys
 
     count, degenerate, boundary, wit = _count_tuples(
-        tuples(), cols, raw, mode, want_witnesses
+        tuples(), cols, mode, want_witnesses
     )
     return DepthReport(mode, count, tuple(wit) if wit is not None else None,
                        degenerate, boundary)
@@ -289,12 +246,11 @@ def zero_containing_count(
         raise InputError(f"point index {point} out of range")
     if r < d + 1:
         raise InputError(f"need at least {d + 1} colour classes, got {r}")
-    cols = {}
-    raw = {}
-    for ci, cls in enumerate(config.classes):
-        for pi, q in enumerate(cls):
-            cols[(ci, pi)] = _scaled_int(q)
-            raw[(ci, pi)] = q
+    cols = {
+        (ci, pi): _int_row(q.coords)
+        for ci, cls in enumerate(config.classes)
+        for pi, q in enumerate(cls)
+    }
     others = [c for c in range(r) if c != colour]
 
     def tuples():
@@ -304,7 +260,7 @@ def zero_containing_count(
                 keys = ((colour, point),) + tuple(zip(colour_sub, picks))
                 yield keys, keys
 
-    count, _, _, _ = _count_tuples(tuples(), cols, raw, mode, False)
+    count, _, _, _ = _count_tuples(tuples(), cols, mode, False)
     return count
 
 

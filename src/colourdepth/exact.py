@@ -1,10 +1,12 @@
 """Exact rational predicates for affine and conic containment.
 
-Every predicate here is decided in arbitrary-precision rational arithmetic
-(`fractions.Fraction`); there is no floating-point code path.  Sign
-computations are reduced to integer determinants after clearing denominators
-row by row (a positive row scaling never changes a determinant sign), which
-keeps the hot loops on plain integers.
+Points carry `fractions.Fraction` coordinates, but every predicate is decided
+on integers: each vector is scaled by the positive lcm of its denominators,
+which changes no determinant sign, rank, or origin-in-hull answer.  One
+integer kernel sits under all of them: a Bareiss determinant, a Bareiss
+echelon for ranks and pivot columns, and the cofactors that give the
+barycentric signs of the origin in a simplex.  There is no floating-point
+code path.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -123,9 +125,23 @@ def _check_dims(points: Sequence[Point], dim: int | None = None) -> int:
     return d
 
 
-def _det_int(m: list[list[int]]) -> int:
+# ------------------------------------------------------------- integer kernel
+
+
+def _int_row(values) -> tuple[int, ...]:
+    """The rationals times the lcm of their denominators.
+
+    A positive scaling never changes a determinant sign, a rank, or whether
+    the origin lies in a hull spanned with the scaled vector.  Pass
+    ``(*p.coords, 1)`` for the homogeneous row of a point.
+    """
+    s = lcm(*(c.denominator for c in values))
+    return tuple(c.numerator * (s // c.denominator) for c in values)
+
+
+def _det_int(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     n = len(a)
     sign = 1
     prev = 1
@@ -146,6 +162,33 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _pivots(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of the row echelon form of an integer matrix; the rank
+    is their number.
+
+    Fraction-free (Bareiss) elimination: every entry stays an integer minor
+    of the input and every division is exact.
+    """
+    a = [list(row) for row in rows]
+    cols = len(a[0])
+    pivots: list[int] = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        for i in range(r + 1, len(a)):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+        prev = a[r][c]
+        pivots.append(c)
+        if r + 1 == len(a):
+            break
+    return pivots
+
+
 def _sign(x) -> int:
     if x > 0:
         return 1
@@ -154,15 +197,53 @@ def _sign(x) -> int:
     return 0
 
 
-def _int_homogeneous_row(p: Point) -> tuple[int, ...]:
-    """(s*x_1, ..., s*x_d, s) with s the positive lcm of the denominators."""
-    s = lcm(*(c.denominator for c in p.coords))
-    return tuple(int(c * s) for c in p.coords) + (s,)
+def _cofactors(cols: Sequence[Sequence[int]]) -> list[int]:
+    """Cofactors t of the row of ones in the square matrix whose columns are
+    (c, 1) for the d+1 integer vectors c in dimension d.
+
+    sum(t_i * c_i) = 0 and sum(t) is the determinant, so when that is nonzero
+    t / sum(t) are the barycentric coordinates of the origin.
+    """
+    n = len(cols)
+    minors = [_det_int(cols[:i] + cols[i + 1:]) for i in range(n)]
+    return [m if (n - 1 + i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
-def _int_linear_row(p: Point) -> tuple[int, ...]:
-    s = lcm(*(c.denominator for c in p.coords))
-    return tuple(int(c * s) for c in p.coords)
+def _origin_status(cols: Sequence[Sequence[int]]) -> tuple[bool, bool, bool]:
+    """(open_hit, closed_hit, degenerate) for the origin and the simplex on
+    d+1 integer vectors in dimension d."""
+    t = _cofactors(cols)
+    det = sum(t)
+    if det == 0:
+        return False, False, True
+    if det > 0 and min(t) < 0 or det < 0 and max(t) > 0:
+        return False, False, False
+    return 0 not in t, True, False
+
+
+def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
+    """True iff the origin lies in the closed convex hull of the integer vectors.
+
+    The vectors span a k-flat.  By Caratheodory the origin is in their hull
+    exactly when it is in the closed simplex of some k+1 affinely independent
+    ones.  Keeping only the pivot coordinates maps a flat through the origin
+    one-to-one onto R^k, so the search runs on projected (k+1)-subsets.
+    """
+    rows = list(dict.fromkeys(c + (1,) for c in cols))
+    pivots = _pivots(rows)
+    d = len(rows[0]) - 1
+    if pivots[-1] != d:
+        # The ones column is a pivot exactly when the linear rank is k,
+        # that is, when the flat holds the origin.
+        return False
+    k = len(pivots) - 1
+    if k == 0:
+        return True  # every vector is the origin
+    flat = [tuple(r[c] for c in pivots[:-1]) for r in rows]
+    return any(_origin_status(sub)[1] for sub in combinations(flat, k + 1))
+
+
+# ----------------------------------------------------------------- predicates
 
 
 def orientation(points: Sequence[Point]) -> int:
@@ -173,12 +254,14 @@ def orientation(points: Sequence[Point]) -> int:
     d = _check_dims(points)
     if len(points) != d + 1:
         raise InputError(f"orientation needs {d + 1} points in dimension {d}")
-    rows = [list(_int_homogeneous_row(p)) for p in points]
-    return _sign(_det_int(rows))
+    return _sign(_det_int([_int_row((*p.coords, 1)) for p in points]))
 
 
-def _hom_sign(rows: Sequence[Sequence[int]]) -> int:
-    return _sign(_det_int([list(r) for r in rows]))
+def _check_simplex(p: Point, vertices: Sequence[Point]) -> int:
+    d = _check_dims(list(vertices) + [p])
+    if len(vertices) != d + 1:
+        raise InputError(f"need {d + 1} vertices in dimension {d}")
+    return d
 
 
 def barycentric_coordinates(
@@ -188,89 +271,14 @@ def barycentric_coordinates(
 
     None is the degenerate flag: the vertices are affinely dependent.
     """
-    d = _check_dims(list(vertices) + [p])
-    if len(vertices) != d + 1:
-        raise InputError(f"need {d + 1} vertices in dimension {d}")
-    # Row r is the equation sum_j l_j * v_j[r] = p[r]; the last row is sum l = 1.
-    # Each row is scaled by the lcm of its denominators, which leaves the
-    # solution unchanged, then solved by Cramer's rule on integer matrices.
-    a_rows: list[list[int]] = []
-    b: list[int] = []
-    for r in range(d):
-        coeffs = [v[r] for v in vertices] + [p[r]]
-        s = lcm(*(c.denominator for c in coeffs))
-        a_rows.append([int(c * s) for c in coeffs[:-1]])
-        b.append(int(p[r] * s))
-    a_rows.append([1] * (d + 1))
-    b.append(1)
-    det = _det_int(a_rows)
+    d = _check_simplex(p, vertices)
+    # One common scale for every vertex keeps the ratios of the cofactors.
+    flat = _int_row([c for v in vertices for c in (v - p).coords])
+    t = _cofactors([flat[i:i + d] for i in range(0, len(flat), d)])
+    det = sum(t)
     if det == 0:
         return None
-    lams = []
-    for i in range(d + 1):
-        m = [row[:] for row in a_rows]
-        for r in range(d + 1):
-            m[r][i] = b[r]
-        lams.append(Fraction(_det_int(m), det))
-    return lams
-
-
-def _affine_combination(
-    p: Point, verts: Sequence[Point]
-) -> list[Fraction] | None:
-    """Solve sum(l_i v_i) = p with sum(l_i) = 1 over any number of vertices.
-
-    Returns None when the vertices are affinely dependent or the system is
-    inconsistent (p outside their affine hull).
-    """
-    d = p.dim
-    k = len(verts)
-    rows = [[v[r] for v in verts] + [p[r]] for r in range(d)]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    piv = 0
-    pivots = []
-    for col in range(k):
-        sel = None
-        for r in range(piv, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return None  # affinely dependent
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        pr = rows[piv]
-        for r in range(len(rows)):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], pr)]
-        pivots.append((piv, col))
-        piv += 1
-    for r in range(piv, len(rows)):
-        if rows[r][-1] != 0:
-            return None  # inconsistent
-    lams = [Fraction(0)] * k
-    for r, col in pivots:
-        lams[col] = rows[r][-1] / rows[r][col]
-    return lams
-
-
-def _hull_contains(p: Point, points: Sequence[Point]) -> bool:
-    """Exact closed convex hull membership via affinely independent subsets."""
-    d = p.dim
-    pts = []
-    seen = set()
-    for q in points:
-        if q not in seen:
-            seen.add(q)
-            pts.append(q)
-    if p in seen:
-        return True
-    for k in range(2, min(len(pts), d + 1) + 1):
-        for sub in combinations(pts, k):
-            lams = _affine_combination(p, sub)
-            if lams is not None and all(l >= 0 for l in lams):
-                return True
-    return False
+    return [Fraction(x, det) for x in t]
 
 
 def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
@@ -282,14 +290,12 @@ def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
     """
     if mode not in ("open", "closed"):
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
-    lams = barycentric_coordinates(p, vertices)
-    if lams is None:
-        if mode == "open":
-            return False
-        return _hull_contains(p, vertices)
-    if mode == "open":
-        return all(l > 0 for l in lams)
-    return all(l >= 0 for l in lams)
+    _check_simplex(p, vertices)
+    cols = [_int_row((v - p).coords) for v in vertices]
+    open_hit, closed_hit, degenerate = _origin_status(cols)
+    if degenerate:
+        return mode == "closed" and _hull_contains(cols)
+    return open_hit if mode == "open" else closed_hit
 
 
 def cone_contains(generators: Sequence[Point], v: Point) -> bool:
@@ -298,108 +304,41 @@ def cone_contains(generators: Sequence[Point], v: Point) -> bool:
     d = _check_dims(list(generators) + [v])
     if len(generators) != d:
         raise InputError(f"need exactly {d} generators in dimension {d}")
-    a_rows: list[list[int]] = []
-    b: list[int] = []
-    for r in range(d):
-        coeffs = [g[r] for g in generators] + [v[r]]
-        s = lcm(*(c.denominator for c in coeffs))
-        a_rows.append([int(c * s) for c in coeffs[:-1]])
-        b.append(int(v[r] * s))
-    det = _det_int(a_rows)
-    if det == 0:
+    # sum(t_i * g_i) = t_d * v, and t_d is the determinant of the generators.
+    cols = [_int_row(g.coords) for g in generators]
+    t = _cofactors(cols + [tuple(-x for x in _int_row(v.coords))])
+    if t[-1] == 0:
         raise DegenerateConeError("cone generators are linearly dependent")
-    ds = _sign(det)
-    for i in range(d):
-        m = [row[:] for row in a_rows]
-        for r in range(d):
-            m[r][i] = b[r]
-        if _sign(_det_int(m)) * ds < 0:
-            return False
-    return True
-
-
-def _affinely_independent(points: Sequence[Point]) -> bool:
-    """True iff the points span an affine flat of dimension len(points)-1."""
-    rows = [list(_int_homogeneous_row(p)) for p in points]
-    # Gaussian rank over rationals, done on the integer rows.
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0])
-    for col in range(cols):
-        sel = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                f = mat[r][col] / mat[rank][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank == len(points)
-
-
-def _full_dimensional(points: Sequence[Point], d: int) -> bool:
-    """True iff some d+1 of the points are affinely independent."""
-    basis: list[Point] = []
-    for p in points:
-        if _affinely_independent(basis + [p]):
-            basis.append(p)
-            if len(basis) == d + 1:
-                return True
-    return False
+    return all(x * t[-1] >= 0 for x in t)
 
 
 def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     """Exact convex hull membership.
 
-    Non-strict containment searches affinely independent subsets of at most
-    d+1 points for a non-negative affine combination.  Strict containment
-    additionally requires conv(S) to be full-dimensional and p to lie strictly
-    on the inner side of every supporting hyperplane spanned by d points of S.
+    Non-strict containment is a Caratheodory search for a closed simplex of
+    points of S around p.  Strict containment requires conv(S) to be
+    full-dimensional and p to lie strictly on the inner side of every
+    supporting hyperplane spanned by d points of S.
     """
     d = _check_dims(list(S) + [p])
-    if not _hull_contains(p, S):
-        return False
     if not strict:
-        return True
-    pts = []
-    seen = set()
-    for q in S:
-        if q not in seen:
-            seen.add(q)
-            pts.append(q)
-    if not _full_dimensional(pts, d):
+        return _hull_contains([_int_row((q - p).coords) for q in S])
+    rows = list(dict.fromkeys(_int_row((*q.coords, 1)) for q in S))
+    if len(_pivots(rows)) <= d:
         return False  # lower-dimensional hull has empty interior
-    rows = {q: _int_homogeneous_row(q) for q in pts}
-    p_row = _int_homogeneous_row(p)
-    for facet in combinations(pts, d):
-        if not _affinely_independent(facet):
-            continue
-        base = [rows[q] for q in facet]
+    p_row = _int_row((*p.coords, 1))
+    for facet in combinations(rows, d):
         pos = neg = False
-        for q in pts:
-            s = _hom_sign(base + [rows[q]])
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
+        for q in rows:
+            s = _det_int(facet + (q,))
+            pos = pos or s > 0
+            neg = neg or s < 0
             if pos and neg:
                 break
-        if pos and neg:
-            continue  # hyperplane cuts through S: not supporting
-        sp = _hom_sign(base + [p_row])
-        if pos and sp <= 0:
+        if pos == neg:
+            continue  # cuts through S, or spans no hyperplane
+        if _sign(_det_int(facet + (p_row,))) != (1 if pos else -1):
             return False
-        if neg and sp >= 0:
-            return False
-        if not pos and not neg:
-            return False  # all of S on the hyperplane
     return True
 
 
@@ -410,13 +349,8 @@ def in_general_position(points: Sequence[Point]) -> bool:
     contains k+2 of the points, for any k < d.
     """
     d = _check_dims(points)
-    if len(points) < d + 1:
-        return True
-    rows = [_int_homogeneous_row(p) for p in points]
-    for sub in combinations(rows, d + 1):
-        if _det_int([list(r) for r in sub]) == 0:
-            return False
-    return True
+    rows = [_int_row((*p.coords, 1)) for p in points]
+    return all(_det_int(sub) != 0 for sub in combinations(rows, d + 1))
 
 
 def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
@@ -427,11 +361,9 @@ def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     needed for open and closed containment counts to coincide at p.
     """
     d = _check_dims(list(points) + [p])
-    rows = [_int_homogeneous_row(q) for q in points]
-    p_row = _int_homogeneous_row(p)
-    for sub in combinations(range(len(points)), d):
-        base = [rows[i] for i in sub]
-        if _hom_sign(base + [p_row]) == 0:
-            if _affinely_independent([points[i] for i in sub]):
-                return False
+    rows = [_int_row((*q.coords, 1)) for q in points]
+    p_row = _int_row((*p.coords, 1))
+    for base in combinations(rows, d):
+        if _det_int(base + (p_row,)) == 0 and len(_pivots(base)) == d:
+            return False
     return True

@@ -68,19 +68,29 @@ def config_to_dict(config: ColourfulConfiguration) -> dict:
     }
 
 
+def _check_dimension(dim) -> None:
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise InputError("'dimension' must be an integer")
+
+
+def _check_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(data: dict) -> ColourfulConfiguration:
     try:
         dim = data["dimension"]
         colours = data["colours"]
     except (KeyError, TypeError) as e:
         raise InputError(f"configuration file needs 'dimension' and 'colours': {e}") from e
-    if not isinstance(dim, int):
-        raise InputError("'dimension' must be an integer")
+    _check_dimension(dim)
     classes = []
-    for cls in colours:
+    for cls in _check_list(colours, "'colours'"):
         points = []
-        for coords in cls:
-            if len(coords) != dim:
+        for coords in _check_list(cls, "a colour class"):
+            if len(_check_list(coords, "a coordinate list")) != dim:
                 raise InputError(
                     f"coordinate list {coords} does not have length {dim}"
                 )
@@ -114,9 +124,16 @@ def points_to_dict(points: Sequence[Point]) -> dict:
 
 
 def points_from_dict(data: dict) -> list[Point]:
+    if not isinstance(data, dict):
+        raise InputError(f"point-set file must hold a JSON object, got {type(data).__name__}")
     if "points" in data:
         dim = data.get("dimension")
-        pts = [Point(parse_fraction(c) for c in coords) for coords in data["points"]]
+        if dim is not None:
+            _check_dimension(dim)
+        pts = [
+            Point(parse_fraction(c) for c in _check_list(coords, "a coordinate list"))
+            for coords in _check_list(data["points"], "'points'")
+        ]
     elif "colours" in data:
         config = config_from_dict(data)
         if config.num_classes != 1:

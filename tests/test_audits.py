@@ -57,6 +57,18 @@ def test_parity_deterministic_and_partition_invariant():
     ]
 
 
+@pytest.mark.parametrize("kind, d, kw", [
+    ("monochrome", 2, {"n": 6}),
+    ("colourful_even_sizes", 2, {}),
+])
+def test_parity_summary_does_not_depend_on_records(kind, d, kw):
+    with_records = parity_audit(kind, d, 20, 5, **kw)
+    without = parity_audit(kind, d, 20, 5, keep_records=False, **kw)
+    assert without.records is None
+    assert without.summary() == with_records.summary()
+    assert with_records.max_observed == max(r.depth for r in with_records.records)
+
+
 def test_mu_audit_d1():
     rep = mu_audit(1, trials=6, core_samples=6, seed=2)
     assert rep.violations == 0

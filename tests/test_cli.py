@@ -1,6 +1,10 @@
 """End-to-end CLI tests: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +159,21 @@ def test_dimension_mismatch_is_input_error(capsys, tmp_path):
     run(capsys, "gen", "sminus", "--dim", "2", "--out", str(path))
     code, _, _ = run(capsys, "cdepth", "--config", str(path), "--point", "0,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"dimension": 2, "colours": [[1, 2]]},  # a class of numbers, not points
+    {"dimension": True, "colours": [[[1]], [[2]]]},  # JSON true is not d = 1
+])
+def test_malformed_config_shape_is_one_line_input_error(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "colourdepth.cli", "cdepth", "--config", str(path), "--point", "0"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr

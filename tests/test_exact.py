@@ -23,6 +23,7 @@ from colourdepth.exact import (
     point_in_simplex,
     pt,
 )
+from colourdepth.depth import monochrome_depth
 
 fracs = st.fractions(
     min_value=-20, max_value=20, max_denominator=50
@@ -248,3 +249,46 @@ def test_gp_with_ignores_dependent_subsets():
     # the duplicated point spans no line; queries only fail on real hyperplanes
     S = [pt(1, 1), pt(1, 1), pt(2, 0)]
     assert in_general_position_with(S, pt(5, 7))
+
+
+def _lattice_case(rng: Random, d: int):
+    """Small-integer points in d dimensions with duplicates, collinear runs
+    or a lower-dimensional hull, and a query that is often on an edge."""
+    n = rng.randint(1, 7)
+    lat = lambda r: Point(rng.randint(-r, r) for _ in range(d))  # noqa: E731
+    shape = rng.randrange(4)
+    if shape == 0:  # generic lattice points, duplicates likely
+        S = [lat(2) for _ in range(n)]
+    elif shape == 1:  # repeated points
+        S = [lat(2) for _ in range(n)]
+        S += S[: rng.randint(1, n)]
+    elif shape == 2:  # on one line
+        a, b = lat(2), lat(1)
+        S = [a + Point(t * x for x in b.coords) for t in rng.choices(range(-2, 3), k=n)]
+    else:  # on the hyperplane x_d = 0
+        S = [Point(lat(2).coords[:-1] + (0,)) for _ in range(n)]
+    pick = rng.randrange(3)
+    if pick == 0:
+        p = Point(Fraction(rng.randint(-4, 4), 2) for _ in range(d))
+    elif pick == 1:  # midpoint of two points of S: on an edge or inside
+        a, b = rng.choice(S), rng.choice(S)
+        p = Point((x + y) / 2 for x, y in zip(a.coords, b.coords))
+    else:
+        p = rng.choice(S)
+    return S, p
+
+
+def test_hull_predicates_on_degenerate_lattice_sets():
+    # Random rationals almost never span a lower-dimensional hull, so the
+    # flat projection of the closed search and the strict test on degenerate
+    # sets are checked here against the oracle and the open depth.
+    rng = Random(31)
+    for trial in range(1500):
+        d = 1 + trial % 3
+        S, p = _lattice_case(rng, d)
+        closed = in_convex_hull(p, S)
+        strict = in_convex_hull(p, S, strict=True)
+        assert closed == feasible_by_basis_enumeration(p, S), (S, p)
+        assert closed or not strict, (S, p)
+        if len(S) >= d + 1 and in_general_position_with(S, p):
+            assert strict == (monochrome_depth(S, p, "open").count > 0), (S, p)
