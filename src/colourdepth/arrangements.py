@@ -10,8 +10,9 @@ is split 2-to-1 by every such line.  Propagation must close up around the
 circle and must agree with a per-cell brute-force recount; both checks run
 on every construction.
 
-Angular order is decided by exact quadrant-and-cross-product comparison on
-the rational direction vectors; there is no trigonometry anywhere.
+Angular order is decided by the exact half-turn-and-cross-product comparator
+of `exact`, which the planar depth sweep shares; there is no trigonometry
+anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
 
-from .exact import InputError, Point, in_convex_hull, origin
+from .exact import InputError, Point, _angle_cmp, _cross, in_convex_hull, origin
 
 __all__ = [
     "DegenerateArrangementError",
@@ -82,29 +83,6 @@ def crossing_delta(l: int, u: int, k: int, d: int) -> int:
     return l + u - k - (d - 1)
 
 
-def _cross(a: Point, b: Point):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _half(p: Point) -> int:
-    """0 for angles in [0, pi), 1 for [pi, 2pi), measured from +x axis."""
-    if p[1] > 0 or (p[1] == 0 and p[0] > 0):
-        return 0
-    return 1
-
-
-def _angle_cmp(a: Ray, b: Ray) -> int:
-    ha, hb = _half(a.direction), _half(b.direction)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = _cross(a.direction, b.direction)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 def _cone_contains_2d(g1: Point, g2: Point, v: Point) -> bool:
     det = _cross(g1, g2)
     if det == 0:
@@ -138,7 +116,7 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
                     f"rays {(rays[i].colour, rays[i].index)} and "
                     f"{(rays[j].colour, rays[j].index)} span the same line"
                 )
-    rays.sort(key=cmp_to_key(_angle_cmp))
+    rays.sort(key=cmp_to_key(lambda a, b: _angle_cmp(a.direction, b.direction)))
 
     classes = (tuple(X), tuple(Y))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -237,9 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_points(argv: list[str]) -> list[str]:
+    """Rewrite '--point -1/2,0' as '--point=-1/2,0'.
+
+    argparse takes a value that starts with '-' for an option unless it is a
+    plain negative number, so a negative rational query point would be
+    refused with "expected one argument".
+    """
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] == "--point" and re.match(r"-[\d.]", a):
+            out[-1] = "--point=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_points(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ConstructionError as e:

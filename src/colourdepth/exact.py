@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 Mode = Literal["open", "closed"]
@@ -128,15 +129,20 @@ def _check_dims(points: Sequence[Point], dim: int | None = None) -> int:
 # ------------------------------------------------------------- integer kernel
 
 
-def _int_row(values) -> tuple[int, ...]:
-    """The rationals times the lcm of their denominators.
+def _scaled_row(values) -> tuple[int, tuple[int, ...]]:
+    """(s, s * values) for s the lcm of the denominators of the rationals.
 
     A positive scaling never changes a determinant sign, a rank, or whether
     the origin lies in a hull spanned with the scaled vector.  Pass
     ``(*p.coords, 1)`` for the homogeneous row of a point.
     """
     s = lcm(*(c.denominator for c in values))
-    return tuple(c.numerator * (s // c.denominator) for c in values)
+    return s, tuple(c.numerator * (s // c.denominator) for c in values)
+
+
+def _int_row(values) -> tuple[int, ...]:
+    """The integer vector of `_scaled_row`, without its scale."""
+    return _scaled_row(values)[1]
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
@@ -209,11 +215,20 @@ def _cofactors(cols: Sequence[Sequence[int]]) -> list[int]:
     return [m if (n - 1 + i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
-def _origin_status(cols: Sequence[Sequence[int]]) -> tuple[bool, bool, bool]:
+def _origin_status(
+    cols: Sequence[Sequence[int]], scales: Sequence[int] | None = None
+) -> tuple[bool, bool, bool]:
     """(open_hit, closed_hit, degenerate) for the origin and the simplex on
-    d+1 integer vectors in dimension d."""
+    d+1 integer vectors in dimension d.
+
+    When each column is the vector it stands for times its own positive
+    scale, pass those scales: cofactor i then carries every scale but its
+    own, so sum(scale_i * t_i) is the product of the scales times the
+    unscaled determinant, and degenerate means the unscaled vectors are
+    affinely dependent.  The hits do not depend on the scales.
+    """
     t = _cofactors(cols)
-    det = sum(t)
+    det = sum(t) if scales is None else sum(map(mul, scales, t))
     if det == 0:
         return False, False, True
     if det > 0 and min(t) < 0 or det < 0 and max(t) > 0:
@@ -241,6 +256,32 @@ def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
         return True  # every vector is the origin
     flat = [tuple(r[c] for c in pivots[:-1]) for r in rows]
     return any(_origin_status(sub)[1] for sub in combinations(flat, k + 1))
+
+
+def _cross(a: Sequence, b: Sequence):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _half(v: Sequence) -> int:
+    """0 for angles in [0, pi), 1 for [pi, 2pi), measured from the +x axis."""
+    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
+        return 0
+    return 1
+
+
+def _angle_cmp(a: Sequence, b: Sequence) -> int:
+    """Exact counter-clockwise angular order of nonzero plane vectors from the
+    +x axis: half-turn first, then the cross-product sign.  0 only for
+    vectors on one ray."""
+    ha, hb = _half(a), _half(b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    c = _cross(a, b)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
 
 
 # ----------------------------------------------------------------- predicates

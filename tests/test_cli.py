@@ -177,3 +177,25 @@ def test_malformed_config_shape_is_one_line_input_error(tmp_path, payload):
     assert proc.returncode == 2
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["depth", "cdepth", "core"])
+def test_negative_point_after_a_space(tmp_path, command):
+    tri = [pt(1, 0), pt(-1, 1), pt(-1, -1)]
+    path = tmp_path / "cfg.json"
+    # A one-colour configuration file doubles as a point-set file.
+    classes = 1 if command == "depth" else 3
+    save_config(ColourfulConfiguration(2, (tuple(tri),) * classes), path)
+    flag = "--points" if command == "depth" else "--config"
+    root = Path(__file__).resolve().parent.parent
+
+    def cli(*point_args):
+        return subprocess.run(
+            [sys.executable, "-m", "colourdepth.cli", command, flag, str(path), *point_args],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+
+    spaced, joined = cli("--point", "-1/2,0"), cli("--point=-1/2,0")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout and spaced.stdout

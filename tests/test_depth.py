@@ -1,13 +1,19 @@
 """Depth counting tests: frozen examples, counters, and cross-checks."""
 
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from colourdepth import depth
+from colourdepth.constructions import gen_regular_ngon, gen_sminus, gen_splus
 from colourdepth.depth import (
     ColourfulConfiguration,
     CoreSampleError,
+    _sweep_depth,
     antipodal_cone_count,
     colourful_depth,
     core_membership,
@@ -15,7 +21,16 @@ from colourdepth.depth import (
     monochrome_depth,
     zero_containing_count,
 )
-from colourdepth.exact import InputError, origin, pt
+from colourdepth.exact import (
+    DegenerateConeError,
+    InputError,
+    Point,
+    _scaled_row,
+    cone_contains,
+    orientation,
+    origin,
+    pt,
+)
 from colourdepth.sampling import random_core_class, random_points
 
 
@@ -70,6 +85,30 @@ def test_monochrome_boundary_counter():
     S = [pt(0, 0), pt(2, 0), pt(0, 2), pt(5, 5)]
     rep = monochrome_depth(S, pt(1, 0), "closed")  # on an edge
     assert rep.boundary >= 1
+
+
+def test_degenerate_counter_sees_collinear_points_of_unequal_scale():
+    # Scaled to integers one by one, (1/2, 1), (1, 1), (3/2, 1) become
+    # (1, 2), (1, 1), (3, 2), which are not collinear; the points are.
+    S = [pt(Fraction(1, 2), 1), pt(1, 1), pt(Fraction(3, 2), 1)]
+    for mode in ("open", "closed"):
+        rep = monochrome_depth(S, pt(0, 0), mode, want_witnesses=True)
+        assert (rep.count, rep.degenerate, rep.boundary) == (0, 1, 0)
+    cfg = config(2, S[:1], S[1:2], S[2:])
+    rep = colourful_depth(cfg, pt(0, 0), "closed")
+    assert (rep.count, rep.degenerate, rep.boundary) == (0, 1, 0)
+
+
+def test_degenerate_counter_counts_affinely_dependent_tuples():
+    rng = Random(41)
+    for _ in range(200):
+        S = [pt(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(6)]
+        p = pt(Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
+        rep = monochrome_depth(S, p, "closed", want_witnesses=True)
+        assert rep.degenerate == sum(
+            1 for t in combinations(S, 3) if orientation(list(t)) == 0
+        )
 
 
 # ------------------------------------------------------------------- colourful
@@ -177,6 +216,26 @@ def test_zero_count_is_zero_when_antipode_uncovered():
     assert antipodal_cone_count(cfg, 0, pt(1)).count == 0
 
 
+def test_antipodal_cone_count_is_cone_contains_count():
+    # Lattice classes give dependent generator pairs and cone boundary hits.
+    rng = Random(23)
+    lattice = lambda: pt(rng.randint(-3, 3), rng.randint(-3, 3))  # noqa: E731
+    for _ in range(60):
+        cfg = config(2, *([lattice() for _ in range(3)] for _ in range(3)))
+        for j in range(3):
+            v = lattice()
+            if not any(v.coords):
+                continue
+            count = degenerate = 0
+            others = [c for c in range(3) if c != j]
+            for gens in product(*(cfg.classes[c] for c in others)):
+                try:
+                    count += cone_contains(gens, -v)
+                except DegenerateConeError:
+                    degenerate += 1
+            assert antipodal_cone_count(cfg, j, v) == (count, degenerate)
+
+
 def test_antipodal_requires_nonzero():
     cfg = config(1, [pt(-1), pt(1)], [pt(-2), pt(2)])
     with pytest.raises(InputError):
@@ -232,3 +291,131 @@ def test_strict_core_point_depth_at_least_two_d():
             rep = colourful_depth(cfg, origin(d), "open")
             if rep.degenerate == 0 and rep.boundary == 0:
                 assert rep.count >= 2 * d
+
+
+# --------------------------------------------------------------- planar sweep
+
+
+def swept(S, p):
+    """The sweep's monochrome answer, or None where it falls back."""
+    return _sweep_depth([_scaled_row((q - p).coords) for q in S])
+
+
+def swept_colourful(cfg, p):
+    scaled = [_scaled_row((q - p).coords) for cls in cfg.classes for q in cls]
+    return _sweep_depth(scaled, [c for c, cls in enumerate(cfg.classes) for _ in cls])
+
+
+def enumerated(counter, *args):
+    """The enumeration's report: asking for witnesses always enumerates."""
+    rep = counter(*args, want_witnesses=True)
+    assert len(rep.witnesses) == rep.count
+    return rep
+
+
+def fields(rep):
+    return rep.mode, rep.count, rep.degenerate, rep.boundary
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+lattice_ints = st.integers(min_value=-3, max_value=3).map(Fraction)
+half_ints = st.integers(min_value=-7, max_value=7).map(lambda k: Fraction(k, 2))
+modes = st.sampled_from(["open", "closed"])
+
+
+def plane_points(coord):
+    return st.tuples(coord, coord).map(Point)
+
+
+# Clean rationals, where the sweep runs, and small-integer lattices with
+# half-integer queries, where most inputs fall back.
+inputs = st.one_of(
+    st.tuples(st.just(rationals), plane_points(rationals)),
+    st.tuples(st.just(lattice_ints), plane_points(half_ints)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mode=modes)
+def test_sweep_matches_enumeration_monochrome(data, mode):
+    coord, p = data.draw(inputs)
+    S = data.draw(st.lists(plane_points(coord), min_size=3, max_size=9))
+    rep = monochrome_depth(S, p, mode)
+    oracle = enumerated(monochrome_depth, S, p, mode)
+    assert fields(rep) == fields(oracle)
+    assert rep.witnesses is None
+    fast = swept(S, p)
+    event("fallback" if fast is None else "sweep")
+    if fast is not None:
+        assert fast == oracle.count and oracle.degenerate == oracle.boundary == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mode=modes, r=st.integers(min_value=3, max_value=4))
+def test_sweep_matches_enumeration_colourful(data, mode, r):
+    coord, p = data.draw(inputs)
+    classes = [data.draw(st.lists(plane_points(coord), min_size=1, max_size=4))
+               for _ in range(r)]
+    cfg = config(2, *classes)
+    rep = colourful_depth(cfg, p, mode)
+    oracle = enumerated(colourful_depth, cfg, p, mode)
+    assert fields(rep) == fields(oracle)
+    assert rep.witnesses is None
+    fast = swept_colourful(cfg, p)
+    event("fallback" if fast is None else "sweep")
+    if fast is not None:
+        assert fast == oracle.count and oracle.degenerate == oracle.boundary == 0
+
+
+def test_sweep_runs_on_clean_rational_input():
+    rng = Random(8)
+    for _ in range(50):
+        S = random_points(rng, 12, 2, bound=1000)
+        p = random_points(rng, 1, 2, bound=1000)[0]
+        assert swept(S, p) == enumerated(monochrome_depth, S, p, "open").count
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 61])
+def test_sweep_odd_ngon_centre(n):
+    S = gen_regular_ngon(n)
+    assert swept(S, origin(2)) == (n**3 - n) // 24
+    assert monochrome_depth(S, origin(2), "closed").count == (n**3 - n) // 24
+
+
+@pytest.mark.parametrize("gen,value", [(gen_sminus, 5), (gen_splus, 9)])
+def test_sweep_extremal_configurations(gen, value):
+    cfg = gen(2).config
+    assert swept_colourful(cfg, origin(2)) == value
+    assert colourful_depth(cfg, origin(2), "open").count == value
+
+
+# p = 0 throughout: each input breaks one condition of a clean plane.
+FALLBACKS = {
+    "zero_vector": [pt(0, 0), pt(3, 1), pt(-2, 3), pt(-1, -4)],
+    "antipodal_pair": [pt(2, 1), pt(-2, -1), pt(-1, 3), pt(1, -5)],
+    "parallel_pair": [pt(2, 1), pt(4, 2), pt(-1, 3), pt(1, -5)],
+    "three_collinear": [pt(1, 1), pt(2, 1), pt(3, 1), pt(-1, -3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_sweep_falls_back_to_enumeration(name):
+    S = FALLBACKS[name]
+    assert swept(S, origin(2)) is None
+    cfg = config(2, S[:2], S[2:3], S[3:])
+    assert swept_colourful(cfg, origin(2)) is None
+    for mode in ("open", "closed"):
+        assert fields(monochrome_depth(S, origin(2), mode)) == fields(
+            enumerated(monochrome_depth, S, origin(2), mode))
+        assert fields(colourful_depth(cfg, origin(2), mode)) == fields(
+            enumerated(colourful_depth, cfg, origin(2), mode))
+
+
+def test_witnesses_never_take_the_sweep(monkeypatch):
+    S = gen_regular_ngon(7)
+    cfg = gen_sminus(2).config
+    monkeypatch.setattr(depth, "_sweep_depth", lambda *a: pytest.fail("sweep ran"))
+    rep = monochrome_depth(S, origin(2), "open", want_witnesses=True)
+    assert rep.count == len(rep.witnesses) == 14
+    rep = colourful_depth(cfg, origin(2), "open", want_witnesses=True)
+    assert rep.count == len(rep.witnesses) == 5
