@@ -17,9 +17,8 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import InputError, Point, _angle_cmp, _cross, in_convex_hull, origin
 
@@ -40,30 +39,32 @@ class DegenerateArrangementError(ValueError):
     """Coincident or antipodal rays, or a class without 0 in its hull."""
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     colour: int
     index: int
     direction: Point
 
 
-@dataclass(frozen=True)
-class CircularArrangement:
+class _Arrangement(NamedTuple):
+    boundaries: tuple[Ray, ...]
+    cell_depths: tuple[int, ...]
+
+
+class CircularArrangement(_Arrangement):
     """Cyclically ordered boundary rays with one cell depth per arc.
 
     cell_depths[k] is the depth of the open arc between boundaries[k] and
     boundaries[k+1] (cyclically)."""
 
-    boundaries: tuple[Ray, ...]
-    cell_depths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.boundaries) != len(self.cell_depths):
+    def __new__(cls, boundaries: tuple[Ray, ...], cell_depths: tuple[int, ...]):
+        if len(boundaries) != len(cell_depths):
             raise InputError("one cell per boundary ray required")
+        return super().__new__(cls, boundaries, cell_depths)
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
     sequence: tuple[int, ...]
     min_depth: int
     count_of_min_cells: int

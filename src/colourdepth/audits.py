@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple
@@ -54,8 +53,6 @@ CSV_HEADER = ["trial", "seed", "depth", "core_flag", "gp_flag"]
 
 PLANTED_TRIAL = -1  # trial index marking a planted extremal configuration
 
-# Proven minimum colourful depths of a core point by dimension.
-_KNOWN_MIN = {1: 2, 2: 5, 3: 10}
 # Proven maxima over interior core points, d+1 points in each of d+1 colours.
 _KNOWN_MAX = {1: 2, 2: 9}
 
@@ -74,8 +71,7 @@ class TrialRecord(NamedTuple):
     gp_flag: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     kind: str
     dim: int
     trials: int
@@ -84,9 +80,9 @@ class AuditReport:
     min_observed: int
     max_observed: int
     reference_bounds: tuple[int, int]
+    extra: dict  # audit-specific summary fields
     records: tuple[TrialRecord, ...] | None = None
     generation_failures: int = 0
-    extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         out = {
@@ -118,8 +114,13 @@ def write_csv(report: AuditReport, path) -> None:
 
 
 def known_min_core_depth(d: int) -> int:
-    """Best proven lower bound for the minimum core-point depth at dimension d."""
-    return _KNOWN_MIN.get(d, 2 * d)
+    """The minimum colourful depth of a core point at dimension d: d^2 + 1.
+
+    The paper conjectures this value and attains it with S-; Sarrabezolles
+    proved it for every d ("The colourful simplicial depth conjecture",
+    J. Combin. Theory Ser. A 130, 2015).
+    """
+    return d * d + 1
 
 
 # ---------------------------------------------------------------------- parity

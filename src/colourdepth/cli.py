@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .arrangements import (
     DegenerateArrangementError,
@@ -39,6 +38,7 @@ from .serialization import (
     config_to_dict,
     load_config,
     load_points,
+    parse_fraction,
     parse_point,
     save_config,
 )
@@ -79,7 +79,7 @@ def _cmd_gen(args) -> int:
         spec = ConstructionSpec(
             kind=args.kind,
             dim=args.dim,
-            epsilon=Fraction(args.epsilon) if args.epsilon else None,
+            epsilon=parse_fraction(args.epsilon) if args.epsilon else None,
             seed=args.seed,
         )
         vc = generate(spec)
@@ -139,7 +139,10 @@ def _cmd_audit(args) -> int:
     if args.kind == "parity":
         sizes = None
         if args.sizes:
-            sizes = tuple(int(s) for s in args.sizes.split(","))
+            try:
+                sizes = tuple(int(s) for s in args.sizes.split(","))
+            except ValueError as e:
+                raise InputError(f"--sizes needs comma-separated integers: {e}") from e
         report = parity_audit(
             args.parity_kind,
             args.dim,

@@ -24,9 +24,9 @@ wrong configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .depth import (
     ColourfulConfiguration,
@@ -72,8 +72,7 @@ class _VerifyFailure(Exception):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class VerifiedConfiguration:
+class VerifiedConfiguration(NamedTuple):
     """A configuration together with its exactly re-checked origin depth."""
 
     config: ColourfulConfiguration
@@ -83,20 +82,24 @@ class VerifiedConfiguration:
     last_colour_counts: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Parameters for `generate`; epsilon defaults to 1/(100*dim)."""
-
+class _Spec(NamedTuple):
     kind: str
     dim: int
     epsilon: Fraction | None = None
     seed: int = 0
 
-    def __post_init__(self):
-        if self.dim < 1:
+
+class ConstructionSpec(_Spec):
+    """Parameters for `generate`; epsilon defaults to 1/(100*dim)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, dim: int, epsilon: Fraction | None = None, seed: int = 0):
+        if dim < 1:
             raise InputError("dimension must be at least 1")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if epsilon is not None and epsilon <= 0:
             raise InputError("epsilon must be positive")
+        return super().__new__(cls, kind, dim, epsilon, seed)
 
 
 # ----------------------------------------------------------- float scaffolding

@@ -22,7 +22,12 @@ closed counts agree and both counters are zero.
 Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
 decided by the integer kernel of `exact`: cofactor signs for a simplex, and
-the Caratheodory hull search for degenerate tuples in closed mode.
+the Caratheodory hull search for degenerate tuples in closed mode.  A
+cofactor is a d x d minor on the tuple's other d points, and neighbouring
+tuples share them, so each query memoises its minors by point keys in a dict
+that lives for that call: monochrome counting computes C(n, d) minors rather
+than (d+1) C(n, d+1), and colourful d = 3 with four classes of four computes
+256 rather than 1,024.
 Enumeration is also the oracle the sweep is tested against.  Its order is
 lexicographic over colour index then point index, so witness lists and counts
 are reproducible byte for byte, and the enumeration space can be partitioned
@@ -31,11 +36,11 @@ across workers and summed without changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
 from math import comb, gcd
+from operator import mul
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,8 +49,8 @@ from .exact import (
     Mode,
     Point,
     _angle_cmp,
-    _cofactors,
     _cross,
+    _det_int,
     _hull_contains,
     _int_row,
     _origin_status,
@@ -76,26 +81,30 @@ class CoreSampleError(RuntimeError):
     This is evidence of a thin or empty core, not a proof of emptiness."""
 
 
-@dataclass(frozen=True)
-class ColourfulConfiguration:
-    """A dimension d plus r colour classes of points."""
-
+class _Configuration(NamedTuple):
     dim: int
     classes: tuple[tuple[Point, ...], ...]
 
-    def __post_init__(self):
-        if self.dim < 1:
+
+class ColourfulConfiguration(_Configuration):
+    """A dimension d plus r colour classes of points."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, classes: tuple[tuple[Point, ...], ...]):
+        if dim < 1:
             raise InputError("dimension must be at least 1")
-        if not self.classes:
+        if not classes:
             raise InputError("need at least one colour class")
-        for cls in self.classes:
-            if not cls:
+        for colour in classes:
+            if not colour:
                 raise InputError("every colour class needs at least one point")
-            for p in cls:
-                if p.dim != self.dim:
+            for p in colour:
+                if p.dim != dim:
                     raise InputError(
-                        f"point dimension {p.dim} does not match dim {self.dim}"
+                        f"point dimension {p.dim} does not match dim {dim}"
                     )
+        return super().__new__(cls, dim, classes)
 
     @property
     def num_classes(self) -> int:
@@ -120,8 +129,7 @@ class ColourfulConfiguration:
         )
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(NamedTuple):
     """Result of a depth count.
 
     degenerate counts the tuples whose vertices are affinely dependent (as
@@ -143,23 +151,51 @@ class ConeCount(NamedTuple):
     degenerate: int
 
 
+def _memo_cofactors(
+    key_tuples: Iterable[tuple[int, ...]], cols: Sequence[tuple[int, ...]], d: int
+):
+    """Yield each tuple of d+1 keys with the `_cofactors` of its columns
+    cols[k].
+
+    Cofactor i is the minor on every column but the i-th, with the sign
+    (-1)^(d+i).  Each minor is computed once per call and memoised by the
+    keys of its columns, so a query costs one determinant per d-subset that
+    occurs rather than d+1 per simplex.  A vertex set must come in one fixed
+    key order.
+    """
+    minors: dict[tuple[int, ...], int] = {}
+    get = minors.get
+    drops = [(i, (d + i) % 2) for i in range(d + 1)]
+    for keys in key_tuples:
+        t = []
+        for i, negate in drops:
+            face = keys[:i] + keys[i + 1:]
+            m = get(face)
+            if m is None:
+                m = minors[face] = _det_int([cols[k] for k in face])
+            t.append(-m if negate else m)
+        yield keys, t
+
+
 def _count_tuples(
-    vertex_tuples: Iterable[tuple],
-    point_scaled,
+    key_tuples: Iterable[tuple[int, ...]],
+    scales: Sequence[int],
+    cols: Sequence[tuple[int, ...]],
     mode: Mode,
     want_witnesses: bool,
 ):
-    """Shared counting core.  vertex_tuples yields (witness, keys) pairs;
-    point_scaled maps each key to the `_scaled_row` pair (scale, integer
-    vector) of its translated point."""
+    """Shared counting core.  key_tuples yields the d+1 indices of each
+    simplex; scales[k] and cols[k] are the `_scaled_row` pair of translated
+    point k.  Witnesses are key tuples."""
     count = degenerate = boundary = 0
     witnesses = [] if want_witnesses else None
-    for witness, keys in vertex_tuples:
-        scales, cols = zip(*[point_scaled[k] for k in keys])
-        open_hit, closed_hit, degen = _origin_status(cols, scales)
+    for keys, t in _memo_cofactors(key_tuples, cols, len(cols[0])):
+        open_hit, closed_hit, degen = _origin_status(
+            t, sum(map(mul, map(scales.__getitem__, keys), t))
+        )
         if degen:
             degenerate += 1
-            hit = mode == "closed" and _hull_contains(cols)
+            hit = mode == "closed" and _hull_contains([cols[k] for k in keys])
         else:
             if closed_hit and not open_hit:
                 boundary += 1
@@ -167,8 +203,24 @@ def _count_tuples(
         if hit:
             count += 1
             if want_witnesses:
-                witnesses.append(witness)
+                witnesses.append(keys)
     return count, degenerate, boundary, witnesses
+
+
+def _class_keys(config: ColourfulConfiguration) -> list[range]:
+    """The flat point indices of each colour class, classes in order."""
+    out, start = [], 0
+    for cls in config.classes:
+        out.append(range(start, start + len(cls)))
+        start += len(cls)
+    return out
+
+
+def _colourful_keys(class_keys: Sequence[range], colours: Sequence[int], k: int):
+    """Flat index tuples picking one point from each of k of the colours,
+    lexicographic over colour subset then points."""
+    for colour_sub in combinations(colours, k):
+        yield from product(*(class_keys[c] for c in colour_sub))
 
 
 def _clean_plane(scaled: Sequence[tuple[int, tuple[int, int]]]) -> bool:
@@ -272,12 +324,9 @@ def monochrome_depth(
         if swept is not None:
             return DepthReport(mode, swept)
 
-    def tuples():
-        for sub in combinations(range(len(S)), d + 1):
-            yield sub, sub
-
+    scales, cols = zip(*scaled)
     count, degenerate, boundary, wit = _count_tuples(
-        tuples(), scaled, mode, want_witnesses
+        combinations(range(len(S)), d + 1), scales, cols, mode, want_witnesses
     )
     return DepthReport(mode, count, tuple(wit) if wit is not None else None,
                        degenerate, boundary)
@@ -304,28 +353,20 @@ def colourful_depth(
     if r < d + 1:
         raise InputError(f"need at least {d + 1} colour classes, got {r}")
     shifted = config.translated(-p)
-    scaled = {
-        (ci, pi): _scaled_row(q.coords)
-        for ci, cls in enumerate(shifted.classes)
-        for pi, q in enumerate(cls)
-    }
+    scaled = [_scaled_row(q.coords) for cls in shifted.classes for q in cls]
+    labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
     if d == 2 and not want_witnesses:
-        swept = _sweep_depth(list(scaled.values()), [ci for ci, _ in scaled])
+        swept = _sweep_depth(scaled, [ci for ci, _ in labels])
         if swept is not None:
             return DepthReport(mode, swept)
-
-    def tuples():
-        for colour_sub in combinations(range(r), d + 1):
-            sizes = [range(len(config.classes[c])) for c in colour_sub]
-            for picks in product(*sizes):
-                keys = tuple(zip(colour_sub, picks))
-                yield keys, keys
-
+    scales, cols = zip(*scaled)
     count, degenerate, boundary, wit = _count_tuples(
-        tuples(), scaled, mode, want_witnesses
+        _colourful_keys(_class_keys(config), range(r), d + 1),
+        scales, cols, mode, want_witnesses,
     )
-    return DepthReport(mode, count, tuple(wit) if wit is not None else None,
-                       degenerate, boundary)
+    if wit is not None:
+        wit = tuple(tuple(labels[k] for k in keys) for keys in wit)
+    return DepthReport(mode, count, wit, degenerate, boundary)
 
 
 def core_membership(config: ColourfulConfiguration, p: Point, strict: bool = False) -> bool:
@@ -353,21 +394,12 @@ def zero_containing_count(
         raise InputError(f"point index {point} out of range")
     if r < d + 1:
         raise InputError(f"need at least {d + 1} colour classes, got {r}")
-    scaled = {
-        (ci, pi): _scaled_row(q.coords)
-        for ci, cls in enumerate(config.classes)
-        for pi, q in enumerate(cls)
-    }
+    scales, cols = zip(*(_scaled_row(q.coords) for cls in config.classes for q in cls))
+    class_keys = _class_keys(config)
+    fixed = (class_keys[colour][point],)
     others = [c for c in range(r) if c != colour]
-
-    def tuples():
-        for colour_sub in combinations(others, d):
-            sizes = [range(len(config.classes[c])) for c in colour_sub]
-            for picks in product(*sizes):
-                keys = ((colour, point),) + tuple(zip(colour_sub, picks))
-                yield keys, keys
-
-    count, _, _, _ = _count_tuples(tuples(), scaled, mode, False)
+    key_tuples = (fixed + rest for rest in _colourful_keys(class_keys, others, d))
+    count, _, _, _ = _count_tuples(key_tuples, scales, cols, mode, False)
     return count
 
 
@@ -391,17 +423,17 @@ def antipodal_cone_count(
         raise InputError("v must be nonzero")
     # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
     # the determinant of the generators (see `cone_contains`).
-    v_col = _int_row(v.coords)
-    rows = [[_int_row(q.coords) for q in cls] for cls in config.classes]
-    count = degenerate = 0
+    cols = [_int_row(q.coords) for cls in config.classes for q in cls]
+    v_key = (len(cols),)
+    cols.append(_int_row(v.coords))
     others = [c for c in range(r) if c != colour]
-    for colour_sub in combinations(others, d):
-        for gens in product(*(rows[c] for c in colour_sub)):
-            t = _cofactors([*gens, v_col])
-            if t[-1] == 0:
-                degenerate += 1
-            elif all(x * t[-1] >= 0 for x in t):
-                count += 1
+    gen_tuples = _colourful_keys(_class_keys(config), others, d)
+    count = degenerate = 0
+    for _, t in _memo_cofactors((gens + v_key for gens in gen_tuples), cols, d):
+        if t[-1] == 0:
+            degenerate += 1
+        elif all(x * t[-1] >= 0 for x in t):
+            count += 1
     return ConeCount(count, degenerate)
 
 

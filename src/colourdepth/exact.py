@@ -3,10 +3,18 @@
 Points carry `fractions.Fraction` coordinates, but every predicate is decided
 on integers: each vector is scaled by the positive lcm of its denominators,
 which changes no determinant sign, rank, or origin-in-hull answer.  One
-integer kernel sits under all of them: a Bareiss determinant, a Bareiss
-echelon for ranks and pivot columns, and the cofactors that give the
-barycentric signs of the origin in a simplex.  There is no floating-point
-code path.
+integer kernel sits under all of them: a determinant (closed forms up to
+3x3, Bareiss above), a Bareiss echelon for ranks and pivot columns, and the
+cofactors that give the barycentric signs of the origin in a simplex.  There
+is no floating-point code path.
+
+The same cofactors, taken over the d homogeneous rows of a facet, are the
+normal N of the hyperplane through its d points: the (d+1)-determinant of
+the facet and any point q is the dot product N . (q, 1).  General position
+and strict hull membership compute each facet normal once and then decide
+every point against it with a dot product; a zero normal means the facet
+spans no hyperplane, which is all that query-side general position asks of
+the normal.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -146,9 +154,18 @@ def _int_row(values) -> tuple[int, ...]:
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of an integer matrix: closed forms up to 3x3, the
+    fraction-free Bareiss elimination above."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(row) for row in m]
-    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -209,26 +226,28 @@ def _cofactors(cols: Sequence[Sequence[int]]) -> list[int]:
 
     sum(t_i * c_i) = 0 and sum(t) is the determinant, so when that is nonzero
     t / sum(t) are the barycentric coordinates of the origin.
+
+    Read the other way, ``_cofactors(list(zip(*facet)))`` for d homogeneous
+    rows is the normal N of the hyperplane they span: expanding along the
+    last row, det(facet + (q,)) = sum(N_j * q_j) for every row q.
     """
     n = len(cols)
     minors = [_det_int(cols[:i] + cols[i + 1:]) for i in range(n)]
     return [m if (n - 1 + i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
-def _origin_status(
-    cols: Sequence[Sequence[int]], scales: Sequence[int] | None = None
-) -> tuple[bool, bool, bool]:
+def _origin_status(t: Sequence[int], det: int | None = None) -> tuple[bool, bool, bool]:
     """(open_hit, closed_hit, degenerate) for the origin and the simplex on
-    d+1 integer vectors in dimension d.
+    d+1 integer vectors in dimension d, given their `_cofactors` t.
 
-    When each column is the vector it stands for times its own positive
-    scale, pass those scales: cofactor i then carries every scale but its
-    own, so sum(scale_i * t_i) is the product of the scales times the
-    unscaled determinant, and degenerate means the unscaled vectors are
-    affinely dependent.  The hits do not depend on the scales.
+    det defaults to sum(t), the determinant.  When each vector is the one it
+    stands for times its own positive scale, pass sum(scale_i * t_i), which
+    is the product of the scales times the unscaled determinant: degenerate
+    then means the unscaled vectors are affinely dependent.  The hits do not
+    depend on the scales.
     """
-    t = _cofactors(cols)
-    det = sum(t) if scales is None else sum(map(mul, scales, t))
+    if det is None:
+        det = sum(t)
     if det == 0:
         return False, False, True
     if det > 0 and min(t) < 0 or det < 0 and max(t) > 0:
@@ -255,7 +274,7 @@ def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
     if k == 0:
         return True  # every vector is the origin
     flat = [tuple(r[c] for c in pivots[:-1]) for r in rows]
-    return any(_origin_status(sub)[1] for sub in combinations(flat, k + 1))
+    return any(_origin_status(_cofactors(sub))[1] for sub in combinations(flat, k + 1))
 
 
 def _cross(a: Sequence, b: Sequence):
@@ -333,7 +352,7 @@ def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     _check_simplex(p, vertices)
     cols = [_int_row((v - p).coords) for v in vertices]
-    open_hit, closed_hit, degenerate = _origin_status(cols)
+    open_hit, closed_hit, degenerate = _origin_status(_cofactors(cols))
     if degenerate:
         return mode == "closed" and _hull_contains(cols)
     return open_hit if mode == "open" else closed_hit
@@ -369,16 +388,17 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
         return False  # lower-dimensional hull has empty interior
     p_row = _int_row((*p.coords, 1))
     for facet in combinations(rows, d):
+        normal = _cofactors(list(zip(*facet)))
         pos = neg = False
         for q in rows:
-            s = _det_int(facet + (q,))
+            s = sum(map(mul, normal, q))
             pos = pos or s > 0
             neg = neg or s < 0
             if pos and neg:
                 break
         if pos == neg:
             continue  # cuts through S, or spans no hyperplane
-        if _sign(_det_int(facet + (p_row,))) != (1 if pos else -1):
+        if _sign(sum(map(mul, normal, p_row))) != (1 if pos else -1):
             return False
     return True
 
@@ -387,24 +407,37 @@ def in_general_position(points: Sequence[Point]) -> bool:
     """True iff every (d+1)-subset of the points is affinely independent.
 
     For n >= d+1 points this is equivalent to: no k-dimensional affine flat
-    contains k+2 of the points, for any k < d.
+    contains k+2 of the points, for any k < d.  Each subset is a d-point
+    facet followed by a later point, so every facet normal is computed once
+    and each subset determinant is its dot product with the last point.
     """
     d = _check_dims(points)
     rows = [_int_row((*p.coords, 1)) for p in points]
-    return all(_det_int(sub) != 0 for sub in combinations(rows, d + 1))
+    for facet in combinations(range(len(rows) - 1), d):
+        normal = _cofactors(list(zip(*(rows[i] for i in facet))))
+        for q in rows[facet[-1] + 1:]:
+            if sum(map(mul, normal, q)) == 0:
+                return False
+    return True
 
 
 def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     """True iff p avoids every hyperplane spanned by d of the given points.
 
     Subsets of d points that are themselves affinely dependent span no
-    hyperplane and are ignored.  This is the query-side general position
-    needed for open and closed containment counts to coincide at p.
+    hyperplane (their normal is zero) and are ignored; the normal is computed
+    only for subsets that are affinely dependent together with p.  This is
+    the query-side general position needed for open and closed containment
+    counts to coincide at p.
     """
     d = _check_dims(list(points) + [p])
     rows = [_int_row((*q.coords, 1)) for q in points]
-    p_row = _int_row((*p.coords, 1))
-    for base in combinations(rows, d):
-        if _det_int(base + (p_row,)) == 0 and len(_pivots(base)) == d:
+    # Subtracting (p, 1) from the other rows of det(base + (p, 1)) leaves
+    # the d x d determinant of the vectors q - p, each scaled to integers.
+    vecs = [_int_row((q - p).coords) for q in points]
+    for base in combinations(range(len(rows)), d):
+        if _det_int([vecs[i] for i in base]) == 0 and any(
+            _cofactors(list(zip(*(rows[i] for i in base))))
+        ):
             return False
     return True

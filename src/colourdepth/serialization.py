@@ -8,6 +8,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,14 +34,25 @@ def fraction_to_json(f: Fraction):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+# Python refuses to read integers of more than 4300 digits; a decimal
+# exponent is held to the same size, since '1e99999999' would otherwise
+# build a 10^8-digit integer.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)$")
+
+
 def parse_fraction(v) -> Fraction:
     if isinstance(v, bool):
         raise InputError(f"not a rational: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        text = v.strip()
         try:
-            return Fraction(v.strip())
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"malformed rational {v!r}: {e}") from e
     raise InputError(f"coordinates must be integers or 'num/den' strings, got {v!r}")
@@ -109,7 +121,7 @@ def load_config(path) -> ColourfulConfiguration:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an over-long integer
             raise InputError(f"{path}: not valid JSON: {e}") from e
     return config_from_dict(data)
 
@@ -155,7 +167,7 @@ def load_points(path) -> list[Point]:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an over-long integer
             raise InputError(f"{path}: not valid JSON: {e}") from e
     return points_from_dict(data)
 

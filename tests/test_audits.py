@@ -69,6 +69,12 @@ def test_parity_summary_does_not_depend_on_records(kind, d, kw):
     assert with_records.max_observed == max(r.depth for r in with_records.records)
 
 
+def test_known_min_core_depth_is_d_squared_plus_one():
+    # Sarrabezolles (J. Combin. Theory Ser. A 130, 2015) proved mu(d) = d^2 + 1.
+    for d in range(1, 9):
+        assert known_min_core_depth(d) == d * d + 1
+
+
 def test_mu_audit_d1():
     rep = mu_audit(1, trials=6, core_samples=6, seed=2)
     assert rep.violations == 0

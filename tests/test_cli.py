@@ -1,12 +1,17 @@
 """End-to-end CLI tests: subcommands, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from colourdepth.cli import main
 from colourdepth.serialization import load_config, save_config
@@ -199,3 +204,122 @@ def test_negative_point_after_a_space(tmp_path, command):
     spaced, joined = cli("--point", "-1/2,0"), cli("--point=-1/2,0")
     assert spaced.returncode == joined.returncode == 0, spaced.stderr
     assert spaced.stdout == joined.stdout and spaced.stdout
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["depth", "--point", "1e99999999,0"], {"points": [[0, 1], [1, 0], [-1, -1]]}),
+    (["depth", "--point", "0,0"], "{\"points\": [[0, 1], [1, 0], [-1, " + "9" * 5000 + "]]}"),
+    (["gen", "sminus", "--dim", "2", "--epsilon", "abc"], None),
+    (["gen", "sminus", "--dim", "2", "--epsilon", "1e-99999999"], None),
+    (["audit", "parity", "--dim", "2", "--trials", "2",
+      "--parity-kind", "colourful_even_sizes", "--sizes", "a,b"], None),
+])
+def test_oversized_or_malformed_numbers_are_input_errors(capsys, tmp_path, argv, payload):
+    # Malformed numbers, an exponent that would build a 10^8-digit integer
+    # and an integer literal beyond Python's 4300-digit limit all end as a
+    # one-line input error.
+    if payload is not None:
+        path = tmp_path / "pts.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = argv + ["--points", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:")
+
+
+# --------------------------------------------------------------------- fuzzing
+
+# Coordinates and point lists are either well formed, so that the payload
+# reaches the depth and hull code, or drawn from JSON-like junk.
+good_coords = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", " 2 ", "1e1"]))
+junk_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "x", "1/0", "1/-2", "nan", "inf", "1e99999999", "--1"]),
+    st.text(alphabet="0123456789-+/.e ", max_size=8),
+)
+junk = st.recursive(
+    junk_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["dimension", "colours", "points", "x"]), inner,
+                        max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, file payload) for one depth, cdepth, core or cells2d call on at
+    most 8 points in dimension at most 3."""
+    command = draw(st.sampled_from(["depth", "cdepth", "core", "cells2d"]))
+    clean = draw(st.booleans())
+    if clean:
+        # Well formed throughout: enough points and colours for the command.
+        dim = 2 if command == "cells2d" else draw(st.integers(1, 3))
+        point = st.lists(good_coords, min_size=dim, max_size=dim)
+        dimension = dim
+        if command == "cells2d":
+            # u, v and -(u + v), each scaled: around the origin unless u, v
+            # are parallel.
+            vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+            classes = []
+            for _ in range(2):
+                (a, b), (c, e) = draw(vec), draw(vec)
+                s, t, w = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+                classes.append([[s * a, s * b], [t * c, t * e], [-w * (a + c), -w * (b + e)]])
+        else:
+            cls = st.lists(point, min_size=1, max_size=2 if dim == 3 else 3)
+            n_classes = draw(st.integers(1 if command == "core" else dim + 1, 4))
+            classes = draw(st.lists(cls, min_size=n_classes, max_size=n_classes)
+                           .filter(lambda cs: sum(len(c) for c in cs) <= 8))
+        if command == "depth":
+            classes = [[q for c in classes for q in c]]
+    else:
+        dim = draw(st.integers(1, 3))
+        point = st.one_of(st.lists(st.one_of(good_coords, junk_scalars), max_size=4), junk)
+        dimension = draw(st.one_of(st.integers(-1, 4), junk_scalars))
+        classes = draw(
+            st.lists(st.lists(point, max_size=3), min_size=1, max_size=4)
+            .filter(lambda cs: sum(len(c) for c in cs) <= 8)
+        )
+    if command == "depth" and draw(st.booleans()):
+        payload = {"dimension": dimension, "points": [q for c in classes for q in c]}
+    else:
+        payload = {"dimension": dimension, "colours": classes}
+    if not clean and draw(st.booleans()):
+        payload = draw(junk)
+    flag = "--points" if command == "depth" else "--config"
+    argv = [command, flag, "PAYLOAD"]
+    if command == "cells2d":
+        if not clean and draw(st.booleans()):
+            argv += ["--classes", *map(str, draw(st.lists(st.integers(-1, 4), min_size=2, max_size=2)))]
+    else:
+        good_query = st.lists(good_coords, min_size=dim, max_size=dim).map(
+            lambda q: ",".join(map(str, q)))
+        query = draw(good_query if clean else st.one_of(
+            good_query, st.text(alphabet="0123456789-/,. e", max_size=10)))
+        argv += ["--point", query]
+        if command != "core":
+            argv += draw(st.sampled_from([[], ["--mode", "closed"], ["--witnesses"]]))
+    return argv, payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=cli_calls())
+def test_cli_fuzz_exits_zero_or_two(call):
+    argv, payload = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "payload.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        argv = [path if a == "PAYLOAD" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse refuses the arguments
+                code = e.code
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2), (argv, payload, err.getvalue())
+    assert "Traceback" not in err.getvalue()

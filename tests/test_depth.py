@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import degenerate_lattice_case, det_by_permutations, homogeneous
 from colourdepth import depth
 from colourdepth.constructions import gen_regular_ngon, gen_sminus, gen_splus
 from colourdepth.depth import (
@@ -29,6 +30,7 @@ from colourdepth.exact import (
     cone_contains,
     orientation,
     origin,
+    point_in_simplex,
     pt,
 )
 from colourdepth.sampling import random_core_class, random_points
@@ -419,3 +421,67 @@ def test_witnesses_never_take_the_sweep(monkeypatch):
     assert rep.count == len(rep.witnesses) == 14
     rep = colourful_depth(cfg, origin(2), "open", want_witnesses=True)
     assert rep.count == len(rep.witnesses) == 5
+
+
+# ----------------------------------------------------------- minor memo
+
+
+def per_tuple(p, tuples, mode):
+    """(count, witnesses, degenerate, boundary) from one `point_in_simplex`
+    call per (witness, vertices) pair and a Leibniz degeneracy test."""
+    count, witnesses, degenerate, boundary = 0, [], 0, 0
+    for witness, verts in tuples:
+        if det_by_permutations([homogeneous(q) for q in verts]) == 0:
+            degenerate += 1
+            hit = mode == "closed" and point_in_simplex(p, verts, "closed")
+        else:
+            is_open = point_in_simplex(p, verts, "open")
+            is_closed = point_in_simplex(p, verts, "closed")
+            boundary += is_closed and not is_open
+            hit = is_open if mode == "open" else is_closed
+        if hit:
+            count += 1
+            witnesses.append(witness)
+    return count, tuple(witnesses), degenerate, boundary
+
+
+def memoised(rep):
+    return rep.count, rep.witnesses, rep.degenerate, rep.boundary
+
+
+def counters(rep):
+    return rep.count, rep.degenerate, rep.boundary
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_memoised_counts_match_per_tuple_loop(d):
+    # Counting memoises every d x d minor by its point keys; each tuple's
+    # answer and both counters must be those of a lone simplex test.  Odd
+    # trials query the origin among the points of a random core
+    # configuration, where most simplices are hit.
+    rng = Random(50 + d)
+    for trial in range(40 if d == 3 else 16):
+        if trial % 2:
+            core = random_core_config(rng, d, d + 1)
+            S, p = [*core.classes[0], *core.classes[1][:3]], origin(d)
+            cfg = config(d, *(cls[:2] for cls in core.classes))
+        else:
+            S, p = degenerate_lattice_case(rng, d, d + 4)
+            r = d + 1 + trial % 4 // 2
+            cfg = config(d, *(S[c::r] or [p] for c in range(r)))
+        for mode in ("open", "closed"):
+            rep = monochrome_depth(S, p, mode, want_witnesses=True)
+            tuples = [(sub, [S[i] for i in sub]) for sub in combinations(range(len(S)), d + 1)]
+            assert memoised(rep) == per_tuple(p, tuples, mode), (S, p, mode)
+            assert counters(monochrome_depth(S, p, mode)) == counters(rep)
+
+        r = cfg.num_classes
+        for mode in ("open", "closed"):
+            rep = colourful_depth(cfg, p, mode, want_witnesses=True)
+            tuples = [
+                (tuple(zip(colours, picks)), [cfg.classes[c][i] for c, i in zip(colours, picks)])
+                for colours in combinations(range(r), d + 1)
+                for picks in product(*(range(len(cfg.classes[c])) for c in colours))
+            ]
+            assert memoised(rep) == per_tuple(p, tuples, mode), (cfg, p, mode)
+            assert counters(colourful_depth(cfg, p, mode)) == counters(rep)

@@ -8,9 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_by_basis_enumeration, rand_point
+from conftest import (
+    degenerate_lattice_case,
+    det_by_permutations,
+    feasible_by_basis_enumeration,
+    general_position_by_subsets,
+    general_position_with_by_subsets,
+    homogeneous,
+    rand_point,
+    strictly_inside_by_facets,
+)
 from colourdepth.exact import (
     DegenerateConeError,
+    _cofactors,
+    _det_int,
     InputError,
     Point,
     barycentric_coordinates,
@@ -292,3 +303,65 @@ def test_hull_predicates_on_degenerate_lattice_sets():
         assert closed or not strict, (S, p)
         if len(S) >= d + 1 and in_general_position_with(S, p):
             assert strict == (monochrome_depth(S, p, "open").count > 0), (S, p)
+
+
+# ----------------------------------------------- closed forms, facet normals
+
+
+def _singular(rng: Random, m: list) -> list:
+    """m with one row replaced by a zero row, a copy of another row, or an
+    integer combination of two others."""
+    n = len(m)
+    i = rng.randrange(n)
+    how = rng.randrange(min(n, 3))
+    if how == 0:
+        m[i] = [0] * n
+    elif how == 1:
+        m[i] = list(m[(i + 1) % n])
+    else:
+        a, b = m[(i + 1) % n], m[(i + 2) % n]
+        x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+        m[i] = [x * u + y * v for u, v in zip(a, b)]
+    return m
+
+
+def test_det_int_matches_leibniz():
+    rng = Random(41)
+    for trial in range(1200):
+        n = 1 + trial % 5
+        bound = rng.choice([3, 10**6, 10**30])
+        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            m = _singular(rng, m)
+        want = det_by_permutations(m)
+        assert _det_int(m) == want, m
+        assert _det_int([tuple(r) for r in m]) == want, m
+        if trial % 3 == 0:
+            assert want == 0
+
+
+def test_facet_normal_dot_product_is_determinant():
+    rng = Random(42)
+    for trial in range(400):
+        d = 1 + trial % 4
+        rows = [tuple(rng.randint(-10**9, 10**9) for _ in range(d + 1)) for _ in range(d + 1)]
+        if trial % 4 == 0 and d > 1:
+            rows[0] = rows[d - 1]  # a repeated row: the normal is zero
+        facet, q = rows[:d], rows[d]
+        normal = _cofactors(list(zip(*facet)))
+        assert sum(a * b for a, b in zip(normal, q)) == det_by_permutations(rows)
+
+
+def test_normal_predicates_match_subset_oracles():
+    # General position, query-side general position and strict hull
+    # membership all reuse facet normals; each is checked against the
+    # subset-by-subset definition on sets with repeated, coplanar and
+    # collinear points.
+    rng = Random(43)
+    for trial in range(360):
+        d = 2 + trial % 3
+        S, p = degenerate_lattice_case(rng, d, d + 3)
+        assert in_general_position(S) == general_position_by_subsets(S), S
+        assert in_general_position(S + [p]) == general_position_by_subsets(S + [p]), (S, p)
+        assert in_general_position_with(S, p) == general_position_with_by_subsets(S, p), (S, p)
+        assert in_convex_hull(p, S, strict=True) == strictly_inside_by_facets(p, S), (S, p)
