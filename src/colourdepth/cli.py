@@ -69,8 +69,9 @@ def _cmd_gen(args) -> int:
     elif args.kind == "random":
         if args.dim is None:
             raise InputError("gen random requires --dim")
+        per_colour = args.points_per_colour
         vc = gen_random_core_config(
-            args.dim, args.points_per_colour or args.dim + 1, args.seed
+            args.dim, args.dim + 1 if per_colour is None else per_colour, args.seed
         )
         config, depth = vc.config, vc.claimed_depth_at_origin
     else:

@@ -231,6 +231,11 @@ def _clean_plane(scaled: Sequence[tuple[int, tuple[int, int]]]) -> bool:
     The difference of vectors j and i times s_i * s_j is s_i * w_j - s_j * w_i;
     reduced by its gcd and sign it names the line through the two, and a name
     repeated from one vector puts three of them on one line.  O(n^2).
+
+    This is the d = 2 pencil of `exact.in_general_position` with the query
+    point as row 0: vector i is the prefix, eliminated on its homogeneous
+    coordinate s_i, and the differences are the plane vectors of the later
+    rows, so it answers in_general_position(points + [query]).
     """
     pts = [(1, (0, 0)), *scaled]
     for i, (si, (xi, yi)) in enumerate(pts):

@@ -10,11 +10,19 @@ is no floating-point code path.
 
 The same cofactors, taken over the d homogeneous rows of a facet, are the
 normal N of the hyperplane through its d points: the (d+1)-determinant of
-the facet and any point q is the dot product N . (q, 1).  General position
-and strict hull membership compute each facet normal once and then decide
-every point against it with a dot product; a zero normal means the facet
-spans no hyperplane, which is all that query-side general position asks of
-the normal.
+the facet and any point q is the dot product N . (q, 1).  Strict hull
+membership computes each facet normal once and then decides every point
+against it with a dot product; a zero normal means the facet spans no
+hyperplane, which is all that query-side general position asks of the
+normal.
+
+General position needs no normal at all.  Facets that share their first
+d-1 points P form a pencil of hyperplanes through span(P), and two points
+q, r lie on one hyperplane with P exactly when their images in the plane
+R^(d+1) / span(P) are parallel.  Fraction-free elimination of P gives those
+plane vectors, one per d-subset, and hashing their directions decides every
+(d+1)-subset of a pencil at once: C(n, d) plane vectors instead of
+C(n, d+1) determinants.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
@@ -407,18 +415,62 @@ def in_general_position(points: Sequence[Point]) -> bool:
     """True iff every (d+1)-subset of the points is affinely independent.
 
     For n >= d+1 points this is equivalent to: no k-dimensional affine flat
-    contains k+2 of the points, for any k < d.  Each subset is a d-point
-    facet followed by a later point, so every facet normal is computed once
-    and each subset determinant is its dot product with the last point.
+    contains k+2 of the points, for any k < d.
+
+    Pencil certificate.  In the order of the homogeneous integer rows, a
+    (d+1)-subset is a prefix P of d-1 rows followed by two later rows q, r,
+    and det(P; q; r) = q . C_P r for the antisymmetric (d+1) x (d+1) matrix
+    C_P of signed (d-1)-minors of P.  C_P is zero when P is affinely
+    dependent; otherwise it has rank 2 and kernel span(P), and for any
+    C_P[a][b] != 0 the plane vector pi(q) = (C_P[a] . q, C_P[b] . q) has
+    cross(pi(q), pi(r)) = C_P[a][b] * det(P; q; r).  So the points are in
+    general position exactly when every prefix with two or more later rows
+    is independent and the plane vectors of its later rows are nonzero and
+    pairwise non-parallel: reduced by gcd and sign, they go into one set per
+    prefix.  That is C(n, d) plane vectors instead of C(n, d+1) determinants.
+
+    The plane vectors come from fraction-free (Bareiss) elimination.  Each
+    row added to a prefix is one elimination step on the rows after it, so
+    a prefix reuses the work of its own prefix and every division is exact.
+    Once the d-1 rows of P are eliminated, q keeps two entries: the d x d
+    minors of (P; q) on the pivot columns plus one other column, that is
+    +-C_P[b] . q and +-C_P[a] . q for the two columns a, b without a pivot.
+    The rows are held column by column, so a step is one pass per column.
     """
     d = _check_dims(points)
     rows = [_int_row((*p.coords, 1)) for p in points]
-    for facet in combinations(range(len(rows) - 1), d):
-        normal = _cofactors(list(zip(*(rows[i] for i in facet))))
-        for q in rows[facet[-1] + 1:]:
-            if sum(map(mul, normal, q)) == 0:
+
+    def extend(cols, prev: int) -> bool:
+        # cols: the rows after a prefix of k rows, eliminated by it, as
+        # d+1-k columns; prev: the prefix's last pivot.
+        if len(cols) == 2:
+            lines = set()
+            for x, y in zip(*cols):
+                g = gcd(x, y)
+                if g == 0:
+                    return False  # in the span of the prefix
+                if x < 0 or (x == 0 and y < 0):
+                    g = -g
+                lines.add((x // g, y // g))
+            return len(lines) == len(cols[0])
+        # The next prefix row must leave len(cols) - 1 rows after it.
+        for i in range(len(cols[0]) + 1 - len(cols)):
+            for j, col in enumerate(cols):
+                if col[i]:
+                    break
+            else:
+                return False  # row i is in the span of the prefix
+            pivot = cols[j][i]
+            below = cols[j][i + 1:]
+            nxt = [
+                [(pivot * x - col[i] * y) // prev for x, y in zip(col[i + 1:], below)]
+                for k, col in enumerate(cols) if k != j
+            ]
+            if not extend(nxt, pivot):
                 return False
-    return True
+        return True
+
+    return extend([list(col) for col in zip(*rows)], 1)
 
 
 def in_general_position_with(points: Sequence[Point], p: Point) -> bool:

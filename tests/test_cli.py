@@ -206,6 +206,23 @@ def test_negative_point_after_a_space(tmp_path, command):
     assert spaced.stdout == joined.stdout and spaced.stdout
 
 
+@pytest.mark.parametrize("per_colour", ["0", "2"])
+def test_gen_random_too_few_points_per_colour_is_input_error(tmp_path, per_colour):
+    # 0 is a size like any other, not a missing option: it must reach the
+    # generator's size check rather than fall back to the d+1 default.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "colourdepth.cli", "gen", "random", "--dim", "2",
+         "--points-per-colour", per_colour, "--out", str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["depth", "--point", "1e99999999,0"], {"points": [[0, 1], [1, 0], [-1, -1]]}),
     (["depth", "--point", "0,0"], "{\"points\": [[0, 1], [1, 0], [-1, " + "9" * 5000 + "]]}"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerate_lattice_case, det_by_permutations, homogeneous
+from conftest import degenerate_lattice_case, det_by_permutations, homogeneous, rand_point
 from colourdepth import depth
 from colourdepth.constructions import gen_regular_ngon, gen_sminus, gen_splus
 from colourdepth.depth import (
@@ -28,6 +28,7 @@ from colourdepth.exact import (
     Point,
     _scaled_row,
     cone_contains,
+    in_general_position,
     orientation,
     origin,
     point_in_simplex,
@@ -411,6 +412,32 @@ def test_sweep_falls_back_to_enumeration(name):
             enumerated(monochrome_depth, S, origin(2), mode))
         assert fields(colourful_depth(cfg, origin(2), mode)) == fields(
             enumerated(colourful_depth, cfg, origin(2), mode))
+
+
+def test_clean_plane_is_the_planar_pencil():
+    # `_clean_plane` is `in_general_position` at d = 2 with the query point
+    # as row 0: both accept exactly the clean inputs.
+    rng = Random(23)
+    kinds = {True: 0, False: 0}
+    for trial in range(400):
+        n = rng.randint(2, 9)
+        S = [rand_point(rng, 2, 9) for _ in range(n)]
+        p = rand_point(rng, 2, 9)
+        kind = trial % 4
+        if kind == 1:  # S[b] on the line through S[a] and p or a third point
+            a, b, c = rng.sample(range(n), 3) if n > 2 else (0, 1, None)
+            base = p if c is None or rng.randrange(2) else S[c]
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            S[b] = Point(x + t * (x - y) for x, y in zip(base.coords, S[a].coords))
+        elif kind == 2:  # a repeated point
+            a, b = rng.sample(range(n), 2)
+            S[b] = S[a]
+        elif kind == 3:  # p is one of the points
+            p = rng.choice(S)
+        clean = depth._clean_plane([_scaled_row((q - p).coords) for q in S])
+        assert clean == in_general_position(S + [p]), (S, p)
+        kinds[clean] += 1
+    assert min(kinds.values()) > 50
 
 
 def test_witnesses_never_take_the_sweep(monkeypatch):

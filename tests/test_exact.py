@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -353,8 +354,8 @@ def test_facet_normal_dot_product_is_determinant():
 
 
 def test_normal_predicates_match_subset_oracles():
-    # General position, query-side general position and strict hull
-    # membership all reuse facet normals; each is checked against the
+    # General position (pencils), query-side general position and strict
+    # hull membership (reused facet normals) are each checked against the
     # subset-by-subset definition on sets with repeated, coplanar and
     # collinear points.
     rng = Random(43)
@@ -365,3 +366,82 @@ def test_normal_predicates_match_subset_oracles():
         assert in_general_position(S + [p]) == general_position_by_subsets(S + [p]), (S, p)
         assert in_general_position_with(S, p) == general_position_with_by_subsets(S, p), (S, p)
         assert in_convex_hull(p, S, strict=True) == strictly_inside_by_facets(p, S), (S, p)
+
+
+# ---------------------------------------------------- general-position pencil
+
+
+def _affine_combination(rng: Random, pts: list, big: bool) -> Point:
+    """A point on the affine hull of pts: rational weights summing to 1."""
+    top = 10**30 if big else 9
+    w = [Fraction(rng.randint(-top, top), rng.randint(1, 7)) for _ in pts[:-1]]
+    w.append(1 - sum(w))
+    d = pts[0].dim
+    return Point(sum(wi * q[k] for wi, q in zip(w, pts)) for k in range(d))
+
+
+def _pencil_cases(rng: Random, d: int, n: int):
+    """Seeded sets of n points in dimension d: generic rationals (where the
+    oracle has at most 1000 subsets to check), generic integers up to 10^30
+    (n <= d+3), a repeated point, a dependent first d-1 or first d points,
+    and one affinely dependent (d+1)-tuple planted at non-adjacent random
+    indices."""
+    def generic():
+        return [rand_point(rng, d, 20) for _ in range(n)]
+
+    if comb(n, d + 1) <= 1000:
+        yield generic()
+    if n <= d + 3:
+        yield [Point(rng.randint(-10**30, 10**30) for _ in range(d)) for _ in range(n)]
+    if n >= 2:
+        S = generic()
+        i, j = sorted(rng.sample(range(n), 2))
+        if rng.randrange(2):
+            i, j = 0, 1  # the first prefix of every size holds the repeat
+        S[j] = S[i]
+        yield S
+    for k in (d - 1, d):
+        # the first k points on a (k-2)-flat, the rest generic
+        if 2 <= k <= n:
+            S = generic()
+            S[k - 1] = _affine_combination(rng, S[:k - 1], big=False) if k > 2 else S[0]
+            yield S
+    if n >= 2 * d + 1:
+        # no two planted indices adjacent: stars and bars over the gaps
+        picks = sorted(rng.sample(range(n - d), d + 1))
+        picks = [x + k for k, x in enumerate(picks)]
+        S = generic()
+        rng.shuffle(picks)
+        S[picks[-1]] = _affine_combination(rng, [S[x] for x in picks[:-1]], big=rng.randrange(2))
+        yield S
+
+
+def test_pencil_matches_subset_oracle():
+    # in_general_position decides each pencil of hyperplanes through d-1
+    # points by hashing plane vectors; the oracle takes the determinant of
+    # every (d+1)-subset by the Leibniz formula.
+    rng = Random(44)
+    seen = {True: 0, False: 0}
+    for d in range(1, 6):
+        for n in range(1, 2 * d + 5):
+            for S in _pencil_cases(rng, d, n):
+                want = general_position_by_subsets(S)
+                assert in_general_position(S) == want, (d, S)
+                if n <= d:
+                    assert want  # no (d+1)-subset at all
+                seen[want] += 1
+    assert min(seen.values()) > 90
+
+
+def test_pencil_finds_the_planted_tuple():
+    # One dependent (d+1)-tuple among generic rationals, at any indices
+    # (adjacent ones too), every other subset independent.
+    rng = Random(45)
+    for trial in range(300):
+        d = 1 + trial % 4
+        n = rng.randint(d + 1, 2 * d + 3)
+        S = [rand_point(rng, d, 10**6) for _ in range(n)]
+        assert in_general_position(S)
+        picks = rng.sample(range(n), d + 1)
+        S[picks[-1]] = _affine_combination(rng, [S[x] for x in picks[:-1]], big=trial % 2)
+        assert not in_general_position(S), (d, picks)
