@@ -49,6 +49,7 @@ from .depth import (
     CoreSampleError,
     DepthReport,
     antipodal_cone_count,
+    colour_decomposition,
     colourful_depth,
     core_depth_samples,
     core_membership,

@@ -46,15 +46,13 @@ __all__ = [
     "nu_audit",
     "depth_stats",
     "known_min_core_depth",
+    "known_max_core_depth",
     "write_csv",
 ]
 
 CSV_HEADER = ["trial", "seed", "depth", "core_flag", "gp_flag"]
 
 PLANTED_TRIAL = -1  # trial index marking a planted extremal configuration
-
-# Proven maxima over interior core points, d+1 points in each of d+1 colours.
-_KNOWN_MAX = {1: 2, 2: 9}
 
 MAX_TRIAL_ATTEMPTS = 500
 
@@ -123,6 +121,18 @@ def known_min_core_depth(d: int) -> int:
     return d * d + 1
 
 
+def known_max_core_depth(d: int) -> int:
+    """The maximum colourful depth of a core point at dimension d, for d+1
+    points in each of d+1 colours: d^(d+1) + 1.
+
+    The paper conjectures this value and attains it with S+; Adiprasito,
+    Brinkmann, Padrol, Patak, Patakova and Sanyal proved it for every d
+    ("Colorful simplicial depth, Minkowski sums, and generalized Gale
+    transforms", Int. Math. Res. Not. IMRN 2020).
+    """
+    return d ** (d + 1) + 1
+
+
 # ---------------------------------------------------------------------- parity
 
 
@@ -166,6 +176,8 @@ def parity_audit(
     "colourful_odd_d" (d odd, d+1 points in each of d+1 colours),
     "colourful_even_sizes" (all class sizes even).
     """
+    if d < 1:
+        raise InputError("dimension must be at least 1")
     if trials < 1:
         raise InputError("trials must be at least 1")
     if kind == "monochrome":
@@ -302,8 +314,7 @@ def nu_audit(
     deep configuration attaining d^(d+1) + 1."""
     if trials < 0:
         raise InputError("trials must be non-negative")
-    target = d ** (d + 1) + 1
-    proven = _KNOWN_MAX.get(d)
+    target = known_max_core_depth(d)
     records = [] if keep_records else None
     observed = []
     failures = 0
@@ -333,9 +344,7 @@ def nu_audit(
 
     if not observed:
         raise AuditViolation("no usable trials in maximum-depth audit")
-    violations = 0
-    if proven is not None:
-        violations = sum(1 for v in observed if v > proven)
+    violations = sum(1 for v in observed if v > target)
     return AuditReport(
         kind="nu",
         dim=d,
@@ -347,7 +356,7 @@ def nu_audit(
         reference_bounds=(target, target),
         records=tuple(records) if records is not None else None,
         generation_failures=failures,
-        extra={"samples": samples, "proven_max": proven},
+        extra={"samples": samples, "proven_max": target},
     )
 
 
@@ -368,6 +377,8 @@ def depth_stats(
     The coordinate sampler is uniform on bounded rationals, hence symmetric
     about 0; the heuristic value assumes exactly such symmetric draws.
     """
+    if d < 1:
+        raise InputError("dimension must be at least 1")
     if trials < 1:
         raise InputError("trials must be at least 1")
     total = Fraction(0)

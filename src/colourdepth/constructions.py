@@ -12,7 +12,9 @@ Every count claimed here depends only on the direction of each point, never
 its magnitude (scaling a point by a positive rational cannot change whether
 the origin lies in a hull or cone spanned with it).  Construction therefore
 proceeds in three steps: compute float targets for the directions, snap them
-to nearby rationals, and re-derive every claim in exact arithmetic.  Snapping
+to nearby rationals, and re-derive every claim in exact arithmetic.  One
+enumeration of the colourful simplices at the origin gives both the depth and
+the count of every point of the last colour (`colour_decomposition`).  Snapping
 gets a tiny deterministic per-point twist (breaking the exact meridian-plane
 and mirror coincidences of the symmetric ideal) plus an exact magnitude
 stagger (breaking affine coplanarities for free).  If any exact check still
@@ -30,9 +32,9 @@ from typing import NamedTuple
 
 from .depth import (
     ColourfulConfiguration,
+    colour_decomposition,
     colourful_depth,
     core_membership,
-    zero_containing_count,
 )
 from .exact import InputError, Point, in_general_position, origin
 from .sampling import DEFAULT_BOUND, SamplingError, random_core_class
@@ -232,10 +234,16 @@ def _verify(
     expected_last: list[int],
     allow_degeneracy: bool = False,
 ) -> tuple[int, tuple[int, ...]]:
+    """Re-check a built configuration exactly: the open depth at the origin
+    is sum(expected_last) with no degenerate or boundary tuple, the points of
+    the last colour account for expected_last, the origin is strictly inside
+    every colour hull, and the points plus the origin are in general
+    position.  The depth and the per-point counts come from one enumeration.
+    """
     d = config.dim
     zero = origin(d)
     claimed = sum(expected_last)
-    rep = colourful_depth(config, zero, "open")
+    rep, by_colour = colour_decomposition(config, "open")
     if rep.count != claimed:
         raise _VerifyFailure(
             f"open depth at origin is {rep.count}, wanted {claimed}", rep.count
@@ -245,11 +253,7 @@ def _verify(
             f"{rep.degenerate} degenerate / {rep.boundary} boundary tuples at origin",
             rep.count,
         )
-    last = config.num_classes - 1
-    counts = tuple(
-        zero_containing_count(config, last, k, "open")
-        for k in range(len(config.classes[last]))
-    )
+    counts = by_colour[-1]
     if list(counts) != expected_last:
         raise _VerifyFailure(
             f"per-point counts {list(counts)} != expected {expected_last}", rep.count
@@ -302,16 +306,14 @@ def gen_identical(d: int) -> VerifiedConfiguration:
     fact = math.factorial(d + 1)
     per_point = math.factorial(d)
 
-    rep_open = colourful_depth(config, origin(d), "open")
+    rep_open, by_colour = colour_decomposition(config, "open")
     rep_closed = colourful_depth(config, origin(d), "closed")
     if rep_open.count != fact or rep_closed.count != fact:
         raise ConstructionError(
             f"identical-class depth {rep_open.count}/{rep_closed.count}, wanted {fact}",
             achieved=rep_open.count,
         )
-    counts = tuple(
-        zero_containing_count(config, d, k, "open") for k in range(d + 1)
-    )
+    counts = by_colour[d]
     if any(c != per_point for c in counts):
         raise ConstructionError(f"per-point counts {counts}, wanted {per_point} each")
     if not core_membership(config, origin(d), strict=True):
@@ -455,8 +457,8 @@ def gen_splus(
         config = ColourfulConfiguration.from_lists(
             1, [[(-1,), (2,)], [(-2,), (1,)]]
         )
-        counts = tuple(zero_containing_count(config, 1, k, "open") for k in range(2))
-        rep = colourful_depth(config, origin(1), "open")
+        rep, by_colour = colour_decomposition(config, "open")
+        counts = by_colour[1]
         if rep.count != 2 or list(counts) != [1, 1]:
             raise ConstructionError("1-dimensional straddle failed verification")
         return VerifiedConfiguration(config, 2, True, 0, counts)
@@ -533,6 +535,8 @@ def gen_random_core_config(
 ) -> VerifiedConfiguration:
     """Random configuration in general position with 0 strictly inside every
     colour hull; d+1 colours.  Deterministic given the seed."""
+    if d < 1:
+        raise InputError("dimension must be at least 1")
     if points_per_colour < d + 1:
         raise InputError(f"need at least {d + 1} points per colour")
     rng = Random(seed)
@@ -547,12 +551,8 @@ def gen_random_core_config(
         config = ColourfulConfiguration(d, classes)
         if not in_general_position(config.points() + [origin(d)]):
             continue
-        rep = colourful_depth(config, origin(d), "open")
-        counts = tuple(
-            zero_containing_count(config, d, k, "open")
-            for k in range(points_per_colour)
-        )
-        return VerifiedConfiguration(config, rep.count, True, attempt, counts)
+        rep, by_colour = colour_decomposition(config, "open")
+        return VerifiedConfiguration(config, rep.count, True, attempt, by_colour[d])
     raise ConstructionError(
         f"no general-position core configuration after {max_tries} attempts"
     )

@@ -1,10 +1,11 @@
 """Monochrome and colourful simplicial depth counting.
 
 Counting first translates the points so that the query point sits at the
-origin (translation is exact in rationals and leaves every containment
-decision unchanged).  Each translated point is then scaled to an integer
-vector, since scaling by a positive rational never changes whether the origin
-lies in a hull spanned with it.
+origin, in integers: with q = Q / s_q and p = P / s_p scaled to integer rows,
+the vector s_p * Q - s_q * P is q - p times the positive integer s_p * s_q
+(`exact._translated_rows`).  Translation leaves every containment decision
+unchanged, and so does scaling by a positive number, so no rational is formed
+between the input points and the integer kernel.
 
 In the plane, a clean input is counted by one angular sweep (Rousseeuw and
 Ruts, AS 307, 1996; the colourful form is Zasenko and Stephen, COCOA 2016).
@@ -28,6 +29,10 @@ tuples share them, so each query memoises its minors by point keys in a dict
 that lives for that call: monochrome counting computes C(n, d) minors rather
 than (d+1) C(n, d+1), and colourful d = 3 with four classes of four computes
 256 rather than 1,024.
+The same enumeration can tally, for every point, the counted simplices that
+pick it: `colour_decomposition` returns the depth of the origin together with
+these per-point counts, which for the points of any one colour sum to the
+depth when there are d+1 colours.
 Enumeration is also the oracle the sweep is tested against.  Its order is
 lexicographic over colour index then point index, so witness lists and counts
 are reproducible byte for byte, and the enumeration space can be partitioned
@@ -39,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
@@ -55,6 +60,7 @@ from .exact import (
     _int_row,
     _origin_status,
     _scaled_row,
+    _translated_rows,
     in_convex_hull,
     in_general_position_with,
     origin,
@@ -69,6 +75,7 @@ __all__ = [
     "colourful_depth",
     "core_membership",
     "zero_containing_count",
+    "colour_decomposition",
     "antipodal_cone_count",
     "core_depth_samples",
     "min_core_depth_estimate",
@@ -183,10 +190,12 @@ def _count_tuples(
     cols: Sequence[tuple[int, ...]],
     mode: Mode,
     want_witnesses: bool,
+    tally: list[int] | None = None,
 ):
     """Shared counting core.  key_tuples yields the d+1 indices of each
-    simplex; scales[k] and cols[k] are the `_scaled_row` pair of translated
-    point k.  Witnesses are key tuples."""
+    simplex; cols[k] is the integer vector of translated point k and
+    scales[k] its positive scale.  Witnesses are key tuples.  A tally, one entry
+    per key, gains one for every key of every counted simplex."""
     count = degenerate = boundary = 0
     witnesses = [] if want_witnesses else None
     for keys, t in _memo_cofactors(key_tuples, cols, len(cols[0])):
@@ -204,6 +213,9 @@ def _count_tuples(
             count += 1
             if want_witnesses:
                 witnesses.append(keys)
+            if tally is not None:
+                for k in keys:
+                    tally[k] += 1
     return count, degenerate, boundary, witnesses
 
 
@@ -227,7 +239,8 @@ def _clean_plane(scaled: Sequence[tuple[int, tuple[int, int]]]) -> bool:
     """True iff the origin and the plane vectors are pairwise distinct and no
     three of them lie on one line.
 
-    scaled holds `_scaled_row` pairs (s, w), w being the vector times s > 0.
+    scaled holds pairs (s, w), w being the vector times s > 0, as
+    `_translated_rows` makes them.
     The difference of vectors j and i times s_i * s_j is s_i * w_j - s_j * w_i;
     reduced by its gcd and sign it names the line through the two, and a name
     repeated from one vector puts three of them on one line.  O(n^2).
@@ -323,7 +336,7 @@ def monochrome_depth(
             raise InputError("dimension mismatch between S and p")
     if len(S) < d + 1:
         raise InputError(f"need at least {d + 1} points, got {len(S)}")
-    scaled = [_scaled_row((q - p).coords) for q in S]
+    scaled = _translated_rows(S, p)
     if d == 2 and not want_witnesses:
         swept = _sweep_depth(scaled)
         if swept is not None:
@@ -357,8 +370,7 @@ def colourful_depth(
     r = config.num_classes
     if r < d + 1:
         raise InputError(f"need at least {d + 1} colour classes, got {r}")
-    shifted = config.translated(-p)
-    scaled = [_scaled_row(q.coords) for cls in shifted.classes for q in cls]
+    scaled = _translated_rows(config.points(), p)
     labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
     if d == 2 and not want_witnesses:
         swept = _sweep_depth(scaled, [ci for ci, _ in labels])
@@ -388,7 +400,11 @@ def zero_containing_count(
 ) -> int:
     """Number of colourful simplices containing the origin whose pick at the
     given colour is the given point.  The configuration is taken as already
-    centred: the query point is the origin."""
+    centred: the query point is the origin.
+
+    This enumerates the simplices through the one point.  It is the oracle
+    for `colour_decomposition`, which gives the count of every point from the
+    one enumeration of its depth."""
     if mode not in ("open", "closed"):
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     r = config.num_classes
@@ -406,6 +422,35 @@ def zero_containing_count(
     key_tuples = (fixed + rest for rest in _colourful_keys(class_keys, others, d))
     count, _, _, _ = _count_tuples(key_tuples, scales, cols, mode, False)
     return count
+
+
+def colour_decomposition(
+    config: ColourfulConfiguration, mode: Mode = "open"
+) -> tuple[DepthReport, tuple[tuple[int, ...], ...]]:
+    """The colourful depth of the origin and its colour decomposition, from
+    one enumeration.
+
+    counts[c][k] is `zero_containing_count(config, c, k, mode)`: the number
+    of counted colourful simplices whose pick at colour c is its point k.
+    Each simplex picks one point of each of d+1 colours, so the counts of any
+    one colour sum to the depth when there are exactly d+1 colours.  As in
+    `zero_containing_count`, the query point is the origin.  The report has
+    no witnesses.
+    """
+    if mode not in ("open", "closed"):
+        raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
+    d = config.dim
+    r = config.num_classes
+    if r < d + 1:
+        raise InputError(f"need at least {d + 1} colour classes, got {r}")
+    scales, cols = zip(*(_scaled_row(q.coords) for q in config.points()))
+    class_keys = _class_keys(config)
+    tally = [0] * len(cols)
+    count, degenerate, boundary, _ = _count_tuples(
+        _colourful_keys(class_keys, range(r), d + 1), scales, cols, mode, False, tally
+    )
+    counts = tuple(tuple(tally[k] for k in keys) for keys in class_keys)
+    return DepthReport(mode, count, None, degenerate, boundary), counts
 
 
 def antipodal_cone_count(
@@ -442,12 +487,6 @@ def antipodal_cone_count(
     return ConeCount(count, degenerate)
 
 
-def _random_weights(rng: Random, n: int, bound: int) -> list[Fraction]:
-    w = [Fraction(rng.randint(1, bound)) for _ in range(n)]
-    total = sum(w)
-    return [x / total for x in w]
-
-
 def core_depth_samples(
     config: ColourfulConfiguration,
     samples: int,
@@ -460,6 +499,13 @@ def core_depth_samples(
     per-colour convex mixtures; candidates are kept only when they lie
     strictly inside every colour hull and avoid every hyperplane spanned by
     d configuration points.  Deterministic given the seed.
+
+    The weights are integers in [1, bound], drawn class by class and point
+    by point, then one per class.  A mixture is kept as an integer vector
+    over one integer denominator: the class's points share the lcm s of
+    their scales, and sum(w_i * q_i) / sum(w) is
+    sum(w_i * (s * q_i)) / (s * sum(w)).  So is the candidate, and each of
+    its coordinates becomes one `Fraction` at the end.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -475,24 +521,26 @@ def core_depth_samples(
             return
         out.append((colourful_depth(config, candidate, "open").count, candidate))
 
+    # Per class: the common scale s and the columns of the points times s.
+    classes = []
+    for cls in config.classes:
+        scaled = [_scaled_row(q.coords) for q in cls]
+        s = lcm(*[sq for sq, _ in scaled])
+        classes.append((s, list(zip(*[[x * (s // sq) for x in w] for sq, w in scaled]))))
+
     consider(origin(d))
     for _ in range(samples):
         mixtures = []
-        for cls in config.classes:
-            w = _random_weights(rng, len(cls), bound)
-            mixtures.append(
-                Point(
-                    sum(wi * q[r] for wi, q in zip(w, cls))
-                    for r in range(d)
-                )
-            )
-        cw = _random_weights(rng, len(mixtures), bound)
-        consider(
-            Point(
-                sum(wi * m[r] for wi, m in zip(cw, mixtures))
-                for r in range(d)
-            )
-        )
+        for s, cols in classes:
+            w = [rng.randint(1, bound) for _ in range(len(cols[0]))]
+            mixtures.append((s * sum(w), [sum(map(mul, w, col)) for col in cols]))
+        cw = [rng.randint(1, bound) for _ in mixtures]
+        num, den = [0] * d, 1
+        for wi, (b, a) in zip(cw, mixtures):
+            num = [x * b + wi * y * den for x, y in zip(num, a)]
+            den *= b
+        den *= sum(cw)
+        consider(Point(Fraction(x, den) for x in num))
     return out
 
 

@@ -2,7 +2,9 @@
 
 Points carry `fractions.Fraction` coordinates, but every predicate is decided
 on integers: each vector is scaled by the positive lcm of its denominators,
-which changes no determinant sign, rank, or origin-in-hull answer.  One
+which changes no determinant sign, rank, or origin-in-hull answer.  A point
+translated to a query point p is formed on those integer rows too, as
+s_p * Q - s_q * P, so no rational difference is ever built.  One
 integer kernel sits under all of them: a determinant (closed forms up to
 3x3, Bareiss above), a Bareiss echelon for ranks and pivot columns, and the
 cofactors that give the barycentric signs of the origin in a simplex.  There
@@ -152,13 +154,31 @@ def _scaled_row(values) -> tuple[int, tuple[int, ...]]:
     the origin lies in a hull spanned with the scaled vector.  Pass
     ``(*p.coords, 1)`` for the homogeneous row of a point.
     """
-    s = lcm(*(c.denominator for c in values))
-    return s, tuple(c.numerator * (s // c.denominator) for c in values)
+    pairs = [c.as_integer_ratio() for c in values]
+    s = lcm(*[q for _, q in pairs])
+    return s, tuple([n * (s // q) for n, q in pairs])
 
 
 def _int_row(values) -> tuple[int, ...]:
     """The integer vector of `_scaled_row`, without its scale."""
     return _scaled_row(values)[1]
+
+
+def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple[int, ...]]]:
+    """(s, s * (q - p)) for each point q, with s = s_p * s_q > 0, computed on
+    the `_scaled_row` pairs (s_q, Q) and (s_p, P) as (s_p * s_q, s_p * Q - s_q * P).
+
+    This is the translation to p in integers: no rational is formed, and the
+    scale is positive, which is all a containment decision or the
+    `_origin_status` degenerate test asks of it (it need not be the lcm of
+    `_scaled_row`).
+    """
+    sp, P = _scaled_row(p.coords)
+    out = []
+    for q in points:
+        sq, Q = _scaled_row(q.coords)
+        out.append((sp * sq, tuple([sp * a - sq * b for a, b in zip(Q, P)])))
+    return out
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
@@ -359,7 +379,7 @@ def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
     if mode not in ("open", "closed"):
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     _check_simplex(p, vertices)
-    cols = [_int_row((v - p).coords) for v in vertices]
+    cols = [w for _, w in _translated_rows(vertices, p)]
     open_hit, closed_hit, degenerate = _origin_status(_cofactors(cols))
     if degenerate:
         return mode == "closed" and _hull_contains(cols)
@@ -390,7 +410,7 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     """
     d = _check_dims(list(S) + [p])
     if not strict:
-        return _hull_contains([_int_row((q - p).coords) for q in S])
+        return _hull_contains([w for _, w in _translated_rows(S, p)])
     rows = list(dict.fromkeys(_int_row((*q.coords, 1)) for q in S))
     if len(_pivots(rows)) <= d:
         return False  # lower-dimensional hull has empty interior
@@ -483,13 +503,12 @@ def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     counts to coincide at p.
     """
     d = _check_dims(list(points) + [p])
-    rows = [_int_row((*q.coords, 1)) for q in points]
     # Subtracting (p, 1) from the other rows of det(base + (p, 1)) leaves
     # the d x d determinant of the vectors q - p, each scaled to integers.
-    vecs = [_int_row((q - p).coords) for q in points]
-    for base in combinations(range(len(rows)), d):
+    vecs = [w for _, w in _translated_rows(points, p)]
+    for base in combinations(range(len(points)), d):
         if _det_int([vecs[i] for i in base]) == 0 and any(
-            _cofactors(list(zip(*(rows[i] for i in base))))
+            _cofactors(list(zip(*(_int_row((*points[i].coords, 1)) for i in base))))
         ):
             return False
     return True

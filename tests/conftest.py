@@ -173,3 +173,31 @@ def degenerate_lattice_case(rng: Random, d: int, n_max: int):
         w.append(1 - sum(w))
         p = Point(sum(wi * q[k] for wi, q in zip(w, sub)) for k in range(d))
     return S, p
+
+
+# ------------------------------------------------------ core sample oracle
+
+
+def _fraction_weights(rng: Random, n: int, bound: int) -> list[Fraction]:
+    w = [Fraction(rng.randint(1, bound)) for _ in range(n)]
+    total = sum(w)
+    return [x / total for x in w]
+
+
+def core_candidates_by_fractions(config, samples: int, seed: int, bound: int = 10_000):
+    """The candidate points of `depth.core_depth_samples`, in order, by the
+    Fraction mixture formula: the origin, then for each sample a convex
+    combination, with normalised random weights, of one convex mixture per
+    colour class.  The weights are drawn class by class, point by point,
+    then one per class."""
+    rng = Random(seed)
+    d = config.dim
+    out = [Point([0] * d)]
+    for _ in range(samples):
+        mixtures = []
+        for cls in config.classes:
+            w = _fraction_weights(rng, len(cls), bound)
+            mixtures.append(Point(sum(wi * q[r] for wi, q in zip(w, cls)) for r in range(d)))
+        cw = _fraction_weights(rng, len(mixtures), bound)
+        out.append(Point(sum(wi * m[r] for wi, m in zip(cw, mixtures)) for r in range(d)))
+    return out

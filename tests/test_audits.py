@@ -9,6 +9,7 @@ from colourdepth.audits import (
     PLANTED_TRIAL,
     AuditReport,
     depth_stats,
+    known_max_core_depth,
     known_min_core_depth,
     mu_audit,
     nu_audit,
@@ -105,13 +106,29 @@ def test_nu_audit_d2_planted():
 
 
 def test_nu_audit_d3_evidence_only():
-    # the d=3 maximum is conjectural: planted configuration attains 82, no
-    # violation is flagged, and the reference bound is 3^4 + 1
+    # the planted configuration attains the proven maximum 3^4 + 1 = 82 and
+    # nothing exceeds it
     rep = nu_audit(3, trials=2, seed=19)
-    assert rep.max_observed >= 82
+    assert rep.max_observed == 82
     assert rep.reference_bounds == (82, 82)
     assert rep.violations == 0
-    assert rep.extra["proven_max"] is None
+    assert rep.extra["proven_max"] == 82
+
+
+def test_known_max_core_depth_is_d_to_the_d_plus_one_plus_one():
+    assert [known_max_core_depth(d) for d in (1, 2, 3, 4)] == [2, 9, 82, 1025]
+    for d in (1, 2):
+        assert nu_audit(d, trials=1, seed=0).extra["proven_max"] == known_max_core_depth(d)
+
+
+@pytest.mark.parametrize("audit", [
+    lambda: parity_audit("monochrome", 0, trials=1, seed=0, n=4),
+    lambda: depth_stats(0, trials=1, seed=0),
+    lambda: depth_stats(-1, trials=1, seed=0),
+])
+def test_audits_refuse_dimension_below_one(audit):
+    with pytest.raises(InputError, match="dimension must be at least 1"):
+        audit()
 
 
 def test_depth_stats_strict_core_trials_respect_minimum():

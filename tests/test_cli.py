@@ -223,6 +223,22 @@ def test_gen_random_too_few_points_per_colour_is_input_error(tmp_path, per_colou
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--dim", "0"],
+    ["audit", "parity", "--dim", "0", "--trials", "2"],
+    ["audit", "stats", "--dim", "0", "--trials", "2"],
+])
+def test_dimension_zero_is_one_line_input_error(argv):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "colourdepth.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == ["error: dimension must be at least 1"]
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["depth", "--point", "1e99999999,0"], {"points": [[0, 1], [1, 0], [-1, -1]]}),
     (["depth", "--point", "0,0"], "{\"points\": [[0, 1], [1, 0], [-1, " + "9" * 5000 + "]]}"),

@@ -2,21 +2,30 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 from random import Random
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerate_lattice_case, det_by_permutations, homogeneous, rand_point
+from conftest import (
+    core_candidates_by_fractions,
+    degenerate_lattice_case,
+    det_by_permutations,
+    homogeneous,
+    rand_point,
+)
 from colourdepth import depth
-from colourdepth.constructions import gen_regular_ngon, gen_sminus, gen_splus
+from colourdepth.constructions import gen_identical, gen_regular_ngon, gen_sminus, gen_splus
 from colourdepth.depth import (
     ColourfulConfiguration,
     CoreSampleError,
     _sweep_depth,
     antipodal_cone_count,
+    colour_decomposition,
     colourful_depth,
+    core_depth_samples,
     core_membership,
     min_core_depth_estimate,
     monochrome_depth,
@@ -29,6 +38,7 @@ from colourdepth.exact import (
     _scaled_row,
     cone_contains,
     in_general_position,
+    in_general_position_with,
     orientation,
     origin,
     point_in_simplex,
@@ -193,6 +203,57 @@ def test_zero_count_decomposition_by_colour():
                 assert s == total
 
 
+def _decomposition_cases(rng, d):
+    """Configurations with d+1 and d+2 colours: classes dealt from one
+    `degenerate_lattice_case` set (repeated points, points on a hyperplane,
+    three on a line, the origin on boundaries), random rational classes, and
+    the identical classes of `gen_identical` (one more copy for d+2, below
+    d = 4, where 5^5 tuples per count already cover it)."""
+    for r in (d + 1, d + 2):
+        for _ in range(5):
+            S, _ = degenerate_lattice_case(rng, d, d + 4)
+            yield ColourfulConfiguration(
+                d, tuple(tuple(rng.choices(S, k=rng.randint(1, 3))) for _ in range(r))
+            )
+        yield ColourfulConfiguration(
+            d, tuple(tuple(rand_point(rng, d) for _ in range(rng.randint(1, 3))) for _ in range(r))
+        )
+        if r == d + 1 or d < 4:
+            yield ColourfulConfiguration(d, gen_identical(d).config.classes[:1] * r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_colour_decomposition_matches_per_point_oracle(d):
+    rng = Random(100 + d)
+    for cfg in _decomposition_cases(rng, d):
+        for mode in ("open", "closed"):
+            rep, counts = colour_decomposition(cfg, mode)
+            assert rep == colourful_depth(cfg, origin(d), mode)
+            assert counts == tuple(
+                tuple(zero_containing_count(cfg, c, k, mode) for k in range(len(cls)))
+                for c, cls in enumerate(cfg.classes)
+            )
+            if cfg.num_classes == d + 1:
+                assert all(sum(row) == rep.count for row in counts)
+
+
+def test_colour_decomposition_of_identical_classes():
+    # (d+1)! simplices, d! through each point, in both modes
+    for d in (1, 2, 3):
+        cfg = gen_identical(d).config
+        for mode in ("open", "closed"):
+            rep, counts = colour_decomposition(cfg, mode)
+            assert rep.count == factorial(d + 1)
+            assert set(counts) == {(factorial(d),) * (d + 1)}
+
+
+def test_colour_decomposition_input_errors():
+    with pytest.raises(InputError):
+        colour_decomposition(config(2, TRIANGLE, TRIANGLE))
+    with pytest.raises(InputError):
+        colour_decomposition(config(1, [pt(-1)], [pt(1)]), "half-open")
+
+
 def test_zero_count_equals_antipodal_cone_count():
     rng = Random(22)
     for d in (2, 3):
@@ -275,6 +336,35 @@ def test_min_core_depth_deterministic():
     a = min_core_depth_estimate(cfg, samples=10, seed=42)
     b = min_core_depth_estimate(cfg, samples=10, seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_core_sample_candidates_match_fraction_mixtures(monkeypatch, d, extra):
+    # With both filters passing everything, every candidate is returned, so
+    # the integer mixtures must give the oracle's points in its order.
+    rng = Random(40 + d + extra)
+    monkeypatch.setattr(depth, "core_membership", lambda *a, **k: True)
+    monkeypatch.setattr(depth, "in_general_position_with", lambda *a, **k: True)
+    for seed, bound in ((0, 10_000), (1, 10_000), (2, 7), (3, 1)):
+        cfg = random_core_config(rng, d, d + 1 + extra)
+        samples = 6 if d == 2 else 3
+        got = [q for _, q in core_depth_samples(cfg, samples, seed, bound)]
+        assert got == core_candidates_by_fractions(cfg, samples, seed, bound)
+
+
+def test_core_depth_samples_match_fraction_mixtures():
+    rng = Random(47)
+    for d, size in ((2, 3), (2, 5), (3, 4)):
+        cfg = random_core_config(rng, d, size)
+        pts = cfg.points()
+        for seed in range(3):
+            expected = [
+                (colourful_depth(cfg, q, "open").count, q)
+                for q in core_candidates_by_fractions(cfg, 8, seed)
+                if core_membership(cfg, q, strict=True) and in_general_position_with(pts, q)
+            ]
+            assert core_depth_samples(cfg, 8, seed) == expected
 
 
 def test_min_core_depth_empty_core_error():

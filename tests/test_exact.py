@@ -23,6 +23,8 @@ from colourdepth.exact import (
     DegenerateConeError,
     _cofactors,
     _det_int,
+    _scaled_row,
+    _translated_rows,
     InputError,
     Point,
     barycentric_coordinates,
@@ -445,3 +447,19 @@ def test_pencil_finds_the_planted_tuple():
         picks = rng.sample(range(n), d + 1)
         S[picks[-1]] = _affine_combination(rng, [S[x] for x in picks[:-1]], big=trial % 2)
         assert not in_general_position(S), (d, picks)
+
+
+def test_translated_rows_scale_the_rational_difference():
+    # (s, w) is the exact difference q - p times s > 0, and w points the same
+    # way as the row `_scaled_row` makes of the Fraction difference.
+    rng = Random(61)
+    for d in (1, 2, 3, 4):
+        for _ in range(25):
+            p = rand_point(rng, d) if rng.random() < 0.7 else Point(rng.randint(-2, 2) for _ in range(d))
+            pts = [rand_point(rng, d) for _ in range(3)]
+            pts += [Point(rng.randint(-2, 2) for _ in range(d)), p, -p]
+            for q, (s, w) in zip(pts, _translated_rows(pts, p)):
+                assert s > 0
+                assert tuple(Fraction(x, s) for x in w) == (q - p).coords
+                s0, w0 = _scaled_row((q - p).coords)
+                assert all(x * s0 == y * s for x, y in zip(w, w0))
