@@ -1,10 +1,12 @@
 """Cell depths on the circle for two planar colour classes.
 
-Two classes of three points (each with the origin strictly inside its hull)
-cut the circle into six arcs.  Each arc's depth counts the colourful cones
-covering it; crossing a boundary ray changes the count by exactly one since
-every such line splits the other class 2-to-1.  The engine brute-forces one
-seed cell, propagates around the circle, and cross-checks every cell.
+Two classes of three or more points (each with the origin strictly inside
+its hull) cut the circle into one arc per point.  Each arc's depth counts the
+colourful cones covering it; crossing a boundary ray changes the count by the
+points of the other class ahead of the ray less those behind it, which is
++-1 for the three-point classes below.  The engine reads the ray order and
+every crossing from one angular sweep, propagates around the circle, and
+cross-checks every cell against a cone count.
 """
 
 import math

@@ -1,26 +1,30 @@
-"""Exact cell-depth machinery on the circle for two 3-point colour classes.
+"""Exact cell-depth machinery on the circle for two planar colour classes.
 
-The six rays through the points split the circle into six arcs ("cells");
-the depth of a cell is the number of colourful cones, one generator from
-each class, covering it.  The depth of one seed cell is found by brute
-force, then propagated around the circle: crossing the ray of a point
-changes the count by (points of the other colour ahead) minus (behind),
-which is +-1 here because each class, containing 0 strictly in its hull,
-is split 2-to-1 by every such line.  Propagation must close up around the
-circle and must agree with a per-cell brute-force recount; both checks run
-on every construction.
+The rays through the points of both classes split the circle into arcs
+("cells"), one per ray; the depth of a cell is the number of colourful cones,
+one generator from each class, covering it.  Crossing the ray of a point
+counter-clockwise starts the cones whose other generator lies ahead of it and
+ends those whose other generator lies behind it, so the depth changes by
+(points of the other class ahead) - (behind) = 2 h - |other|, h being the
+other class's count in the open half-turn after the ray.  One pass of the
+angular sweep `depth._half_turns`, which planar depth counting shares, gives
+both the order of the rays and every h.
 
-Angular order is decided by the exact half-turn-and-cross-product comparator
-of `exact`, which the planar depth sweep shares; there is no trigonometry
-anywhere.
+The depth of every cell is also counted outright, at the sum of its two
+bounding rays, by `depth.antipodal_cone_count`: the cones covering a
+direction u are the colourful triangles that hold 0 together with -u.
+Propagation must close up around the circle and must agree with every
+recount; both checks run on every construction.  Each point is scaled to an
+integer vector once; there is no trigonometry anywhere.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
-from .exact import InputError, Point, _angle_cmp, _cross, in_convex_hull, origin
+from .depth import ColourfulConfiguration, _half_turns, antipodal_cone_count
+from .exact import InputError, Point, _cross, _int_row, in_convex_hull, origin
 
 __all__ = [
     "DegenerateArrangementError",
@@ -84,91 +88,65 @@ def crossing_delta(l: int, u: int, k: int, d: int) -> int:
     return l + u - k - (d - 1)
 
 
-def _cone_contains_2d(g1: Point, g2: Point, v: Point) -> bool:
-    det = _cross(g1, g2)
-    if det == 0:
-        raise DegenerateArrangementError("cone generators are parallel")
-    a = _cross(v, g2)
-    b = _cross(g1, v)
-    if det < 0:
-        a, b = -a, -b
-    return a >= 0 and b >= 0
+def _cone_count(X: Sequence[Point], Y: Sequence[Point], u: tuple[int, int]) -> int:
+    """Number of cones, one generator from X and one from Y, holding u."""
+    v = Point((-u[0], -u[1]))
+    config = ColourfulConfiguration(2, (tuple(X), tuple(Y), (v,)))
+    return antipodal_cone_count(config, 2, v).count
 
 
 def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArrangement:
-    """Cells and depths induced by two 3-point classes on the circle.
+    """Cells and depths induced by two planar colour classes on the circle.
 
-    Requires 0 strictly inside each class hull and all six rays pairwise
-    non-parallel (no equal and no antipodal directions).
+    Requires at least three points in each class, 0 strictly inside each
+    class hull, and all rays pairwise non-parallel (no equal and no
+    antipodal directions).
     """
-    if len(X) != 3 or len(Y) != 3:
-        raise InputError("exactly two colour classes of three points each")
-    for p in list(X) + list(Y):
-        if p.dim != 2:
-            raise InputError("cell arrangements are two-dimensional")
+    if len(X) < 3 or len(Y) < 3:
+        raise InputError("each colour class needs at least three points")
+    rays = [Ray(0, i, p) for i, p in enumerate(X)] + [Ray(1, i, p) for i, p in enumerate(Y)]
+    if any(r.direction.dim != 2 for r in rays):
+        raise InputError("cell arrangements are two-dimensional")
     zero = origin(2)
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
-    rays = [Ray(0, i, p) for i, p in enumerate(X)] + [Ray(1, i, p) for i, p in enumerate(Y)]
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if _cross(rays[i].direction, rays[j].direction) == 0:
-                raise DegenerateArrangementError(
-                    f"rays {(rays[i].colour, rays[i].index)} and "
-                    f"{(rays[j].colour, rays[j].index)} span the same line"
-                )
-    rays.sort(key=cmp_to_key(lambda a, b: _angle_cmp(a.direction, b.direction)))
-
-    classes = (tuple(X), tuple(Y))
-
-    def brute(v: Point) -> int:
-        return sum(
-            1 for x in X for y in Y if _cone_contains_2d(x, y, v)
-        )
-
-    # Test direction strictly inside each arc: the sum of the bounding ray
-    # directions, valid because every consecutive gap is below pi (each class
-    # alone has all gaps below pi when 0 is interior to its hull).
-    test_dirs = []
-    for k in range(6):
-        a = rays[k].direction
-        b = rays[(k + 1) % 6].direction
-        if _cross(a, b) <= 0:
-            raise DegenerateArrangementError("consecutive rays spread by half a turn")
-        test_dirs.append(a + b)
-
-    seed_depth = brute(test_dirs[0])
-    depths = [seed_depth]
-    for k in range(1, 6):
-        crossed = rays[k]
-        others = classes[1 - crossed.colour]
-        ahead = behind = 0
-        for o in others:
-            c = _cross(crossed.direction, o)
-            if c > 0:
-                ahead += 1
-            elif c < 0:
-                behind += 1
-        if {ahead, behind} != {1, 2}:
-            raise DegenerateArrangementError("crossing is not a 2-to-1 split")
-        depths.append(depths[-1] + ahead - behind)
-
-    # closure: crossing the first ray from the last cell returns to the seed
-    crossed = rays[0]
-    others = classes[1 - crossed.colour]
-    delta = sum(1 for o in others if _cross(crossed.direction, o) > 0) - sum(
-        1 for o in others if _cross(crossed.direction, o) < 0
-    )
-    if depths[-1] + delta != seed_depth:
-        raise DegenerateArrangementError("depth propagation failed to close the loop")
-
-    for k in range(6):
-        if brute(test_dirs[k]) != depths[k]:
+    vecs = [_int_row(r.direction.coords) for r in rays]
+    for i, j in combinations(range(len(rays)), 2):
+        if _cross(vecs[i], vecs[j]) == 0:
             raise DegenerateArrangementError(
-                f"propagated depth {depths[k]} disagrees with brute force in cell {k}"
+                f"rays {(rays[i].colour, rays[i].index)} and "
+                f"{(rays[j].colour, rays[j].index)} span the same line"
             )
 
-    return CircularArrangement(tuple(rays), tuple(depths))
+    sizes = (len(X), len(Y))
+    order, deltas = [], []
+    for k, colour, h in _half_turns(vecs, [r.colour for r in rays], 2):
+        order.append(k)
+        deltas.append(2 * h[1 - colour] - sizes[1 - colour])
+
+    # Cell k lies between rays order[k] and order[k+1].  The sum of their
+    # vectors is strictly inside it, because every consecutive gap is below
+    # a half-turn (each class alone has all gaps below it when 0 is interior
+    # to its hull).
+    n = len(order)
+    cones = []
+    for k in range(n):
+        a, b = vecs[order[k]], vecs[order[(k + 1) % n]]
+        if _cross(a, b) <= 0:
+            raise DegenerateArrangementError("consecutive rays spread by half a turn")
+        cones.append(_cone_count(X, Y, (a[0] + b[0], a[1] + b[1])))
+
+    depths = list(accumulate(deltas[1:], initial=cones[0]))
+    # closure: crossing the first ray from the last cell returns to the seed
+    if depths[-1] + deltas[0] != depths[0]:
+        raise DegenerateArrangementError("depth propagation failed to close the loop")
+    for k in range(n):
+        if cones[k] != depths[k]:
+            raise DegenerateArrangementError(
+                f"propagated depth {depths[k]} disagrees with the recount in cell {k}"
+            )
+
+    return CircularArrangement(tuple(rays[k] for k in order), tuple(depths))
 
 
 def verify_cell_depth_lemma(arr: CircularArrangement) -> CellReport:

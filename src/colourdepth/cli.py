@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     core.add_argument("--point", required=True)
     core.set_defaults(func=_cmd_core)
 
-    cells = sub.add_parser("cells2d", help="cell depth sequence of two 3-point classes")
+    cells = sub.add_parser(
+        "cells2d", help="cell depth sequence of two planar classes of 3 or more points"
+    )
     cells.add_argument("--config", required=True)
     cells.add_argument("--classes", type=int, nargs=2, default=(0, 1))
     cells.set_defaults(func=_cmd_cells2d)

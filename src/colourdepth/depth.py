@@ -33,6 +33,10 @@ The same enumeration can tally, for every point, the counted simplices that
 pick it: `colour_decomposition` returns the depth of the origin together with
 these per-point counts, which for the points of any one colour sum to the
 depth when there are d+1 colours.
+Before enumerating, every count compares its number of tuples, C(n, d+1) or
+the elementary symmetric polynomial e_{d+1} of the class sizes, with
+`MAX_TUPLES` and refuses a larger input with an `InputError`; the planar
+sweep is not limited.
 Enumeration is also the oracle the sweep is tested against.  Its order is
 lexicographic over colour index then point index, so witness lists and counts
 are reproducible byte for byte, and the enumeration space can be partitioned
@@ -219,6 +223,38 @@ def _count_tuples(
     return count, degenerate, boundary, witnesses
 
 
+MAX_TUPLES = 10_000_000
+"""The most vertex tuples one count enumerates.  A d = 3 tuple of random
+rationals costs about 6 us (Python 3.11 on a 2-vCPU Xeon), so that is about a
+minute, and about three minutes at d = 4.  A count above it raises
+`InputError` with the tuple count instead of running for hours."""
+
+
+def _check_query(classes: int, k: int, mode: Mode = "open") -> None:
+    """Refuse a mode other than open or closed, and fewer than k classes to
+    pick the k points of a tuple from.  Every enumerating count validates its
+    query here; a monochrome count has n classes of one point."""
+    if mode not in ("open", "closed"):
+        raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
+    if classes < k:
+        raise InputError(f"need at least {k} colour classes to pick from, got {classes}")
+
+
+def _check_budget(sizes: Sequence[int], k: int) -> None:
+    """Refuse to enumerate more than MAX_TUPLES tuples.  The tuples pick one
+    point from each of k of the classes of the given sizes, so there are
+    e_k(sizes) of them, the elementary symmetric polynomial; a monochrome
+    count has n classes of one point, and C(n, k) tuples."""
+    e = [1] + [0] * k
+    for size in sizes:
+        for j in range(k, 0, -1):
+            e[j] += size * e[j - 1]
+    if e[k] > MAX_TUPLES:
+        raise InputError(
+            f"{e[k]} vertex tuples to enumerate, more than the limit of {MAX_TUPLES}"
+        )
+
+
 def _class_keys(config: ColourfulConfiguration) -> list[range]:
     """The flat point indices of each colour class, classes in order."""
     out, start = [], 0
@@ -269,11 +305,14 @@ def _clean_plane(scaled: Sequence[tuple[int, tuple[int, int]]]) -> bool:
 
 
 def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int):
-    """For each plane vector in angular order, its colour and the number of
-    vectors of each of the r colours in the open half-turn counter-clockwise
-    after it (one list, updated in place between items).  The vectors must be
-    nonzero with no two on one line through the origin, so that no cross
-    product between two of them is zero.
+    """For each plane vector in angular order, its index in vecs, its colour
+    and the number of vectors of each of the r colours in the open half-turn
+    counter-clockwise after it (one list, updated in place between items).
+    The vectors must be nonzero with no two on one line through the origin,
+    so that no cross product between two of them is zero.
+
+    This is the package's one angular sort: planar depth and the circle cells
+    of `arrangements` both read their order from it.
     """
     n = len(vecs)
     order = sorted(range(n), key=cmp_to_key(lambda a, b: _angle_cmp(vecs[a], vecs[b])))
@@ -289,7 +328,7 @@ def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int)
         while _cross(vs[i], vs[j % n]) > 0:
             window[cs[j % n]] += 1
             j += 1
-        yield cs[i], window
+        yield order[i], cs[i], window
 
 
 def _sweep_depth(
@@ -309,11 +348,11 @@ def _sweep_depth(
     vecs = [w for _, w in scaled]
     n = len(vecs)
     if colours is None:
-        return comb(n, 3) - sum(comb(h[0], 2) for _, h in _half_turns(vecs, [0] * n, 1))
+        return comb(n, 3) - sum(comb(h[0], 2) for _, _, h in _half_turns(vecs, [0] * n, 1))
     r = max(colours) + 1
     sizes = [colours.count(c) for c in range(r)]
     missed = 0
-    for a, h in _half_turns(vecs, colours, r):
+    for _, a, h in _half_turns(vecs, colours, r):
         others = sum(h) - h[a]
         missed += (others * others - sum(x * x for x in h) + h[a] * h[a]) // 2
     return sum(x * y * z for x, y, z in combinations(sizes, 3)) - missed
@@ -326,8 +365,6 @@ def monochrome_depth(
     want_witnesses: bool = False,
 ) -> DepthReport:
     """Number of (d+1)-point simplices from S containing p."""
-    if mode not in ("open", "closed"):
-        raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     if not S:
         raise InputError("empty point set")
     d = p.dim
@@ -336,12 +373,13 @@ def monochrome_depth(
             raise InputError("dimension mismatch between S and p")
     if len(S) < d + 1:
         raise InputError(f"need at least {d + 1} points, got {len(S)}")
+    _check_query(len(S), d + 1, mode)
     scaled = _translated_rows(S, p)
     if d == 2 and not want_witnesses:
         swept = _sweep_depth(scaled)
         if swept is not None:
             return DepthReport(mode, swept)
-
+    _check_budget([1] * len(S), d + 1)
     scales, cols = zip(*scaled)
     count, degenerate, boundary, wit = _count_tuples(
         combinations(range(len(S)), d + 1), scales, cols, mode, want_witnesses
@@ -363,19 +401,17 @@ def colourful_depth(
 ) -> DepthReport:
     """Number of colourful simplices (one vertex from each of d+1 distinct
     colours) containing p."""
-    if mode not in ("open", "closed"):
-        raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     _check_config_point(config, p)
     d = config.dim
     r = config.num_classes
-    if r < d + 1:
-        raise InputError(f"need at least {d + 1} colour classes, got {r}")
+    _check_query(r, d + 1, mode)
     scaled = _translated_rows(config.points(), p)
     labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
     if d == 2 and not want_witnesses:
         swept = _sweep_depth(scaled, [ci for ci, _ in labels])
         if swept is not None:
             return DepthReport(mode, swept)
+    _check_budget(config.class_sizes(), d + 1)
     scales, cols = zip(*scaled)
     count, degenerate, boundary, wit = _count_tuples(
         _colourful_keys(_class_keys(config), range(r), d + 1),
@@ -405,20 +441,18 @@ def zero_containing_count(
     This enumerates the simplices through the one point.  It is the oracle
     for `colour_decomposition`, which gives the count of every point from the
     one enumeration of its depth."""
-    if mode not in ("open", "closed"):
-        raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     r = config.num_classes
     d = config.dim
     if not (0 <= colour < r):
         raise InputError(f"colour index {colour} out of range")
     if not (0 <= point < len(config.classes[colour])):
         raise InputError(f"point index {point} out of range")
-    if r < d + 1:
-        raise InputError(f"need at least {d + 1} colour classes, got {r}")
+    _check_query(r - 1, d, mode)
+    others = [c for c in range(r) if c != colour]
+    _check_budget([len(config.classes[c]) for c in others], d)
     scales, cols = zip(*(_scaled_row(q.coords) for cls in config.classes for q in cls))
     class_keys = _class_keys(config)
     fixed = (class_keys[colour][point],)
-    others = [c for c in range(r) if c != colour]
     key_tuples = (fixed + rest for rest in _colourful_keys(class_keys, others, d))
     count, _, _, _ = _count_tuples(key_tuples, scales, cols, mode, False)
     return count
@@ -437,12 +471,10 @@ def colour_decomposition(
     `zero_containing_count`, the query point is the origin.  The report has
     no witnesses.
     """
-    if mode not in ("open", "closed"):
-        raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     d = config.dim
     r = config.num_classes
-    if r < d + 1:
-        raise InputError(f"need at least {d + 1} colour classes, got {r}")
+    _check_query(r, d + 1, mode)
+    _check_budget(config.class_sizes(), d + 1)
     scales, cols = zip(*(_scaled_row(q.coords) for q in config.points()))
     class_keys = _class_keys(config)
     tally = [0] * len(cols)
@@ -471,12 +503,14 @@ def antipodal_cone_count(
         raise InputError(f"colour index {colour} out of range")
     if all(c == 0 for c in v.coords):
         raise InputError("v must be nonzero")
+    _check_query(r - 1, d)
+    others = [c for c in range(r) if c != colour]
+    _check_budget([len(config.classes[c]) for c in others], d)
     # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
     # the determinant of the generators (see `cone_contains`).
     cols = [_int_row(q.coords) for cls in config.classes for q in cls]
     v_key = (len(cols),)
     cols.append(_int_row(v.coords))
-    others = [c for c in range(r) if c != colour]
     gen_tuples = _colourful_keys(_class_keys(config), others, d)
     count = degenerate = 0
     for _, t in _memo_cofactors((gens + v_key for gens in gen_tuples), cols, d):

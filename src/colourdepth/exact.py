@@ -408,7 +408,7 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     full-dimensional and p to lie strictly on the inner side of every
     supporting hyperplane spanned by d points of S.
     """
-    d = _check_dims(list(S) + [p])
+    d = _check_dims(S, p.dim)
     if not strict:
         return _hull_contains([w for _, w in _translated_rows(S, p)])
     rows = list(dict.fromkeys(_int_row((*q.coords, 1)) for q in S))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -35,18 +36,29 @@ def rotated_triangles(offset_deg: float = 17.0):
     return X, Y
 
 
-def random_valid_pair(rng: Random):
+def cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def random_valid_pair(rng: Random, a: int = 3, b: int = 3):
     while True:
-        X = random_core_class(rng, 3, 2, bound=60)
-        Y = random_core_class(rng, 3, 2, bound=60)
-        dirs = X + Y
-        ok = all(
-            dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0] != 0
-            for i in range(6)
-            for j in range(i + 1, 6)
-        )
-        if ok:
+        X = random_core_class(rng, a, 2, bound=60)
+        Y = random_core_class(rng, b, 2, bound=60)
+        if all(cross(u, v) != 0 for u, v in combinations(X + Y, 2)):
             return X, Y
+
+
+def cones_holding(X, Y, v) -> int:
+    """Cones (x, y) holding v, by a Fraction cross-product test per cone."""
+    count = 0
+    for x in X:
+        for y in Y:
+            det = cross(x, y)
+            a, b = cross(v, y), cross(x, v)
+            if det < 0:
+                a, b = -a, -b
+            count += a >= 0 and b >= 0
+    return count
 
 
 # -------------------------------------------------------------- crossing_delta
@@ -112,18 +124,8 @@ def test_depth_sum_matches_per_cone_cell_cover():
         for k in range(6)
     ]
 
-    def _cross(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    def cone_covers(x, y, v):
-        det = _cross(x, y)
-        a, b = _cross(v, y), _cross(x, v)
-        if det < 0:
-            a, b = -a, -b
-        return a >= 0 and b >= 0
-
     per_cone = sum(
-        sum(1 for v in test_dirs if cone_covers(x, y, v)) for x in X for y in Y
+        sum(cones_holding([x], [y], v) for v in test_dirs) for x in X for y in Y
     )
     assert per_cone == sum(arr.cell_depths)
 
@@ -148,6 +150,29 @@ def test_random_pairs_propagation_and_lemma():
         assert rep.lemma_ok
         families.add(canonical_rotation(arr.cell_depths))
     assert families  # at least one family observed
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (4, 4), (3, 6), (5, 7)])
+def test_general_class_sizes_match_fraction_recount(sizes):
+    # An independent oracle on the Fraction points: the boundaries must run
+    # counter-clockwise with no ray strictly inside a cell, and each cell's
+    # depth must be its cone count at the sum of its bounding rays.
+    rng = Random(1000 * sizes[0] + sizes[1])
+    for _ in range(25):
+        X, Y = random_valid_pair(rng, *sizes)
+        arr = cell_depth_sequence(X, Y)
+        n = len(X) + len(Y)
+        assert len(arr.boundaries) == len(arr.cell_depths) == n
+        assert sorted((r.colour, r.index) for r in arr.boundaries) == [
+            (c, i) for c, size in enumerate(sizes) for i in range(size)
+        ]
+        dirs = [r.direction for r in arr.boundaries]
+        for k in range(n):
+            a, b = dirs[k], dirs[(k + 1) % n]
+            assert cross(a, b) > 0
+            assert not any(cross(a, r) > 0 and cross(r, b) > 0 for r in X + Y)
+            assert cones_holding(X, Y, a + b) == arr.cell_depths[k]
+        assert verify_cell_depth_lemma(arr).lemma_ok, arr.cell_depths
 
 
 # ------------------------------------------------------------------ the lemma

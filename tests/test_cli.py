@@ -7,7 +7,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
+from math import comb
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import event, given, settings
@@ -17,6 +20,7 @@ from colourdepth.cli import main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration
 from colourdepth.exact import pt
+from colourdepth.sampling import random_core_class
 
 
 def run(capsys, *argv):
@@ -108,6 +112,44 @@ def test_cells2d_rejects_bad_classes(capsys, tmp_path):
     run(capsys, "gen", "sminus", "--dim", "2", "--out", str(path))
     code, _, _ = run(capsys, "cells2d", "--config", str(path), "--classes", "0", "0")
     assert code == 2
+
+
+def test_cells2d_any_class_sizes(capsys, tmp_path):
+    rng = Random(45)
+    while True:
+        X = random_core_class(rng, 4, 2, bound=60)
+        Y = random_core_class(rng, 5, 2, bound=60)
+        if all(u[0] * v[1] != u[1] * v[0] for u, v in combinations(X + Y, 2)):
+            break
+    path = tmp_path / "cfg.json"
+    save_config(ColourfulConfiguration(2, (tuple(X), tuple(Y))), path)
+    code, out, _ = run(capsys, "cells2d", "--config", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("sequence: ")
+    assert len(lines[0].removeprefix("sequence: ").split(",")) == 9
+    assert lines[1] == "lemma_ok: true"
+
+
+def test_cells2d_two_point_class_is_one_line_input_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    tri = (pt(1, 0), pt(-1, 1), pt(-1, -1))
+    save_config(ColourfulConfiguration(2, (tri[:2], tri)), path)
+    code, out, err = run(capsys, "cells2d", "--config", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_enumeration_above_budget_is_one_line_input_error(capsys, tmp_path):
+    rng = Random(5)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"points": [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(3000)]}
+    ))
+    code, out, err = run(capsys, "depth", "--points", str(path), "--point", "0,0,0")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(comb(3000, 4)) in err
 
 
 def test_audit_parity_outputs(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -304,6 +304,61 @@ def test_antipodal_requires_nonzero():
     cfg = config(1, [pt(-1), pt(1)], [pt(-2), pt(2)])
     with pytest.raises(InputError):
         antipodal_cone_count(cfg, 0, pt(0))
+
+
+@pytest.mark.parametrize("count", [
+    lambda cfg: zero_containing_count(cfg, 0, 0),
+    lambda cfg: antipodal_cone_count(cfg, 0, pt(1, 0)),
+])
+def test_counts_refuse_fewer_than_d_plus_one_colours(count):
+    # Two classes at d = 2 hold no colourful triangle and no colourful cone
+    # through a third colour: an input error, not a count of zero.
+    with pytest.raises(InputError):
+        count(config(2, TRIANGLE, TRIANGLE))
+
+
+@pytest.mark.parametrize("count", [
+    lambda mode: monochrome_depth(TRIANGLE, origin(2), mode),
+    lambda mode: colourful_depth(config(2, TRIANGLE, TRIANGLE, TRIANGLE), origin(2), mode),
+    lambda mode: zero_containing_count(config(2, TRIANGLE, TRIANGLE, TRIANGLE), 0, 0, mode),
+])
+def test_counts_refuse_unknown_mode(count):
+    with pytest.raises(InputError):
+        count("half-open")
+
+
+def _lattice_points(rng, n, d):
+    return [Point(rng.randint(-10**6, 10**6) for _ in range(d)) for _ in range(n)]
+
+
+def test_monochrome_enumeration_above_budget_fails_at_once():
+    S = _lattice_points(Random(5), 3000, 3)
+    with pytest.raises(InputError, match=str(comb(3000, 4))):
+        monochrome_depth(S, origin(3))
+
+
+@pytest.mark.parametrize("count", [
+    lambda cfg: colourful_depth(cfg, origin(3)),
+    lambda cfg: zero_containing_count(cfg, 0, 0),
+    colour_decomposition,
+    lambda cfg: antipodal_cone_count(cfg, 0, pt(1, 0, 0)),
+])
+def test_colourful_enumeration_above_budget_fails_at_once(count):
+    # 4 classes of 216: e_4 = 216^4 tuples for the depth and the
+    # decomposition, e_3 = 216^3 = 10,077,696 through one point or colour.
+    assert 216**3 > depth.MAX_TUPLES
+    rng = Random(6)
+    cfg = config(3, *(_lattice_points(rng, 216, 3) for _ in range(4)))
+    with pytest.raises(InputError, match="limit"):
+        count(cfg)
+
+
+def test_planar_sweep_is_not_budgeted():
+    # C(400, 3) = 10,586,800 triples is over the enumeration budget, but a
+    # clean planar input is swept, not enumerated.
+    assert comb(400, 3) > depth.MAX_TUPLES
+    S = random_points(Random(7), 400, 2)
+    assert monochrome_depth(S, origin(2)).count > 0
 
 
 def test_zero_count_index_errors():

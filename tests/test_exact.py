@@ -225,6 +225,12 @@ def test_hull_lower_dimensional_never_strict():
     assert not in_convex_hull(pt(0, 0), S, strict=True)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_hull_of_no_points_is_input_error(strict):
+    with pytest.raises(InputError):
+        in_convex_hull(pt(0, 0), [], strict=strict)
+
+
 def test_hull_matches_feasibility_oracle():
     rng = Random(23)
     for trial in range(500):
