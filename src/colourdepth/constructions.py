@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .depth import (
     ColourfulConfiguration,
+    _check_budget,
     colour_decomposition,
     colourful_depth,
     core_membership,
@@ -539,6 +540,8 @@ def gen_random_core_config(
         raise InputError("dimension must be at least 1")
     if points_per_colour < d + 1:
         raise InputError(f"need at least {d + 1} points per colour")
+    # Refuse an oversized colourful enumeration before sampling any class.
+    _check_budget([points_per_colour] * (d + 1), d + 1)
     rng = Random(seed)
     for attempt in range(max_tries):
         try:

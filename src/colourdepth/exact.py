@@ -10,13 +10,17 @@ integer kernel sits under all of them: a determinant (closed forms up to
 cofactors that give the barycentric signs of the origin in a simplex.  There
 is no floating-point code path.
 
-The same cofactors, taken over the d homogeneous rows of a facet, are the
-normal N of the hyperplane through its d points: the (d+1)-determinant of
-the facet and any point q is the dot product N . (q, 1).  Strict hull
-membership computes each facet normal once and then decides every point
-against it with a dot product; a zero normal means the facet spans no
-hyperplane, which is all that query-side general position asks of the
-normal.
+Strict hull membership asks for p in the interior of the hull.  When the
+set has d+1 distinct points its hull is a simplex, and p is interior exactly
+when the origin is in the open simplex of the points translated to p: the
+d+1 cofactors of those integer vectors decide it, with no rank and no facet
+normal.  Larger sets take the facet loop.  The same cofactors, taken over
+the d homogeneous rows of a facet, are the normal N of the hyperplane
+through its d points: the (d+1)-determinant of the facet and any point q is
+the dot product N . (q, 1).  The loop computes each facet normal once and
+then decides every point against it with a dot product; a zero normal means
+the facet spans no hyperplane, which is all that query-side general
+position asks of the normal.
 
 General position needs no normal at all.  Facets that share their first
 d-1 points P form a pencil of hyperplanes through span(P), and two points
@@ -154,7 +158,16 @@ def _scaled_row(values) -> tuple[int, tuple[int, ...]]:
     the origin lies in a hull spanned with the scaled vector.  Pass
     ``(*p.coords, 1)`` for the homogeneous row of a point.
     """
-    pairs = [c.as_integer_ratio() for c in values]
+    return _scaled_pairs([c.as_integer_ratio() for c in values])
+
+
+def _scaled_pairs(pairs) -> tuple[int, tuple[int, ...]]:
+    """`_scaled_row` of rationals given as (numerator, denominator) pairs in
+    lowest terms with positive denominators.
+
+    The homogeneous row of a point is then the same integer row for every
+    way of writing the point, so rows can be compared for equality.
+    """
     s = lcm(*[q for _, q in pairs])
     return s, tuple([n * (s // q) for n, q in pairs])
 
@@ -400,21 +413,24 @@ def cone_contains(generators: Sequence[Point], v: Point) -> bool:
     return all(x * t[-1] >= 0 for x in t)
 
 
-def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
-    """Exact convex hull membership.
+def _strict_hull_contains(rows: Sequence[tuple[int, ...]], p_row: tuple[int, ...]) -> bool:
+    """`in_convex_hull(p, S, strict=True)` on the homogeneous integer rows
+    (s * x, s), s > 0, of the points of S and of p.
 
-    Non-strict containment is a Caratheodory search for a closed simplex of
-    points of S around p.  Strict containment requires conv(S) to be
-    full-dimensional and p to lie strictly on the inner side of every
-    supporting hyperplane spanned by d points of S.
+    Each point must have one row whichever way its coordinates are written,
+    as `_int_row` and `_scaled_pairs` make them, so that the distinct rows
+    are the distinct points.
     """
-    d = _check_dims(S, p.dim)
-    if not strict:
-        return _hull_contains([w for _, w in _translated_rows(S, p)])
-    rows = list(dict.fromkeys(_int_row((*q.coords, 1)) for q in S))
+    rows = list(dict.fromkeys(rows))
+    d = len(p_row) - 1
+    if len(rows) == d + 1:
+        # A simplex: p is interior iff it is in the open simplex, decided on
+        # the vertices translated to p as s_p*Q - s_q*P.
+        *P, sp = p_row
+        cols = [tuple([sp * a - q[-1] * b for a, b in zip(q, P)]) for q in rows]
+        return _origin_status(_cofactors(cols))[0]
     if len(_pivots(rows)) <= d:
         return False  # lower-dimensional hull has empty interior
-    p_row = _int_row((*p.coords, 1))
     for facet in combinations(rows, d):
         normal = _cofactors(list(zip(*facet)))
         pos = neg = False
@@ -429,6 +445,26 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
         if _sign(sum(map(mul, normal, p_row))) != (1 if pos else -1):
             return False
     return True
+
+
+def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
+    """Exact convex hull membership.
+
+    Non-strict containment is a Caratheodory search for a closed simplex of
+    points of S around p.  Strict containment asks for p in the interior of
+    conv(S).  When S has d+1 distinct points, conv(S) is a simplex, and p is
+    interior exactly when it is in the open simplex: the signs of d+1
+    cofactors of the points translated to p, with no rank and no facet
+    normal.  Larger sets must have a full-dimensional hull, and p must lie
+    strictly on the inner side of every supporting hyperplane spanned by d
+    points of S.
+    """
+    _check_dims(S, p.dim)
+    if not strict:
+        return _hull_contains([w for _, w in _translated_rows(S, p)])
+    return _strict_hull_contains(
+        [_int_row((*q.coords, 1)) for q in S], _int_row((*p.coords, 1))
+    )
 
 
 def in_general_position(points: Sequence[Point]) -> bool:

@@ -4,18 +4,24 @@ Directions are drawn as rational vectors with bounded numerators and
 denominators (default magnitude bound 10^4), never as rounded reals, so every
 downstream computation stays exact.  Numerators are drawn symmetrically about
 zero, which makes the per-point distribution centrally symmetric.
+
+A point is drawn as integer (numerator, denominator) pairs, one per
+coordinate, and drawn again while every numerator is zero.  The core sampler
+tests each candidate class on the homogeneous integer rows of those pairs and
+builds `Fraction` points only for the class it accepts; most candidate
+classes are rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
-from .exact import InputError, Point, in_convex_hull, origin
+from .exact import InputError, Point, _scaled_pairs, _strict_hull_contains
 
 __all__ = [
     "SamplingError",
-    "random_fraction",
     "random_point",
     "random_points",
     "random_core_class",
@@ -28,15 +34,28 @@ class SamplingError(RuntimeError):
     """A rejection-sampling budget was exhausted."""
 
 
-def random_fraction(rng: Random, bound: int = DEFAULT_BOUND) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
+    """The coordinates of one nonzero random point as (numerator,
+    denominator) pairs; each coordinate draws its numerator, then its
+    denominator."""
+    while True:
+        pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim)]
+        if any(n for n, _ in pairs):
+            return pairs
+
+
+def _point(pairs: list[tuple[int, int]]) -> Point:
+    return Point(Fraction(n, q) for n, q in pairs)
+
+
+def _row(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The homogeneous integer row that `_int_row` makes of `_point(pairs)`."""
+    lowest = [(n // g, q // g) for n, q in pairs for g in (gcd(n, q),)]
+    return _scaled_pairs(lowest + [(1, 1)])[1]
 
 
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:
-    while True:
-        p = Point(random_fraction(rng, bound) for _ in range(dim))
-        if any(c != 0 for c in p.coords):
-            return p
+    return _point(_draw(rng, dim, bound))
 
 
 def random_points(rng: Random, n: int, dim: int, bound: int = DEFAULT_BOUND) -> list[Point]:
@@ -53,11 +72,11 @@ def random_core_class(
     """Draw `size` random points whose convex hull strictly contains 0."""
     if size < dim + 1:
         raise InputError(f"need at least {dim + 1} points to surround the origin")
-    zero = origin(dim)
+    zero_row = (0,) * dim + (1,)
     for _ in range(max_tries):
-        pts = random_points(rng, size, dim, bound)
-        if in_convex_hull(zero, pts, strict=True):
-            return pts
+        draws = [_draw(rng, dim, bound) for _ in range(size)]
+        if _strict_hull_contains([_row(pairs) for pairs in draws], zero_row):
+            return [_point(pairs) for pairs in draws]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"
     )

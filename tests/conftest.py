@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from math import lcm
 from random import Random
 
-from colourdepth.exact import Point
+from colourdepth.exact import Point, in_convex_hull
 
 
 def rand_point(rng: Random, dim: int, bound: int = 100) -> Point:
@@ -201,3 +201,25 @@ def core_candidates_by_fractions(config, samples: int, seed: int, bound: int = 1
         cw = _fraction_weights(rng, len(mixtures), bound)
         out.append(Point(sum(wi * m[r] for wi, m in zip(cw, mixtures)) for r in range(d)))
     return out
+
+
+# ------------------------------------------------------ core class oracle
+
+
+def core_class_by_rejection(rng: Random, size: int, dim: int, bound: int, max_tries: int):
+    """The core sampler as a loop over Fraction points: draw `size` points,
+    each coordinate a numerator then a denominator and each point drawn again
+    while it is the zero vector, and accept the first class whose hull
+    `in_convex_hull` says strictly contains the origin.  None when
+    `max_tries` classes are all rejected."""
+    zero = Point([0] * dim)
+    for _ in range(max_tries):
+        pts = []
+        while len(pts) < size:
+            q = Point(Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                      for _ in range(dim))
+            if any(q.coords):
+                pts.append(q)
+        if in_convex_hull(zero, pts, strict=True):
+            return pts
+    return None

@@ -265,6 +265,22 @@ def test_gen_random_too_few_points_per_colour_is_input_error(tmp_path, per_colou
     assert not (tmp_path / "r.json").exists()
 
 
+def test_gen_random_refuses_an_oversized_enumeration_before_sampling(tmp_path):
+    # 200 points per colour at d = 3 is 200^4 colourful tuples: the size is
+    # refused at once, before any class is sampled or checked.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "colourdepth.cli", "gen", "random", "--dim", "3",
+         "--points-per-colour", "200", "--out", str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "vertex tuples" in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "random", "--dim", "0"],
     ["audit", "parity", "--dim", "0", "--trials", "2"],

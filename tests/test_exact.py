@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colourdepth import exact
 from conftest import (
     degenerate_lattice_case,
     det_by_permutations,
@@ -374,6 +375,66 @@ def test_normal_predicates_match_subset_oracles():
         assert in_general_position(S + [p]) == general_position_by_subsets(S + [p]), (S, p)
         assert in_general_position_with(S, p) == general_position_with_by_subsets(S, p), (S, p)
         assert in_convex_hull(p, S, strict=True) == strictly_inside_by_facets(p, S), (S, p)
+
+
+def _simplex_case(rng: Random, d: int, shape: str):
+    """d+1 distinct or repeated points with rational coordinates and a query
+    point placed against them as `shape` says."""
+    S = [rand_point(rng, d, bound=6) for _ in range(d + 1)]
+    if shape == "repeated":
+        i, j = rng.sample(range(d + 1), 2)
+        S[i] = S[j]
+    elif shape == "dependent":
+        # The last point is an affine combination of the others.
+        w = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d - 1)]
+        w.append(1 - sum(w))
+        S[d] = Point(sum(wi * q[k] for wi, q in zip(w, S)) for k in range(d))
+
+    def on_facet(outside: bool) -> Point:
+        # An affine combination of d vertices, all weights positive or, for
+        # a point of the facet's hyperplane off the simplex, one negative
+        # (at d = 1 the hyperplane is the vertex itself).
+        sub = rng.sample(S, d)
+        w = [Fraction(rng.randint(1, 5)) for _ in range(d)]
+        if outside:
+            w[0] = Fraction(-1, 2)
+        total = sum(w)
+        return Point(sum(wi * q[k] for wi, q in zip(w, sub)) / total for k in range(d))
+
+    pick = rng.randrange(5)
+    if pick == 0:
+        p = rand_point(rng, d, bound=4)
+    elif pick == 1:
+        p = rng.choice(S)
+    elif pick == 2:
+        p = on_facet(False)
+    elif pick == 3:
+        p = on_facet(True)
+    else:
+        p = Point(sum(q[k] for q in S) / len(S) for k in range(d))
+    return S, p
+
+
+@pytest.mark.parametrize("shape", ["generic", "repeated", "dependent"])
+def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
+    # Sets with d+1 distinct points, listed once or with one of them twice,
+    # are decided by the cofactors of the simplex and never reach the rank
+    # and facet loop of larger sets.
+    pivots = exact._pivots
+    facet_loop = []
+    monkeypatch.setattr(exact, "_pivots", lambda rows: facet_loop.append(rows) or pivots(rows))
+    rng = Random(67)
+    hits = 0
+    for trial in range(240):
+        d = 1 + trial % 4
+        S, p = _simplex_case(rng, d, shape)
+        for T in (S, S + [rng.choice(S)]):
+            facet_loop.clear()
+            strict = in_convex_hull(p, T, strict=True)
+            assert strict == strictly_inside_by_facets(p, T), (T, p)
+            assert not facet_loop or len(set(T)) <= d, (T, p)
+            hits += strict
+    assert hits > 0 or shape != "generic"
 
 
 # ---------------------------------------------------- general-position pencil

@@ -1,0 +1,46 @@
+"""Sampler tests: the integer-row core sampler against its Fraction loop."""
+
+from random import Random
+
+import pytest
+
+from conftest import core_class_by_rejection
+from colourdepth.exact import _int_row
+from colourdepth.sampling import SamplingError, _draw, _point, _row, random_core_class, random_point
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_core_class_matches_fraction_rejection_loop(d):
+    # Bounds 1 to 3 draw many zero vectors and repeated points; three tries
+    # exhaust the budget often, so the error path is compared too.  The
+    # accepted class and the generator state must both match.
+    outcomes = set()
+    for size in (d + 1, d + 3):
+        for bound in (1, 2, 3, 10**4):
+            for seed in range(24):
+                max_tries = 3 if seed % 2 else 200
+                rng, ref = Random(seed), Random(seed)
+                expected = core_class_by_rejection(ref, size, d, bound, max_tries)
+                if expected is None:
+                    with pytest.raises(SamplingError, match=f"after {max_tries} draws"):
+                        random_core_class(rng, size, d, bound, max_tries)
+                else:
+                    assert random_core_class(rng, size, d, bound, max_tries) == expected
+                assert rng.getstate() == ref.getstate(), (size, bound, seed)
+                outcomes.add(expected is None)
+    assert outcomes == {False, True}
+
+
+def test_random_point_is_never_the_origin():
+    rng = Random(5)
+    assert all(any(random_point(rng, 3, bound=1).coords) for _ in range(500))
+
+
+def test_drawn_rows_are_the_rows_of_the_points():
+    # Pairs like (2, 4) and (1, 2) give one row, so equal points in a drawn
+    # class have equal rows.
+    rng = Random(9)
+    for d in (1, 2, 3):
+        for _ in range(300):
+            pairs = _draw(rng, d, 6)
+            assert _row(pairs) == _int_row((*_point(pairs).coords, 1)), pairs
