@@ -10,20 +10,22 @@ other class's count in the open half-turn after the ray.  One pass of the
 angular sweep `depth._half_turns`, which planar depth counting shares, gives
 both the order of the rays and every h.
 
-The depth of every cell is also counted outright, at the sum of its two
-bounding rays, by `depth.antipodal_cone_count`: the cones covering a
-direction u are the colourful triangles that hold 0 together with -u.
-Propagation must close up around the circle and must agree with every
-recount; both checks run on every construction.  Each point is scaled to an
-integer vector once; there is no trigonometry anywhere.
+The depth of every cell is also counted outright, at the sum u of its two
+bounding rays, by the counter under `depth.antipodal_cone_count`: the cones
+covering u are the colourful triangles that hold 0 together with -u.  The
+recounts run on the integer vectors of the sweep, and share one memo of
+minors, so the |X| |Y| minors of the generator pairs are computed once for
+all cells.  Propagation must close up around the circle and must agree with
+every recount; both checks run on every construction.  Each point is scaled
+to an integer vector once; there is no trigonometry anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import NamedTuple, Sequence
 
-from .depth import ColourfulConfiguration, _half_turns, antipodal_cone_count
+from .depth import _antipodal_count, _check_budget, _half_turns
 from .exact import InputError, Point, _cross, _int_row, in_convex_hull, origin
 
 __all__ = [
@@ -88,13 +90,6 @@ def crossing_delta(l: int, u: int, k: int, d: int) -> int:
     return l + u - k - (d - 1)
 
 
-def _cone_count(X: Sequence[Point], Y: Sequence[Point], u: tuple[int, int]) -> int:
-    """Number of cones, one generator from X and one from Y, holding u."""
-    v = Point((-u[0], -u[1]))
-    config = ColourfulConfiguration(2, (tuple(X), tuple(Y), (v,)))
-    return antipodal_cone_count(config, 2, v).count
-
-
 def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArrangement:
     """Cells and depths induced by two planar colour classes on the circle.
 
@@ -127,14 +122,18 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     # Cell k lies between rays order[k] and order[k+1].  The sum of their
     # vectors is strictly inside it, because every consecutive gap is below
     # a half-turn (each class alone has all gaps below it when 0 is interior
-    # to its hull).
+    # to its hull).  The cones holding it are those holding 0 with its
+    # antipode, appended as one more column per cell.
     n = len(order)
-    cones = []
+    _check_budget(sizes, 2)
+    pairs = list(product(range(sizes[0]), range(sizes[0], n)))
+    cols, minors, cones = list(vecs), {}, []
     for k in range(n):
         a, b = vecs[order[k]], vecs[order[(k + 1) % n]]
         if _cross(a, b) <= 0:
             raise DegenerateArrangementError("consecutive rays spread by half a turn")
-        cones.append(_cone_count(X, Y, (a[0] + b[0], a[1] + b[1])))
+        cols.append((-a[0] - b[0], -a[1] - b[1]))
+        cones.append(_antipodal_count(pairs, cols, len(cols) - 1, minors).count)
 
     depths = list(accumulate(deltas[1:], initial=cones[0]))
     # closure: crossing the first ray from the last cell returns to the seed

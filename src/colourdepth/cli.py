@@ -4,11 +4,17 @@ and audits together behind stable file formats.
 Exit codes: 0 success and all assertions hold; 1 an audit or assertion was
 violated; 2 malformed input (unknown flags, bad rationals, dimension
 mismatches); 3 a construction failed its exact verification.
+
+`main(argv)` may be called any number of times in one process.  The parser is
+built once, on the first call, and reused: parsing never changes it, every
+default is immutable, and argparse looks up `sys.stdout` and `sys.stderr`
+only when it prints, so each call behaves as a fresh process would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -182,6 +188,7 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="colourdepth",
@@ -245,24 +252,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_points(argv: list[str]) -> list[str]:
-    """Rewrite '--point -1/2,0' as '--point=-1/2,0'.
+    """Rewrite '--point -1/2,0' as '--point=-1/2,0', and '--epsilon -1/2'
+    as '--epsilon=-1/2'.
 
     argparse takes a value that starts with '-' for an option unless it is a
     plain negative number, so a negative rational query point would be
-    refused with "expected one argument".
+    refused with "expected one argument", and a negative epsilon would never
+    reach the check that it is positive.
     """
     out: list[str] = []
     for a in argv:
-        if out and out[-1] == "--point" and re.match(r"-[\d.]", a):
-            out[-1] = "--point=" + a
+        if out and out[-1] in ("--point", "--epsilon") and re.match(r"-[\d.]", a):
+            out[-1] += "=" + a
         else:
             out.append(a)
     return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_points(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_points(argv))
     try:
         return args.func(args)
     except ConstructionError as e:

@@ -163,18 +163,23 @@ class ConeCount(NamedTuple):
 
 
 def _memo_cofactors(
-    key_tuples: Iterable[tuple[int, ...]], cols: Sequence[tuple[int, ...]], d: int
+    key_tuples: Iterable[tuple[int, ...]],
+    cols: Sequence[tuple[int, ...]],
+    d: int,
+    minors: dict[tuple[int, ...], int] | None = None,
 ):
     """Yield each tuple of d+1 keys with the `_cofactors` of its columns
     cols[k].
 
     Cofactor i is the minor on every column but the i-th, with the sign
-    (-1)^(d+i).  Each minor is computed once per call and memoised by the
-    keys of its columns, so a query costs one determinant per d-subset that
-    occurs rather than d+1 per simplex.  A vertex set must come in one fixed
-    key order.
+    (-1)^(d+i).  Each minor is computed once and memoised by the keys of its
+    columns, so a query costs one determinant per d-subset that occurs
+    rather than d+1 per simplex.  The memo lives for the call unless the
+    caller passes one to share between calls on the same keys and columns.
+    A vertex set must come in one fixed key order.
     """
-    minors: dict[tuple[int, ...], int] = {}
+    if minors is None:
+        minors = {}
     get = minors.get
     drops = [(i, (d + i) % 2) for i in range(d + 1)]
     for keys in key_tuples:
@@ -506,14 +511,30 @@ def antipodal_cone_count(
     _check_query(r - 1, d)
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d)
-    # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
-    # the determinant of the generators (see `cone_contains`).
     cols = [_int_row(q.coords) for cls in config.classes for q in cls]
-    v_key = (len(cols),)
     cols.append(_int_row(v.coords))
     gen_tuples = _colourful_keys(_class_keys(config), others, d)
+    return _antipodal_count(gen_tuples, cols, len(cols) - 1, {})
+
+
+def _antipodal_count(
+    gen_tuples: Iterable[tuple[int, ...]],
+    cols: Sequence[tuple[int, ...]],
+    v: int,
+    minors: dict[tuple[int, ...], int],
+) -> ConeCount:
+    """`antipodal_cone_count` on integer columns: the cones on the key tuples
+    gen_tuples that contain -cols[v].
+
+    minors is the `_memo_cofactors` memo; a caller that counts at several
+    columns v over the same generators passes one memo to all its calls, so
+    each generator minor is computed once.
+    """
+    # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
+    # the determinant of the generators (see `cone_contains`).
     count = degenerate = 0
-    for _, t in _memo_cofactors((gens + v_key for gens in gen_tuples), cols, d):
+    tuples = (gens + (v,) for gens in gen_tuples)
+    for _, t in _memo_cofactors(tuples, cols, len(cols[v]), minors):
         if t[-1] == 0:
             degenerate += 1
         elif all(x * t[-1] >= 0 for x in t):

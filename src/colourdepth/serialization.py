@@ -92,10 +92,12 @@ def _check_list(value, what: str) -> list:
 
 
 def config_from_dict(data: dict) -> ColourfulConfiguration:
+    if not isinstance(data, dict):
+        raise InputError(f"configuration file must hold a JSON object, got {type(data).__name__}")
     try:
         dim = data["dimension"]
         colours = data["colours"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise InputError(f"configuration file needs 'dimension' and 'colours': {e}") from e
     _check_dimension(dim)
     classes = []

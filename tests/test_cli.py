@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from colourdepth.cli import main
+from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration
 from colourdepth.exact import pt
@@ -27,6 +27,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_process(argv, timeout=60):
+    """Run `python -m colourdepth.cli` with argv in a fresh process."""
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "colourdepth.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def test_gen_sminus_prints_depth(capsys, tmp_path):
@@ -215,12 +225,7 @@ def test_dimension_mismatch_is_input_error(capsys, tmp_path):
 def test_malformed_config_shape_is_one_line_input_error(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "colourdepth.cli", "cdepth", "--config", str(path), "--point", "0"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = cli_process(["cdepth", "--config", str(path), "--point", "0"])
     assert proc.returncode == 2
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
@@ -234,16 +239,9 @@ def test_negative_point_after_a_space(tmp_path, command):
     classes = 1 if command == "depth" else 3
     save_config(ColourfulConfiguration(2, (tuple(tri),) * classes), path)
     flag = "--points" if command == "depth" else "--config"
-    root = Path(__file__).resolve().parent.parent
-
-    def cli(*point_args):
-        return subprocess.run(
-            [sys.executable, "-m", "colourdepth.cli", command, flag, str(path), *point_args],
-            env=dict(os.environ, PYTHONPATH=str(root / "src")),
-            capture_output=True, text=True, timeout=60,
-        )
-
-    spaced, joined = cli("--point", "-1/2,0"), cli("--point=-1/2,0")
+    argv = [command, flag, str(path)]
+    spaced = cli_process(argv + ["--point", "-1/2,0"])
+    joined = cli_process(argv + ["--point=-1/2,0"])
     assert spaced.returncode == joined.returncode == 0, spaced.stderr
     assert spaced.stdout == joined.stdout and spaced.stdout
 
@@ -252,13 +250,8 @@ def test_negative_point_after_a_space(tmp_path, command):
 def test_gen_random_too_few_points_per_colour_is_input_error(tmp_path, per_colour):
     # 0 is a size like any other, not a missing option: it must reach the
     # generator's size check rather than fall back to the d+1 default.
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "colourdepth.cli", "gen", "random", "--dim", "2",
-         "--points-per-colour", per_colour, "--out", str(tmp_path / "r.json")],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = cli_process(["gen", "random", "--dim", "2",
+                        "--points-per-colour", per_colour, "--out", str(tmp_path / "r.json")])
     assert proc.returncode == 2
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
@@ -268,13 +261,8 @@ def test_gen_random_too_few_points_per_colour_is_input_error(tmp_path, per_colou
 def test_gen_random_refuses_an_oversized_enumeration_before_sampling(tmp_path):
     # 200 points per colour at d = 3 is 200^4 colourful tuples: the size is
     # refused at once, before any class is sampled or checked.
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "colourdepth.cli", "gen", "random", "--dim", "3",
-         "--points-per-colour", "200", "--out", str(tmp_path / "r.json")],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=20,
-    )
+    proc = cli_process(["gen", "random", "--dim", "3", "--points-per-colour", "200",
+                        "--out", str(tmp_path / "r.json")], timeout=20)
     assert proc.returncode == 2
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "vertex tuples" in proc.stderr
@@ -287,14 +275,69 @@ def test_gen_random_refuses_an_oversized_enumeration_before_sampling(tmp_path):
     ["audit", "stats", "--dim", "0", "--trials", "2"],
 ])
 def test_dimension_zero_is_one_line_input_error(argv):
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "colourdepth.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = cli_process(argv)
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines() == ["error: dimension must be at least 1"]
+
+
+@pytest.mark.parametrize("epsilon", [["--epsilon", "-1/2"], ["--epsilon=-1/2"]])
+def test_negative_epsilon_reaches_the_positivity_check(epsilon):
+    # A value after a space that starts with '-' is joined to its flag, so
+    # argparse does not take it for an option.
+    proc = cli_process(["gen", "sminus", "--dim", "2", *epsilon])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: epsilon must be positive\n"
+
+
+@pytest.mark.parametrize("payload, kind", [([1, 2], "list"), ("abc", "str"), (7, "int")])
+def test_config_that_is_not_an_object_is_one_line_input_error(tmp_path, payload, kind):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    proc = cli_process(["cdepth", "--config", str(path), "--point", "0,0"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: configuration file must hold a JSON object, got {kind}\n"
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
+    # main builds its parser once per process.  Each call must still print
+    # and exit as a fresh process does, whatever the calls before it parsed.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimension": 2, "colours": [
+        [[3, 1], [-1, 3], [-2, -3]],
+        [[1, 3], [-3, 1], [2, -3]],
+        [[2, 3], [-3, -2], [1, -4], [4, -1]],
+    ]}))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    calls = [
+        ["cdepth", "--config", str(cfg), "--point", "0,0", "--mode", "closed", "--witnesses"],
+        ["cdepth", "--config", str(cfg), "--point", "0,0"],
+        ["cdepth", "--config", str(cfg), "--point", "0,0", "--mode", "sideways"],
+        ["cells2d", "--config", str(cfg), "--classes", "1", "2"],
+        ["cells2d", "--config", str(cfg)],
+        ["cells2d", "--help"],
+        ["core", "--config", str(cfg), "--point", "-1/10,1/7"],
+        ["gen", "sminus", "--dim", "2", "--epsilon", "-1/2"],
+        ["cdepth", "--config", str(listed), "--point", "0,0"],
+        ["gen", "sminus", "--dim", "2"],
+    ]
+    seen = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse refuses, or prints help
+                code = e.code
+        proc = cli_process(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+        seen.append((code, out.getvalue()))
+    assert build_parser() is build_parser()
+    # The calls differ where their arguments do: no option carries over.
+    assert [code for code, _ in seen] == [0, 0, 2, 0, 0, 0, 0, 2, 2, 0]
+    assert seen[0][1] != seen[1][1] and seen[3][1] != seen[4][1]
 
 
 @pytest.mark.parametrize("argv, payload", [
