@@ -102,6 +102,9 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     rays = [Ray(0, i, p) for i, p in enumerate(X)] + [Ray(1, i, p) for i, p in enumerate(Y)]
     if any(r.direction.dim != 2 for r in rays):
         raise InputError("cell arrangements are two-dimensional")
+    # Each of the |X|+|Y| cells is recounted over all |X| |Y| generator pairs.
+    sizes = (len(X), len(Y))
+    _check_budget((*sizes, sum(sizes)), 3)
     zero = origin(2)
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
@@ -113,7 +116,6 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
                 f"{(rays[j].colour, rays[j].index)} span the same line"
             )
 
-    sizes = (len(X), len(Y))
     order, deltas = [], []
     for k, colour, h in _half_turns(vecs, [r.colour for r in rays], 2):
         order.append(k)
@@ -125,7 +127,6 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     # to its hull).  The cones holding it are those holding 0 with its
     # antipode, appended as one more column per cell.
     n = len(order)
-    _check_budget(sizes, 2)
     pairs = list(product(range(sizes[0]), range(sizes[0], n)))
     cols, minors, cones = list(vecs), {}, []
     for k in range(n):

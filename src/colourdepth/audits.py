@@ -167,7 +167,6 @@ def parity_audit(
     *,
     n: int | None = None,
     sizes: tuple[int, ...] | None = None,
-    bound: int = DEFAULT_BOUND,
     keep_records: bool = True,
 ) -> AuditReport:
     """Count parity violations over random general-position instances.
@@ -205,10 +204,10 @@ def parity_audit(
     for t in range(trials):
         rng = Random(seed + t)
         if kind == "monochrome":
-            S, p = _draw_monochrome(rng, d, n, bound)
+            S, p = _draw_monochrome(rng, d, n, DEFAULT_BOUND)
             rep = monochrome_depth(S, p, "open")
         else:
-            config, p, rep = _draw_colourful(rng, d, sizes, bound)
+            config, p, rep = _draw_colourful(rng, d, sizes, DEFAULT_BOUND)
         if rep.count % 2 != 0:
             violations += 1
         lo = rep.count if lo is None else min(lo, rep.count)
@@ -236,125 +235,90 @@ def parity_audit(
 # ---------------------------------------------------------------------- bounds
 
 
-def _planted_minimum(d: int, seed: int):
-    if d == 1:
-        return gen_splus(1)
-    return gen_sminus(d, seed=seed)
+def _bound_trials(d: int, trials: int, seed: int, planted, measure):
+    """Run measure(config, s), a depth or None, on planted(d, seed=seed) and
+    then on gen_random_core_config(d, d+1, s) for trial t with s = seed + t.
 
-
-def mu_audit(
-    d: int,
-    trials: int,
-    core_samples: int,
-    seed: int,
-    *,
-    keep_records: bool = True,
-) -> AuditReport:
-    """Minimum sampled core depth over random core configurations, with a
-    planted extremal configuration witnessing the proven minimum."""
+    Returns the records of the measured configurations and the number of
+    failures: a construction error or a measure of None.
+    """
     if trials < 0:
         raise InputError("trials must be non-negative")
-    lower = known_min_core_depth(d)
-    upper = d * d + 1
-    records = [] if keep_records else None
-    estimates = []
+    if d < 1:
+        raise InputError("dimension must be at least 1")
+    records = []
     failures = 0
-
-    def run_one(trial: int, config, est_seed: int):
-        nonlocal failures
+    for trial in (PLANTED_TRIAL, *range(trials)):
+        s = seed + max(trial, 0)  # the planted configuration takes the audit's seed
         try:
-            est, _ = min_core_depth_estimate(config, core_samples, est_seed)
-        except CoreSampleError:
-            failures += 1
-            return
-        estimates.append(est)
-        if keep_records:
-            records.append(TrialRecord(trial, est_seed, est, True, True))
-
-    try:
-        planted = _planted_minimum(d, seed)
-        run_one(PLANTED_TRIAL, planted.config, seed)
-    except ConstructionError:
-        failures += 1  # best-effort dimensions may fail to construct
-    for t in range(trials):
-        try:
-            vc = gen_random_core_config(d, d + 1, seed + t)
+            if trial == PLANTED_TRIAL:
+                vc = planted(d, seed=s)  # best-effort dimensions may fail to construct
+            else:
+                vc = gen_random_core_config(d, d + 1, s)
         except ConstructionError:
             failures += 1
             continue
-        run_one(t, vc.config, seed + t)
+        depth = measure(vc.config, s)
+        if depth is None:
+            failures += 1
+        else:
+            records.append(TrialRecord(trial, s, depth, True, True))
+    return records, failures
 
-    if not estimates:
+
+def mu_audit(d: int, trials: int, core_samples: int, seed: int) -> AuditReport:
+    """Minimum sampled core depth over random core configurations, with a
+    planted extremal configuration witnessing the proven minimum."""
+
+    def measure(config, s: int):
+        try:
+            return min_core_depth_estimate(config, core_samples, s)[0]
+        except CoreSampleError:
+            return None
+
+    planted = gen_splus if d == 1 else gen_sminus
+    records, failures = _bound_trials(d, trials, seed, planted, measure)
+    if not records:
         raise AuditViolation("no usable trials in minimum-depth audit")
-    violations = sum(1 for e in estimates if e < lower)
+    estimates = [r.depth for r in records]
+    lower = known_min_core_depth(d)
     return AuditReport(
         kind="mu",
         dim=d,
         trials=trials,
         seed=seed,
-        violations=violations,
+        violations=sum(1 for e in estimates if e < lower),
         min_observed=min(estimates),
         max_observed=max(estimates),
-        reference_bounds=(lower, upper),
-        records=tuple(records) if records is not None else None,
+        reference_bounds=(lower, lower),
+        records=tuple(records),
         generation_failures=failures,
         extra={"core_samples": core_samples},
     )
 
 
-def nu_audit(
-    d: int,
-    trials: int,
-    seed: int,
-    *,
-    samples: int = 4,
-    keep_records: bool = True,
-) -> AuditReport:
+def nu_audit(d: int, trials: int, seed: int, *, samples: int = 4) -> AuditReport:
     """Maximum depth over sampled strict-interior core points, with a planted
     deep configuration attaining d^(d+1) + 1."""
-    if trials < 0:
-        raise InputError("trials must be non-negative")
-    target = known_max_core_depth(d)
-    records = [] if keep_records else None
-    observed = []
-    failures = 0
 
-    def run_one(trial: int, config, s: int):
-        nonlocal failures
-        found = core_depth_samples(config, samples, s)
-        if not found:
-            failures += 1
-            return
-        depth = max(e for e, _ in found)
-        observed.append(depth)
-        if keep_records:
-            records.append(TrialRecord(trial, s, depth, True, True))
+    def measure(config, s: int):
+        return max((e for e, _ in core_depth_samples(config, samples, s)), default=None)
 
-    try:
-        run_one(PLANTED_TRIAL, gen_splus(d, seed=seed).config, seed)
-    except ConstructionError:
-        failures += 1
-    for t in range(trials):
-        try:
-            vc = gen_random_core_config(d, d + 1, seed + t)
-        except ConstructionError:
-            failures += 1
-            continue
-        run_one(t, vc.config, seed + t)
-
-    if not observed:
+    records, failures = _bound_trials(d, trials, seed, gen_splus, measure)
+    if not records:
         raise AuditViolation("no usable trials in maximum-depth audit")
-    violations = sum(1 for v in observed if v > target)
+    observed = [r.depth for r in records]
+    target = known_max_core_depth(d)
     return AuditReport(
         kind="nu",
         dim=d,
         trials=trials,
         seed=seed,
-        violations=violations,
+        violations=sum(1 for v in observed if v > target),
         min_observed=min(observed),
         max_observed=max(observed),
         reference_bounds=(target, target),
-        records=tuple(records) if records is not None else None,
+        records=tuple(records),
         generation_failures=failures,
         extra={"samples": samples, "proven_max": target},
     )
@@ -363,14 +327,7 @@ def nu_audit(
 # ------------------------------------------------------------------ statistics
 
 
-def depth_stats(
-    d: int,
-    trials: int,
-    seed: int,
-    *,
-    bound: int = DEFAULT_BOUND,
-    keep_records: bool = False,
-) -> AuditReport:
+def depth_stats(d: int, trials: int, seed: int, *, keep_records: bool = False) -> AuditReport:
     """Mean origin depth of random sign-symmetric configurations of d+1
     points in each of d+1 colours, reported against (d+1)^(d+1) / 2^d.
 
@@ -389,7 +346,7 @@ def depth_stats(
     for t in range(trials):
         rng = Random(seed + t)
         classes = tuple(
-            tuple(random_points(rng, d + 1, d, bound)) for _ in range(d + 1)
+            tuple(random_points(rng, d + 1, d, DEFAULT_BOUND)) for _ in range(d + 1)
         )
         config = ColourfulConfiguration(d, classes)
         rep = colourful_depth(config, zero, "open")

@@ -21,6 +21,9 @@ stagger (breaking affine coplanarities for free).  If any exact check still
 fails, the generator retries with more digits and a seeded jitter; running
 out of retries is an error carrying the achieved count, never a silently
 wrong configuration.
+
+Every generator of a claimed depth, the identical-class one and the planar
+straddle `gen_splus(1)` included, ends in the same exact check `_verify`.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ __all__ = [
 BASE_DIGITS = 12
 MAX_DIGITS = 15
 MAX_RETRIES = 8
+RANDOM_CORE_TRIES = 50
+
+# The low ring sits at latitude -LOW_RING_FACTOR*eps, below the high ring at +eps.
+LOW_RING_FACTOR = Fraction(2)
 
 # Distinct per-coordinate twist weights; values only need to be generic.
 _TWIST_WEIGHTS = (1.0, 0.6180339887, 0.4142135624, 0.3027756377, 0.2360679775)
@@ -64,12 +71,6 @@ _TWIST_WEIGHTS = (1.0, 0.6180339887, 0.4142135624, 0.3027756377, 0.2360679775)
 class ConstructionError(RuntimeError):
     """A generator could not verify its claimed counts."""
 
-    def __init__(self, message: str, achieved: int | None = None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
-class _VerifyFailure(Exception):
     def __init__(self, message: str, achieved: int | None = None):
         super().__init__(message)
         self.achieved = achieved
@@ -173,7 +174,7 @@ class _Snapper:
 
 
 def _band_classes(
-    d: int, eps_f: Fraction, c: Fraction, polar_style: str, mk: _Snapper
+    d: int, eps_f: Fraction, polar_style: str, mk: _Snapper
 ) -> tuple[list[list[Point]], list[list[float]]]:
     """The first d colour classes shared by the band constructions.
 
@@ -184,13 +185,13 @@ def _band_classes(
     """
     eps = float(eps_f)
     us = _simplex_dirs(d - 1)
-    r_low = math.sqrt(1 - float(c * eps_f) ** 2)
+    r_low = math.sqrt(1 - float(LOW_RING_FACTOR * eps_f) ** 2)
     r_high = math.sqrt(1 - eps**2)
     classes = []
     for j in range(d):
         u = us[j]
         cls = [
-            mk.make([r_low * x for x in u], -c * eps_f),
+            mk.make([r_low * x for x in u], -LOW_RING_FACTOR * eps_f),
             mk.make([-r_high * x for x in u], eps_f),
         ]
         if d == 2:
@@ -221,24 +222,15 @@ def _band_classes(
 # ------------------------------------------------------------------ verification
 
 
-def _distinct_points(config: ColourfulConfiguration) -> list[Point]:
-    out, seen = [], set()
-    for p in config.points():
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def _verify(
     config: ColourfulConfiguration,
     expected_last: list[int],
     allow_degeneracy: bool = False,
-) -> tuple[int, tuple[int, ...]]:
+) -> VerifiedConfiguration:
     """Re-check a built configuration exactly: the open depth at the origin
     is sum(expected_last) with no degenerate or boundary tuple, the points of
     the last colour account for expected_last, the origin is strictly inside
-    every colour hull, and the points plus the origin are in general
+    every colour hull, and the distinct points plus the origin are in general
     position.  The depth and the per-point counts come from one enumeration.
     """
     d = config.dim
@@ -246,42 +238,44 @@ def _verify(
     claimed = sum(expected_last)
     rep, by_colour = colour_decomposition(config, "open")
     if rep.count != claimed:
-        raise _VerifyFailure(
+        raise ConstructionError(
             f"open depth at origin is {rep.count}, wanted {claimed}", rep.count
         )
     if not allow_degeneracy and (rep.degenerate or rep.boundary):
-        raise _VerifyFailure(
+        raise ConstructionError(
             f"{rep.degenerate} degenerate / {rep.boundary} boundary tuples at origin",
             rep.count,
         )
     counts = by_colour[-1]
     if list(counts) != expected_last:
-        raise _VerifyFailure(
+        raise ConstructionError(
             f"per-point counts {list(counts)} != expected {expected_last}", rep.count
         )
     if not core_membership(config, zero, strict=True):
-        raise _VerifyFailure("origin is not strictly inside every colour hull", rep.count)
-    if not in_general_position(_distinct_points(config) + [zero]):
-        raise _VerifyFailure("points plus origin not in general position", rep.count)
-    return claimed, counts
+        raise ConstructionError("origin is not strictly inside every colour hull", rep.count)
+    if not in_general_position(list(dict.fromkeys(config.points())) + [zero]):
+        raise ConstructionError("points plus origin not in general position", rep.count)
+    return VerifiedConfiguration(config, claimed, True, 0, counts)
 
 
-def _retry_build(build, seed: int, what: str) -> VerifiedConfiguration:
-    """Run build(digits, rng, jitter) until its exact verification passes."""
-    last_failure: _VerifyFailure | None = None
+def _retry_build(
+    build, d: int, eps_f: Fraction, expected: list[int], seed: int, what: str
+) -> VerifiedConfiguration:
+    """Run build(d, eps_f, snapper), which returns the colour classes, until
+    its configuration passes `_verify` with the expected last-colour counts."""
     for attempt in range(MAX_RETRIES + 1):
         digits = min(BASE_DIGITS + attempt, MAX_DIGITS)
-        rng = Random(f"{what}:{seed}:{attempt}")
+        rng = Random(f"{what}(d={d}):{seed}:{attempt}")
         jitter = 0.0 if attempt == 0 else 10.0 ** (-(digits - 3))
+        classes = build(d, eps_f, _Snapper(float(eps_f), digits, rng, jitter))
+        config = ColourfulConfiguration(d, tuple(tuple(x) for x in classes))
         try:
-            config, expected, allow_deg = build(digits, rng, jitter)
-            claimed, counts = _verify(config, expected, allow_deg)
-            return VerifiedConfiguration(config, claimed, True, attempt, counts)
-        except _VerifyFailure as f:
-            last_failure = f
+            return _verify(config, expected)._replace(retries=attempt)
+        except ConstructionError as failure:
+            last_failure = failure
     raise ConstructionError(
-        f"{what}: verification failed after {MAX_RETRIES} retries: {last_failure}",
-        achieved=last_failure.achieved if last_failure else None,
+        f"{what}(d={d}): verification failed after {MAX_RETRIES} retries: {last_failure}",
+        achieved=last_failure.achieved,
     )
 
 
@@ -304,24 +298,16 @@ def gen_identical(d: int) -> VerifiedConfiguration:
     verts.append(Point([-1] * d))
     cls = tuple(verts)
     config = ColourfulConfiguration(d, tuple(cls for _ in range(d + 1)))
-    fact = math.factorial(d + 1)
-    per_point = math.factorial(d)
-
-    rep_open, by_colour = colour_decomposition(config, "open")
-    rep_closed = colourful_depth(config, origin(d), "closed")
-    if rep_open.count != fact or rep_closed.count != fact:
+    # Repeated vertices make degenerate tuples; none holds the origin, so the
+    # closed count must equal the open one.
+    vc = _verify(config, [math.factorial(d)] * (d + 1), allow_degeneracy=True)
+    closed = colourful_depth(config, origin(d), "closed").count
+    if closed != vc.claimed_depth_at_origin:
         raise ConstructionError(
-            f"identical-class depth {rep_open.count}/{rep_closed.count}, wanted {fact}",
-            achieved=rep_open.count,
+            f"identical-class closed depth {closed}, wanted {vc.claimed_depth_at_origin}",
+            achieved=closed,
         )
-    counts = by_colour[d]
-    if any(c != per_point for c in counts):
-        raise ConstructionError(f"per-point counts {counts}, wanted {per_point} each")
-    if not core_membership(config, origin(d), strict=True):
-        raise ConstructionError("origin not strictly inside the shared simplex")
-    if not in_general_position(_distinct_points(config) + [origin(d)]):
-        raise ConstructionError("distinct vertices plus origin not in general position")
-    return VerifiedConfiguration(config, fact, True, 0, counts)
+    return vc
 
 
 def _resolve_eps(d: int, epsilon) -> Fraction:
@@ -350,13 +336,30 @@ def _sminus_2d_classes(eps_f: Fraction, mk: _Snapper) -> list[list[Point]]:
     return [[x1, x2, x3], [y1, y2, y3], [z1, z2, z3]]
 
 
-def gen_sminus(
-    d: int,
-    epsilon=None,
-    *,
-    c: Fraction = Fraction(2),
-    seed: int = 0,
-) -> VerifiedConfiguration:
+def _sminus_classes(d: int, eps_f: Fraction, mk: _Snapper) -> list[list[Point]]:
+    if d == 2:
+        return _sminus_2d_classes(eps_f, mk)
+    classes, us = _band_classes(d, eps_f, "perp", mk)
+    # Deep-cell antipode: just off the first low-ring meridian, above the
+    # antipodes of the low ring.
+    sigma = 1.0 / d**2
+    wh = [(1 - sigma) * (-a) + sigma * b for a, b in zip(us[0], us[1])]
+    n = math.sqrt(sum(x * x for x in wh))
+    wh = [x / n for x in wh]
+    ell = float((LOW_RING_FACTOR + 2) * eps_f)
+    minus_p1 = mk.make([math.sqrt(1 - ell**2) * x for x in wh], ell)
+    last = [-minus_p1]
+    # Sparse-cell antipodes: a ring just below the low ring, aligned with
+    # the low-ring meridians where the sparse cell is widest.
+    lat = float((LOW_RING_FACTOR + 1) * eps_f)
+    r = math.sqrt(1 - lat**2)
+    for j in range(d):
+        last.append(-mk.make([r * x for x in us[j]], -lat))
+    classes.append(last)
+    return classes
+
+
+def gen_sminus(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
     """Configuration with 0 strictly in the core and origin depth d*d + 1.
 
     One point of the last colour accounts for 1 + d*(d-1) origin-containing
@@ -368,46 +371,21 @@ def gen_sminus(
     if d < 2:
         raise InputError("the minimum construction needs dimension at least 2")
     eps_f = _resolve_eps(d, epsilon)
-    c = Fraction(c)
-    if c <= 1:
-        raise InputError("the low-ring factor c must exceed 1")
-    eps = float(eps_f)
     expected = [1 + d * (d - 1)] + [1] * d
-
-    def build(digits, rng, jitter):
-        mk = _Snapper(eps, digits, rng, jitter)
-        if d == 2 and c == 2:
-            classes = _sminus_2d_classes(eps_f, mk)
-            return ColourfulConfiguration(2, tuple(tuple(x) for x in classes)), expected, False
-        classes, us = _band_classes(d, eps_f, c, "perp", mk)
-        # Deep-cell antipode: just off the first low-ring meridian, above the
-        # antipodes of the low ring.
-        sigma = 1.0 / d**2
-        wh = [(1 - sigma) * (-a) + sigma * b for a, b in zip(us[0], us[1])]
-        n = math.sqrt(sum(x * x for x in wh))
-        wh = [x / n for x in wh]
-        ell = float((c + 2) * eps_f)
-        minus_p1 = mk.make([math.sqrt(1 - ell**2) * x for x in wh], ell)
-        last = [-minus_p1]
-        # Sparse-cell antipodes: a ring just below the low ring, aligned with
-        # the low-ring meridians where the sparse cell is widest.
-        lat = float((c + 1) * eps_f)
-        r = math.sqrt(1 - lat**2)
-        for j in range(d):
-            last.append(-mk.make([r * x for x in us[j]], -lat))
-        classes.append(last)
-        return ColourfulConfiguration(d, tuple(tuple(x) for x in classes)), expected, False
-
-    return _retry_build(build, seed, f"sminus(d={d})")
+    return _retry_build(_sminus_classes, d, eps_f, expected, seed, "sminus")
 
 
-def gen_sprime(
-    d: int,
-    epsilon=None,
-    *,
-    c: Fraction = Fraction(2),
-    seed: int = 0,
-) -> VerifiedConfiguration:
+def _sprime_classes(d: int, eps_f: Fraction, mk: _Snapper) -> list[list[Point]]:
+    classes, us = _band_classes(d, eps_f, "perp", mk)
+    lam = float(eps_f) / 2
+    r = math.sqrt(1 - lam**2)
+    last = [-mk.make([-r * x for x in us[j]], lam) for j in range(d)]
+    last.append(Point([0] * (d - 1) + [1]))
+    classes.append(last)
+    return classes
+
+
+def gen_sprime(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
     """Alternative d*d + 1 configuration with the final antipode at the south pole.
 
     Each of the first d points of the last colour has its antipode moved out
@@ -418,32 +396,24 @@ def gen_sprime(
     if d < 2:
         raise InputError("the alternative minimum construction needs dimension at least 2")
     eps_f = _resolve_eps(d, epsilon)
-    c = Fraction(c)
-    if c <= 1:
-        raise InputError("the low-ring factor c must exceed 1")
-    eps = float(eps_f)
-    expected = [d] * d + [1]
-
-    def build(digits, rng, jitter):
-        mk = _Snapper(eps, digits, rng, jitter)
-        classes, us = _band_classes(d, eps_f, c, "perp", mk)
-        lam = eps / 2
-        r = math.sqrt(1 - lam**2)
-        last = [-mk.make([-r * x for x in us[j]], lam) for j in range(d)]
-        last.append(Point([0] * (d - 1) + [1]))
-        classes.append(last)
-        return ColourfulConfiguration(d, tuple(tuple(x) for x in classes)), expected, False
-
-    return _retry_build(build, seed, f"sprime(d={d})")
+    return _retry_build(_sprime_classes, d, eps_f, [d] * d + [1], seed, "sprime")
 
 
-def gen_splus(
-    d: int,
-    epsilon=None,
-    *,
-    c: Fraction = Fraction(2),
-    seed: int = 0,
-) -> VerifiedConfiguration:
+def _splus_classes(d: int, eps_f: Fraction, mk: _Snapper) -> list[list[Point]]:
+    classes, us = _band_classes(d, eps_f, "toward_high", mk)
+    last = []
+    rho0 = float(eps_f) / 16
+    for j in range(d):
+        rho = rho0 * (1 + (j + 1) / (4 * d))
+        vec = [rho * x for x in us[j]]
+        h = math.sqrt(1 - sum(x * x for x in vec))
+        last.append(-mk.make(vec, h))
+    last.append(Point([0] * (d - 1) + [1]))
+    classes.append(last)
+    return classes
+
+
+def gen_splus(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
     """Configuration with 0 strictly in the core and origin depth d^(d+1) + 1.
 
     The polar points of every colour hug the geodesic toward that colour's
@@ -455,44 +425,13 @@ def gen_splus(
     if d < 1:
         raise InputError("dimension must be at least 1")
     if d == 1:
-        config = ColourfulConfiguration.from_lists(
-            1, [[(-1,), (2,)], [(-2,), (1,)]]
-        )
-        rep, by_colour = colour_decomposition(config, "open")
-        counts = by_colour[1]
-        if rep.count != 2 or list(counts) != [1, 1]:
-            raise ConstructionError("1-dimensional straddle failed verification")
-        return VerifiedConfiguration(config, 2, True, 0, counts)
+        straddle = ColourfulConfiguration.from_lists(1, [[(-1,), (2,)], [(-2,), (1,)]])
+        return _verify(straddle, [1, 1])
     eps_f = _resolve_eps(d, epsilon)
-    c = Fraction(c)
-    if c <= 1:
-        raise InputError("the low-ring factor c must exceed 1")
-    eps = float(eps_f)
-    expected = [d**d] * d + [1]
-
-    def build(digits, rng, jitter):
-        mk = _Snapper(eps, digits, rng, jitter)
-        classes, us = _band_classes(d, eps_f, c, "toward_high", mk)
-        last = []
-        rho0 = eps / 16
-        for j in range(d):
-            rho = rho0 * (1 + (j + 1) / (4 * d))
-            vec = [rho * x for x in us[j]]
-            h = math.sqrt(1 - sum(x * x for x in vec))
-            last.append(-mk.make(vec, h))
-        last.append(Point([0] * (d - 1) + [1]))
-        classes.append(last)
-        return ColourfulConfiguration(d, tuple(tuple(x) for x in classes)), expected, False
-
-    return _retry_build(build, seed, f"splus(d={d})")
+    return _retry_build(_splus_classes, d, eps_f, [d**d] * d + [1], seed, "splus")
 
 
-def gen_regular_ngon(
-    n: int,
-    *,
-    digits: int = BASE_DIGITS,
-    seed: int = 0,
-) -> list[Point]:
+def gen_regular_ngon(n: int, *, seed: int = 0) -> list[Point]:
     """Rational points approximating the directions of a regular n-gon (d=2).
 
     Each vertex is produced from a snapped tangent half-angle, so the points
@@ -510,14 +449,14 @@ def gen_regular_ngon(
         )
     for attempt in range(MAX_RETRIES + 1):
         rng = Random(f"ngon:{n}:{seed}:{attempt}")
-        jitter = 0.0 if attempt == 0 else 10.0 ** (-(digits - 3))
+        jitter = 0.0 if attempt == 0 else 10.0 ** (-(BASE_DIGITS - 3))
         pts = []
         for k in range(n):
             theta = 2 * math.pi * k / n
             if theta > math.pi:
                 theta -= 2 * math.pi
             t = math.tan(theta / 2) + (rng.uniform(-jitter, jitter) if jitter else 0.0)
-            tf = Fraction(round(t * 10**digits), 10**digits)
+            tf = Fraction(round(t * 10**BASE_DIGITS), 10**BASE_DIGITS)
             denom = 1 + tf * tf
             pts.append(Point(((1 - tf * tf) / denom, 2 * tf / denom)))
         ok = in_general_position(pts + [origin(2)])
@@ -526,14 +465,7 @@ def gen_regular_ngon(
     raise ConstructionError(f"could not place a {n}-gon in general position")
 
 
-def gen_random_core_config(
-    d: int,
-    points_per_colour: int,
-    seed: int,
-    *,
-    bound: int = DEFAULT_BOUND,
-    max_tries: int = 50,
-) -> VerifiedConfiguration:
+def gen_random_core_config(d: int, points_per_colour: int, seed: int) -> VerifiedConfiguration:
     """Random configuration in general position with 0 strictly inside every
     colour hull; d+1 colours.  Deterministic given the seed."""
     if d < 1:
@@ -543,10 +475,10 @@ def gen_random_core_config(
     # Refuse an oversized colourful enumeration before sampling any class.
     _check_budget([points_per_colour] * (d + 1), d + 1)
     rng = Random(seed)
-    for attempt in range(max_tries):
+    for attempt in range(RANDOM_CORE_TRIES):
         try:
             classes = tuple(
-                tuple(random_core_class(rng, points_per_colour, d, bound))
+                tuple(random_core_class(rng, points_per_colour, d, DEFAULT_BOUND))
                 for _ in range(d + 1)
             )
         except SamplingError as e:
@@ -557,7 +489,7 @@ def gen_random_core_config(
         rep, by_colour = colour_decomposition(config, "open")
         return VerifiedConfiguration(config, rep.count, True, attempt, by_colour[d])
     raise ConstructionError(
-        f"no general-position core configuration after {max_tries} attempts"
+        f"no general-position core configuration after {RANDOM_CORE_TRIES} attempts"
     )
 
 

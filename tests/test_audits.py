@@ -125,6 +125,8 @@ def test_known_max_core_depth_is_d_to_the_d_plus_one_plus_one():
     lambda: parity_audit("monochrome", 0, trials=1, seed=0, n=4),
     lambda: depth_stats(0, trials=1, seed=0),
     lambda: depth_stats(-1, trials=1, seed=0),
+    lambda: mu_audit(0, trials=1, core_samples=2, seed=0),
+    lambda: nu_audit(-1, trials=1, seed=0),
 ])
 def test_audits_refuse_dimension_below_one(audit):
     with pytest.raises(InputError, match="dimension must be at least 1"):

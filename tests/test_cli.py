@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, formats, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -150,6 +151,19 @@ def test_cells2d_two_point_class_is_one_line_input_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
+def test_cells2d_refuses_an_oversized_recount_up_front(tmp_path):
+    # Each of the 400 cells would be recounted over 200 * 200 generator
+    # pairs: 16,000,000 tuples, refused before any hull or ray check.
+    rng = Random(7)
+    classes = tuple(tuple(random_core_class(rng, 200, 2, bound=10**6)) for _ in range(2))
+    path = tmp_path / "big.json"
+    save_config(ColourfulConfiguration(2, classes), path)
+    proc = cli_process(["cells2d", "--config", str(path)], timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "16000000 vertex tuples" in proc.stderr
+
+
 def test_enumeration_above_budget_is_one_line_input_error(capsys, tmp_path):
     rng = Random(5)
     path = tmp_path / "big.json"
@@ -273,6 +287,8 @@ def test_gen_random_refuses_an_oversized_enumeration_before_sampling(tmp_path):
     ["gen", "random", "--dim", "0"],
     ["audit", "parity", "--dim", "0", "--trials", "2"],
     ["audit", "stats", "--dim", "0", "--trials", "2"],
+    ["audit", "mu", "--dim", "0", "--trials", "2"],
+    ["audit", "nu", "--dim", "0", "--trials", "2"],
 ])
 def test_dimension_zero_is_one_line_input_error(argv):
     proc = cli_process(argv)
@@ -338,6 +354,68 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
     # The calls differ where their arguments do: no option carries over.
     assert [code for code, _ in seen] == [0, 0, 2, 0, 0, 0, 0, 2, 2, 0]
     assert seen[0][1] != seen[1][1] and seen[3][1] != seen[4][1]
+
+
+# SHA-256 of the exit code, stdout, stderr, JSON summary and CSV records of
+# each call, pinned from the outputs of the generators and audits before
+# their verification paths and trial loops were merged.
+GOLDEN_DIGESTS = {
+    "gen identical --dim 1":
+        "8c205f9058d96add5c993c7e1fc8bcd2914710c09757c8b63488cd38fc619ebb",
+    "gen identical --dim 2":
+        "7fd912482b0bc16c8ec43fed835d1fd8d94b23f815d7cc11b28d678b1a4f63e0",
+    "gen identical --dim 3":
+        "c8d5f0d9922b8607cf30bebe1e5c63af1931349983f3fc9966f6556e25dd8502",
+    "gen sminus --dim 1":
+        "5198ef3b91b84d7c9c431819f97757d1be703342b195effd060848a89ae44d6a",
+    "gen sminus --dim 2":
+        "5ce02ea14889483805734f9e54bdb79f796540ad81ce2cfcc1690d886d68c83e",
+    "gen sminus --dim 3":
+        "a16362e55e04c2030694f22e44cf24f1fe557d278f32b21153d935e3f3636ac2",
+    "gen sprime --dim 1":
+        "7498b7bb7667446c2adda3e3e2e1742f25d33d34d3b1c9bd6d8f0a2b7ad2cc78",
+    "gen sprime --dim 2":
+        "129e498214544404b266d272524ce4518f87ccd0b1bab9693b716e2d13bf8211",
+    "gen sprime --dim 3":
+        "f2b49e8faca942178e1b520fc1b509df0cbf3ea49c98bfb24c919c52f085e949",
+    "gen splus --dim 1":
+        "18832462a132230a1e620ebfb035f6f8ab5c0dbe9f394f09292d7a34d083d212",
+    "gen splus --dim 2":
+        "8f4c597fd41db0325651e8a3d1d1c8a46cbbfc2de673e6a10eb8239c2aaf17c4",
+    "gen splus --dim 3":
+        "ab3ecad232815c77cd3ea7e6f7d09bdbca632acf075724f5142cde64c1179ef8",
+    "gen random --dim 2 --seed 0":
+        "3dc5e1c24503511b6d16961670714a8ebe30b5b0a1cc0755b10cc57a6be76618",
+    "gen random --dim 3 --seed 1":
+        "407100f34611dc954147bda7a5b0bdb114504e306a9230fe35b464422d776197",
+    "audit mu --dim 1 --trials 3 --seed 1 --core-samples 4":
+        "b8010d0ebadf40d75d0eb8ed223138727bc415cb00abbc6c4cbc3c7da63afd82",
+    "audit mu --dim 2 --trials 3 --seed 1 --core-samples 4":
+        "31fc7f72b927dbbc92586e72ba600510962091b3c19bfc2ce2bf4fcae26379ed",
+    "audit nu --dim 2 --trials 3 --seed 2 --samples 3":
+        "01364f9229e6911b4b4b265a1e467a6eaf8c00292aa3f2d64fb150636674e746",
+    "audit parity --dim 2 --trials 20 --seed 3 --parity-kind monochrome --n 6":
+        "a2981e9d398b046271a97fa22396aa4a983aa536aa436c940d2b1bf773545ad5",
+    "audit parity --dim 3 --trials 4 --seed 3 --parity-kind colourful_odd_d":
+        "2888e9730219d62e71d85d284c8a341357614eebcaa068a06834e35e1685099f",
+    "audit parity --dim 2 --trials 20 --seed 3 --parity-kind colourful_even_sizes":
+        "1b6711c8763fa6b8d1eac1c0ea80efe06776fece7418f11ae29c595c57bbf500",
+    "audit stats --dim 2 --trials 20 --seed 3":
+        "e50e88e145558006c24d54bef6fbc55b38d8511d6b06381151cfc6dd141eb3bd",
+}
+
+
+def test_gen_and_audit_outputs_match_pinned_digests(capsys, tmp_path):
+    got = {}
+    for i, line in enumerate(GOLDEN_DIGESTS):
+        argv = line.split()
+        json_path, csv_path = tmp_path / f"{i}.json", tmp_path / f"{i}.csv"
+        if argv[0] == "audit":
+            argv += ["--json", str(json_path), "--csv", str(csv_path)]
+        code, out, err = run(capsys, *argv)
+        files = [p.read_text() if p.exists() else "" for p in (json_path, csv_path)]
+        got[line] = hashlib.sha256("\0".join([str(code), out, err, *files]).encode()).hexdigest()
+    assert got == GOLDEN_DIGESTS
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -14,6 +14,8 @@ from colourdepth.constructions import (
     gen_splus,
     gen_sprime,
     generate,
+    _retry_build,
+    _sprime_classes,
 )
 from colourdepth.depth import (
     colourful_depth,
@@ -115,6 +117,13 @@ def test_sprime_depth(d, want):
 def test_sprime_counts_match_single_facet_story():
     vc = gen_sprime(3)
     assert list(vc.last_colour_counts) == [3, 3, 3, 1]
+
+
+def test_retry_exhaustion_reports_the_achieved_depth():
+    # A real build that cannot meet its claim: sprime(2) has depth 5, not 6.
+    with pytest.raises(ConstructionError, match="after 8 retries") as info:
+        _retry_build(_sprime_classes, 2, Fraction(1, 200), [2, 2, 2], 0, "sprime")
+    assert info.value.achieved == 5
 
 
 def test_sprime_has_unique_simplex_point():
