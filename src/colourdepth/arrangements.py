@@ -16,8 +16,8 @@ covering u are the colourful triangles that hold 0 together with -u.  The
 recounts run on the integer vectors of the sweep, and share one memo of
 minors, so the |X| |Y| minors of the generator pairs are computed once for
 all cells.  Propagation must close up around the circle and must agree with
-every recount; both checks run on every construction.  Each point is scaled
-to an integer vector once; there is no trigonometry anywhere.
+every recount; both checks run on every construction.  Each ray is the
+integer vector of its point's row; there is no trigonometry anywhere.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from itertools import accumulate, combinations, product
 from typing import NamedTuple, Sequence
 
-from .depth import _antipodal_count, _check_budget, _half_turns
-from .exact import InputError, Point, _cross, _int_row, in_convex_hull, origin
+from .depth import _antipodal_count, _half_turns
+from .exact import InputError, Point, _check_budget, _cross, in_convex_hull, origin
 
 __all__ = [
     "DegenerateArrangementError",
@@ -108,7 +108,7 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     zero = origin(2)
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
-    vecs = [_int_row(r.direction.coords) for r in rays]
+    vecs = [r.direction.row[:-1] for r in rays]
     for i, j in combinations(range(len(rays)), 2):
         if _cross(vecs[i], vecs[j]) == 0:
             raise DegenerateArrangementError(

@@ -35,12 +35,11 @@ from typing import NamedTuple
 
 from .depth import (
     ColourfulConfiguration,
-    _check_budget,
     colour_decomposition,
     colourful_depth,
     core_membership,
 )
-from .exact import InputError, Point, in_general_position, origin
+from .exact import InputError, Point, _check_budget, in_general_position, origin
 from .sampling import DEFAULT_BOUND, SamplingError, random_core_class
 
 __all__ = [

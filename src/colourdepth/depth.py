@@ -1,11 +1,12 @@
 """Monochrome and colourful simplicial depth counting.
 
 Counting first translates the points so that the query point sits at the
-origin, in integers: with q = Q / s_q and p = P / s_p scaled to integer rows,
-the vector s_p * Q - s_q * P is q - p times the positive integer s_p * s_q
+origin, in integers: with (Q, s_q) and (P, s_p) the homogeneous rows that
+every `Point` carries, q = Q / s_q and p = P / s_p, the vector
+s_p * Q - s_q * P is q - p times the positive integer s_p * s_q
 (`exact._translated_rows`).  Translation leaves every containment decision
 unchanged, and so does scaling by a positive number, so no rational is formed
-between the input points and the integer kernel.
+between the input points and the integer kernel, and no point is rescaled.
 
 In the plane, a clean input is counted by one angular sweep (Rousseeuw and
 Ruts, AS 307, 1996; the colourful form is Zasenko and Stephen, COCOA 2016).
@@ -35,8 +36,8 @@ these per-point counts, which for the points of any one colour sum to the
 depth when there are d+1 colours.
 Before enumerating, every count compares its number of tuples, C(n, d+1) or
 the elementary symmetric polynomial e_{d+1} of the class sizes, with
-`MAX_TUPLES` and refuses a larger input with an `InputError`; the planar
-sweep is not limited.
+`exact.MAX_TUPLES` and refuses a larger input with an `InputError`; the
+planar sweep is not limited.
 Enumeration is also the oracle the sweep is tested against.  Its order is
 lexicographic over colour index then point index, so witness lists and counts
 are reproducible byte for byte, and the enumeration space can be partitioned
@@ -54,16 +55,16 @@ from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import (
+    MAX_TUPLES,  # noqa: F401  (depth.MAX_TUPLES names the limit of every count)
     InputError,
     Mode,
     Point,
     _angle_cmp,
+    _check_budget,
     _cross,
     _det_int,
     _hull_contains,
-    _int_row,
     _origin_status,
-    _scaled_row,
     _translated_rows,
     in_convex_hull,
     in_general_position_with,
@@ -228,13 +229,6 @@ def _count_tuples(
     return count, degenerate, boundary, witnesses
 
 
-MAX_TUPLES = 10_000_000
-"""The most vertex tuples one count enumerates.  A d = 3 tuple of random
-rationals costs about 6 us (Python 3.11 on a 2-vCPU Xeon), so that is about a
-minute, and about three minutes at d = 4.  A count above it raises
-`InputError` with the tuple count instead of running for hours."""
-
-
 def _check_query(classes: int, k: int, mode: Mode = "open") -> None:
     """Refuse a mode other than open or closed, and fewer than k classes to
     pick the k points of a tuple from.  Every enumerating count validates its
@@ -243,21 +237,6 @@ def _check_query(classes: int, k: int, mode: Mode = "open") -> None:
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     if classes < k:
         raise InputError(f"need at least {k} colour classes to pick from, got {classes}")
-
-
-def _check_budget(sizes: Sequence[int], k: int) -> None:
-    """Refuse to enumerate more than MAX_TUPLES tuples.  The tuples pick one
-    point from each of k of the classes of the given sizes, so there are
-    e_k(sizes) of them, the elementary symmetric polynomial; a monochrome
-    count has n classes of one point, and C(n, k) tuples."""
-    e = [1] + [0] * k
-    for size in sizes:
-        for j in range(k, 0, -1):
-            e[j] += size * e[j - 1]
-    if e[k] > MAX_TUPLES:
-        raise InputError(
-            f"{e[k]} vertex tuples to enumerate, more than the limit of {MAX_TUPLES}"
-        )
 
 
 def _class_keys(config: ColourfulConfiguration) -> list[range]:
@@ -455,7 +434,7 @@ def zero_containing_count(
     _check_query(r - 1, d, mode)
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d)
-    scales, cols = zip(*(_scaled_row(q.coords) for cls in config.classes for q in cls))
+    scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
     class_keys = _class_keys(config)
     fixed = (class_keys[colour][point],)
     key_tuples = (fixed + rest for rest in _colourful_keys(class_keys, others, d))
@@ -480,7 +459,7 @@ def colour_decomposition(
     r = config.num_classes
     _check_query(r, d + 1, mode)
     _check_budget(config.class_sizes(), d + 1)
-    scales, cols = zip(*(_scaled_row(q.coords) for q in config.points()))
+    scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
     class_keys = _class_keys(config)
     tally = [0] * len(cols)
     count, degenerate, boundary, _ = _count_tuples(
@@ -511,8 +490,7 @@ def antipodal_cone_count(
     _check_query(r - 1, d)
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d)
-    cols = [_int_row(q.coords) for cls in config.classes for q in cls]
-    cols.append(_int_row(v.coords))
+    cols = [q.row[:-1] for q in config.points() + [v]]
     gen_tuples = _colourful_keys(_class_keys(config), others, d)
     return _antipodal_count(gen_tuples, cols, len(cols) - 1, {})
 
@@ -579,9 +557,9 @@ def core_depth_samples(
     # Per class: the common scale s and the columns of the points times s.
     classes = []
     for cls in config.classes:
-        scaled = [_scaled_row(q.coords) for q in cls]
-        s = lcm(*[sq for sq, _ in scaled])
-        classes.append((s, list(zip(*[[x * (s // sq) for x in w] for sq, w in scaled]))))
+        s = lcm(*[q.row[-1] for q in cls])
+        scaled = [[x * (s // q.row[-1]) for x in q.row[:-1]] for q in cls]
+        classes.append((s, list(zip(*scaled))))
 
     consider(origin(d))
     for _ in range(samples):

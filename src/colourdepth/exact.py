@@ -1,8 +1,11 @@
 """Exact rational predicates for affine and conic containment.
 
 Points carry `fractions.Fraction` coordinates, but every predicate is decided
-on integers: each vector is scaled by the positive lcm of its denominators,
-which changes no determinant sign, rank, or origin-in-hull answer.  A point
+on integers.  A `Point` computes its homogeneous integer row (s * x, s) once,
+when it is made: s is the positive lcm of the denominators, and a positive
+scaling changes no determinant sign, rank, or origin-in-hull answer.  The row
+is in lowest terms, so it is canonical, and points compare and hash by it.
+Predicates and counters read the rows and never rescale a point.  A point
 translated to a query point p is formed on those integer rows too, as
 s_p * Q - s_q * P, so no rational difference is ever built.  One
 integer kernel sits under all of them: a determinant (closed forms up to
@@ -22,6 +25,10 @@ then decides every point against it with a dot product; a zero normal means
 the facet spans no hyperplane, which is all that query-side general
 position asks of the normal.
 
+Both hull searches, the Caratheodory subset search of closed membership and
+the facet loop of strict membership, refuse a set with more than
+`MAX_TUPLES` (d+1)-subsets of distinct points up front.
+
 General position needs no normal at all.  Facets that share their first
 d-1 points P form a pencil of hyperplanes through span(P), and two points
 q, r lie on one hyperplane with P exactly when their images in the plane
@@ -36,6 +43,7 @@ from any number of workers without coordination.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -48,6 +56,7 @@ __all__ = [
     "Point",
     "pt",
     "origin",
+    "parse_fraction",
     "InputError",
     "DegenerateConeError",
     "orientation",
@@ -68,27 +77,49 @@ class DegenerateConeError(InputError):
     """Cone generators are linearly dependent."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InputError(
-        f"coordinates must be int, Fraction or rational string, got {type(x).__name__}"
-    )
+# Python refuses to read integers of more than 4300 digits; a decimal
+# exponent is held to the same size, since '1e99999999' would otherwise
+# build a 10^8-digit integer.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)$")
+
+
+def parse_fraction(v) -> Fraction:
+    """The rational an int, a `Fraction` or a rational string stands for;
+    anything else, a bool included, is an `InputError`.  Every coordinate of
+    a `Point`, and so every rational read from a file, is parsed here."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool):
+        raise InputError(f"not a rational: {v!r}")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, str):
+        text = v.strip()
+        try:
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"malformed rational {v!r}: {e}") from e
+    raise InputError(f"coordinates must be integers or 'num/den' strings, got {v!r}")
 
 
 class Point:
-    """Immutable point with exact rational coordinates."""
+    """Immutable point with exact rational coordinates and its homogeneous
+    integer row ``row`` = (s * x, s), made once by `_scaled_pairs`: ``row[-1]``
+    is the scale s > 0 and ``row[:-1]`` the point times it.  Predicates read
+    the row, and points compare and hash by it."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "row")
 
     def __init__(self, coords: Iterable):
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
-        if not self.coords:
+        coords = tuple([parse_fraction(c) for c in coords])
+        if not coords:
             raise InputError("a point needs at least one coordinate")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "row", _scaled_pairs([c.as_integer_ratio() for c in coords]))
 
     @property
     def dim(self) -> int:
@@ -104,10 +135,10 @@ class Point:
         return self.coords[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self.coords == other.coords
+        return isinstance(other, Point) and self.row == other.row
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self.row)
 
     def __neg__(self) -> "Point":
         return Point(-c for c in self.coords)
@@ -151,47 +182,60 @@ def _check_dims(points: Sequence[Point], dim: int | None = None) -> int:
 # ------------------------------------------------------------- integer kernel
 
 
-def _scaled_row(values) -> tuple[int, tuple[int, ...]]:
-    """(s, s * values) for s the lcm of the denominators of the rationals.
+def _scaled_pairs(pairs) -> tuple[int, ...]:
+    """The homogeneous integer row (s * x, s) of the point x whose coordinates
+    are the (numerator, denominator) pairs, denominators positive.
 
-    A positive scaling never changes a determinant sign, a rank, or whether
-    the origin lies in a hull spanned with the scaled vector.  Pass
-    ``(*p.coords, 1)`` for the homogeneous row of a point.
-    """
-    return _scaled_pairs([c.as_integer_ratio() for c in values])
-
-
-def _scaled_pairs(pairs) -> tuple[int, tuple[int, ...]]:
-    """`_scaled_row` of rationals given as (numerator, denominator) pairs in
-    lowest terms with positive denominators.
-
-    The homogeneous row of a point is then the same integer row for every
-    way of writing the point, so rows can be compared for equality.
+    s is the lcm of the denominators, and the row is divided by the gcd of
+    its entries, so it is the same for every way of writing the point.  A
+    positive scaling changes no determinant sign, rank, or origin-in-hull
+    answer.  This is the package's one row builder.
     """
     s = lcm(*[q for _, q in pairs])
-    return s, tuple([n * (s // q) for n, q in pairs])
-
-
-def _int_row(values) -> tuple[int, ...]:
-    """The integer vector of `_scaled_row`, without its scale."""
-    return _scaled_row(values)[1]
+    row = [n * (s // q) for n, q in pairs]
+    row.append(s)
+    g = gcd(*row)
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple[int, ...]]]:
     """(s, s * (q - p)) for each point q, with s = s_p * s_q > 0, computed on
-    the `_scaled_row` pairs (s_q, Q) and (s_p, P) as (s_p * s_q, s_p * Q - s_q * P).
+    the rows (Q, s_q) and (P, s_p) of the points as (s_p * s_q, s_p * Q - s_q * P).
 
     This is the translation to p in integers: no rational is formed, and the
     scale is positive, which is all a containment decision or the
-    `_origin_status` degenerate test asks of it (it need not be the lcm of
-    `_scaled_row`).
+    `_origin_status` degenerate test asks of it (it need not be the scale of
+    the row of q - p).
     """
-    sp, P = _scaled_row(p.coords)
+    *P, sp = p.row
     out = []
     for q in points:
-        sq, Q = _scaled_row(q.coords)
+        Q = q.row
+        sq = Q[-1]
         out.append((sp * sq, tuple([sp * a - sq * b for a, b in zip(Q, P)])))
     return out
+
+
+MAX_TUPLES = 10_000_000
+"""The most vertex tuples one count or hull search enumerates.  A d = 3 tuple
+of random rationals costs about 6 us (Python 3.11 on a 2-vCPU Xeon), so that
+is about a minute, and about three minutes at d = 4.  A larger input raises
+`InputError` with the tuple count instead of running for hours."""
+
+
+def _check_budget(sizes: Sequence[int], k: int) -> None:
+    """Refuse to enumerate more than MAX_TUPLES tuples.  The tuples pick one
+    point from each of k of the classes of the given sizes, so there are
+    e_k(sizes) of them, the elementary symmetric polynomial; a monochrome
+    count has n classes of one point, and C(n, k) tuples."""
+    e = [1] + [0] * k
+    for size in sizes:
+        for j in range(k, 0, -1):
+            e[j] += size * e[j - 1]
+    if e[k] > MAX_TUPLES:
+        raise InputError(
+            f"{e[k]} vertex tuples to enumerate, more than the limit of {MAX_TUPLES}"
+        )
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
@@ -355,14 +399,13 @@ def orientation(points: Sequence[Point]) -> int:
     d = _check_dims(points)
     if len(points) != d + 1:
         raise InputError(f"orientation needs {d + 1} points in dimension {d}")
-    return _sign(_det_int([_int_row((*p.coords, 1)) for p in points]))
+    return _sign(_det_int([p.row for p in points]))
 
 
-def _check_simplex(p: Point, vertices: Sequence[Point]) -> int:
+def _check_simplex(p: Point, vertices: Sequence[Point]) -> None:
     d = _check_dims(list(vertices) + [p])
     if len(vertices) != d + 1:
         raise InputError(f"need {d + 1} vertices in dimension {d}")
-    return d
 
 
 def barycentric_coordinates(
@@ -371,15 +414,16 @@ def barycentric_coordinates(
     """Coefficients l with sum(l) = 1 and p = sum(l_i * v_i), or None.
 
     None is the degenerate flag: the vertices are affinely dependent.
+    The cofactors t of the translated vertices w_i = s_i * (v_i - p) give
+    l_i = s_i * t_i / sum(s_j * t_j); the sum is zero exactly when degenerate.
     """
-    d = _check_simplex(p, vertices)
-    # One common scale for every vertex keeps the ratios of the cofactors.
-    flat = _int_row([c for v in vertices for c in (v - p).coords])
-    t = _cofactors([flat[i:i + d] for i in range(0, len(flat), d)])
-    det = sum(t)
+    _check_simplex(p, vertices)
+    scales, cols = zip(*_translated_rows(vertices, p))
+    weighted = list(map(mul, scales, _cofactors(cols)))
+    det = sum(weighted)
     if det == 0:
         return None
-    return [Fraction(x, det) for x in t]
+    return [Fraction(x, det) for x in weighted]
 
 
 def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
@@ -406,8 +450,8 @@ def cone_contains(generators: Sequence[Point], v: Point) -> bool:
     if len(generators) != d:
         raise InputError(f"need exactly {d} generators in dimension {d}")
     # sum(t_i * g_i) = t_d * v, and t_d is the determinant of the generators.
-    cols = [_int_row(g.coords) for g in generators]
-    t = _cofactors(cols + [tuple(-x for x in _int_row(v.coords))])
+    cols = [g.row[:-1] for g in generators]
+    t = _cofactors(cols + [tuple([-x for x in v.row[:-1]])])
     if t[-1] == 0:
         raise DegenerateConeError("cone generators are linearly dependent")
     return all(x * t[-1] >= 0 for x in t)
@@ -418,8 +462,8 @@ def _strict_hull_contains(rows: Sequence[tuple[int, ...]], p_row: tuple[int, ...
     (s * x, s), s > 0, of the points of S and of p.
 
     Each point must have one row whichever way its coordinates are written,
-    as `_int_row` and `_scaled_pairs` make them, so that the distinct rows
-    are the distinct points.
+    as `_scaled_pairs` makes them, so that the distinct rows are the distinct
+    points.
     """
     rows = list(dict.fromkeys(rows))
     d = len(p_row) - 1
@@ -458,13 +502,15 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     normal.  Larger sets must have a full-dimensional hull, and p must lie
     strictly on the inner side of every supporting hyperplane spanned by d
     points of S.
+
+    Both searches are refused with an `InputError` when S has more than
+    `MAX_TUPLES` (d+1)-subsets of distinct points.
     """
-    _check_dims(S, p.dim)
+    d = _check_dims(S, p.dim)
+    _check_budget([1] * len(set(S)), d + 1)
     if not strict:
         return _hull_contains([w for _, w in _translated_rows(S, p)])
-    return _strict_hull_contains(
-        [_int_row((*q.coords, 1)) for q in S], _int_row((*p.coords, 1))
-    )
+    return _strict_hull_contains([q.row for q in S], p.row)
 
 
 def in_general_position(points: Sequence[Point]) -> bool:
@@ -494,7 +540,7 @@ def in_general_position(points: Sequence[Point]) -> bool:
     The rows are held column by column, so a step is one pass per column.
     """
     d = _check_dims(points)
-    rows = [_int_row((*p.coords, 1)) for p in points]
+    rows = [p.row for p in points]
 
     def extend(cols, prev: int) -> bool:
         # cols: the rows after a prefix of k rows, eliminated by it, as
@@ -544,7 +590,7 @@ def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     vecs = [w for _, w in _translated_rows(points, p)]
     for base in combinations(range(len(points)), d):
         if _det_int([vecs[i] for i in base]) == 0 and any(
-            _cofactors(list(zip(*(_int_row((*points[i].coords, 1)) for i in base))))
+            _cofactors(list(zip(*(points[i].row for i in base))))
         ):
             return False
     return True

@@ -7,15 +7,14 @@ zero, which makes the per-point distribution centrally symmetric.
 
 A point is drawn as integer (numerator, denominator) pairs, one per
 coordinate, and drawn again while every numerator is zero.  The core sampler
-tests each candidate class on the homogeneous integer rows of those pairs and
-builds `Fraction` points only for the class it accepts; most candidate
-classes are rejected.
+tests each candidate class on the homogeneous integer rows of those pairs,
+made by `exact._scaled_pairs` as `Point` makes its own, and builds `Fraction`
+points only for the class it accepts; most candidate classes are rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from random import Random
 
 from .exact import InputError, Point, _scaled_pairs, _strict_hull_contains
@@ -48,12 +47,6 @@ def _point(pairs: list[tuple[int, int]]) -> Point:
     return Point(Fraction(n, q) for n, q in pairs)
 
 
-def _row(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The homogeneous integer row that `_int_row` makes of `_point(pairs)`."""
-    lowest = [(n // g, q // g) for n, q in pairs for g in (gcd(n, q),)]
-    return _scaled_pairs(lowest + [(1, 1)])[1]
-
-
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:
     return _point(_draw(rng, dim, bound))
 
@@ -75,7 +68,7 @@ def random_core_class(
     zero_row = (0,) * dim + (1,)
     for _ in range(max_tries):
         draws = [_draw(rng, dim, bound) for _ in range(size)]
-        if _strict_hull_contains([_row(pairs) for pairs in draws], zero_row):
+        if _strict_hull_contains([_scaled_pairs(pairs) for pairs in draws], zero_row):
             return [_point(pairs) for pairs in draws]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"

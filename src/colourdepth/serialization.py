@@ -2,18 +2,18 @@
 
 Coordinates serialize as rational strings "num/den" (plain integers allowed
 as shorthand), never as floats, so a parse-write cycle reproduces every value
-bit for bit.
+bit for bit.  Every coordinate read back is parsed by `exact.parse_fraction`,
+the parser that `Point` applies to its own coordinates.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Sequence
 
 from .depth import ColourfulConfiguration
-from .exact import InputError, Point
+from .exact import InputError, Point, parse_fraction
 
 __all__ = [
     "fraction_to_json",
@@ -34,36 +34,12 @@ def fraction_to_json(f: Fraction):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-# Python refuses to read integers of more than 4300 digits; a decimal
-# exponent is held to the same size, since '1e99999999' would otherwise
-# build a 10^8-digit integer.
-_MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+)$")
-
-
-def parse_fraction(v) -> Fraction:
-    if isinstance(v, bool):
-        raise InputError(f"not a rational: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        text = v.strip()
-        try:
-            exponent = _EXPONENT.search(text)
-            if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
-                raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"malformed rational {v!r}: {e}") from e
-    raise InputError(f"coordinates must be integers or 'num/den' strings, got {v!r}")
-
-
 def parse_point(text: str, dim: int | None = None) -> Point:
     """Parse a comma-separated list of rationals, e.g. '1/2,-3'."""
     parts = [s for s in text.split(",") if s.strip()]
     if not parts:
         raise InputError("empty point")
-    p = Point(parse_fraction(s) for s in parts)
+    p = Point(parts)
     if dim is not None and p.dim != dim:
         raise InputError(f"point has dimension {p.dim}, expected {dim}")
     return p
@@ -108,7 +84,7 @@ def config_from_dict(data: dict) -> ColourfulConfiguration:
                 raise InputError(
                     f"coordinate list {coords} does not have length {dim}"
                 )
-            points.append(Point(parse_fraction(c) for c in coords))
+            points.append(Point(coords))
         classes.append(tuple(points))
     return ColourfulConfiguration(dim, tuple(classes))
 
@@ -145,7 +121,7 @@ def points_from_dict(data: dict) -> list[Point]:
         if dim is not None:
             _check_dimension(dim)
         pts = [
-            Point(parse_fraction(c) for c in _check_list(coords, "a coordinate list"))
+            Point(_check_list(coords, "a coordinate list"))
             for coords in _check_list(data["points"], "'points'")
         ]
     elif "colours" in data:

@@ -86,6 +86,26 @@ def homogeneous(p: Point) -> list[int]:
     return [int(c * s) for c in p.coords] + [s]
 
 
+def barycentric_by_elimination(p: Point, vertices):
+    """Solve sum(l_i * v_i) = p, sum(l_i) = 1 for the d+1 vertices by
+    Gauss-Jordan elimination over Fractions; None when the system is
+    singular (the vertices are affinely dependent)."""
+    d = p.dim
+    mat = [[v[r] for v in vertices] + [p[r]] for r in range(d)]
+    mat.append([Fraction(1)] * (d + 2))
+    for c in range(d + 1):
+        sel = next((i for i in range(c, d + 1) if mat[i][c] != 0), None)
+        if sel is None:
+            return None
+        mat[c], mat[sel] = mat[sel], mat[c]
+        mat[c] = [x / mat[c][c] for x in mat[c]]
+        for i in range(d + 1):
+            if i != c and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return [row[-1] for row in mat]
+
+
 def rank_by_elimination(rows) -> int:
     mat = [list(map(Fraction, r)) for r in rows]
     rank = 0

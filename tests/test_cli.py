@@ -164,6 +164,22 @@ def test_cells2d_refuses_an_oversized_recount_up_front(tmp_path):
     assert "16000000 vertex tuples" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["core"], ["cdepth", "--require-core"]])
+def test_hull_search_above_budget_is_refused_up_front(tmp_path, argv):
+    # One class of 200 points at d = 3 has C(200, 4) = 64,684,950 subsets
+    # for the closed search and the strict facet loop: refused at once, not
+    # searched for minutes.
+    rng = Random(3)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dimension": 3, "colours": [
+        [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(200)]
+    ]}))
+    proc = cli_process([*argv, "--config", str(path), "--point", "0,0,0"], timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "64684950 vertex tuples" in proc.stderr
+
+
 def test_enumeration_above_budget_is_one_line_input_error(capsys, tmp_path):
     rng = Random(5)
     path = tmp_path / "big.json"

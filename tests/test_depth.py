@@ -35,7 +35,6 @@ from colourdepth.exact import (
     DegenerateConeError,
     InputError,
     Point,
-    _scaled_row,
     cone_contains,
     in_general_position,
     in_general_position_with,
@@ -444,13 +443,18 @@ def test_strict_core_point_depth_at_least_two_d():
 # --------------------------------------------------------------- planar sweep
 
 
+def scale_and_vector(v):
+    """(s, s * v), read off the row of v."""
+    return v.row[-1], v.row[:-1]
+
+
 def swept(S, p):
     """The sweep's monochrome answer, or None where it falls back."""
-    return _sweep_depth([_scaled_row((q - p).coords) for q in S])
+    return _sweep_depth([scale_and_vector(q - p) for q in S])
 
 
 def swept_colourful(cfg, p):
-    scaled = [_scaled_row((q - p).coords) for cls in cfg.classes for q in cls]
+    scaled = [scale_and_vector(q - p) for cls in cfg.classes for q in cls]
     return _sweep_depth(scaled, [c for c, cls in enumerate(cfg.classes) for _ in cls])
 
 
@@ -579,7 +583,7 @@ def test_clean_plane_is_the_planar_pencil():
             S[b] = S[a]
         elif kind == 3:  # p is one of the points
             p = rng.choice(S)
-        clean = depth._clean_plane([_scaled_row((q - p).coords) for q in S])
+        clean = depth._clean_plane([scale_and_vector(q - p) for q in S])
         assert clean == in_general_position(S + [p]), (S, p)
         kinds[clean] += 1
     assert min(kinds.values()) > 50

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from colourdepth import exact
 from conftest import (
+    barycentric_by_elimination,
     degenerate_lattice_case,
     det_by_permutations,
     feasible_by_basis_enumeration,
@@ -24,7 +25,6 @@ from colourdepth.exact import (
     DegenerateConeError,
     _cofactors,
     _det_int,
-    _scaled_row,
     _translated_rows,
     InputError,
     Point,
@@ -43,6 +43,33 @@ from colourdepth.depth import monochrome_depth
 fracs = st.fractions(
     min_value=-20, max_value=20, max_denominator=50
 )
+
+
+# ---------------------------------------------------------------------- points
+
+
+def test_point_row_is_the_canonical_homogeneous_row():
+    rng = Random(13)
+    for trial in range(200):
+        S, p = degenerate_lattice_case(rng, 2 + trial % 3, 6)
+        pts = S + [p, -p, p - S[0]]
+        for q in pts:
+            assert q.row == tuple(homogeneous(q)), q
+        for a, b in combinations(pts, 2):
+            assert (a == b) == (a.coords == b.coords), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    spellings = [pt(1, "2/4"), pt(1, Fraction(1, 2)), pt("3/3", " 1/2 "), pt(1, "0.5")]
+    assert {q.row for q in spellings} == {(2, 1, 2)}
+    assert len(set(spellings)) == 1
+
+
+def test_point_coordinates_parse_like_files():
+    # A bool, a malformed string, a zero denominator and an oversized
+    # exponent are input errors, as they are in a configuration file.
+    for coords in ((True, 0), ("abc", 1), ("1/0", 1), ("1e5000", 1)):
+        with pytest.raises(InputError):
+            pt(*coords)
 
 
 # ---------------------------------------------------------------- orientation
@@ -122,6 +149,25 @@ def test_barycentric_reconstructs(data):
     assert sum(lams) == 1
     for r in range(2):
         assert sum(l * v[r] for l, v in zip(lams, verts)) == p[r]
+
+
+def test_barycentric_matches_fraction_elimination():
+    # Rational vertices with unequal denominators, so every vertex has its
+    # own scale s_i; one simplex in four is made degenerate by replacing a
+    # vertex with an affine combination of the others.
+    rng = Random(71)
+    kinds = {True: 0, False: 0}
+    for d in (1, 2, 3, 4):
+        for trial in range(60):
+            verts = [rand_point(rng, d, 30) for _ in range(d + 1)]
+            if trial % 4 == 0:
+                k = rng.randrange(d + 1)
+                verts[k] = _affine_combination(rng, verts[:k] + verts[k + 1:], big=False)
+            p = rand_point(rng, d, 30)
+            want = barycentric_by_elimination(p, verts)
+            assert barycentric_coordinates(p, verts) == want, (p, verts)
+            kinds[want is None] += 1
+    assert min(kinds.values()) > 50
 
 
 # ------------------------------------------------------------ point_in_simplex
@@ -518,7 +564,7 @@ def test_pencil_finds_the_planted_tuple():
 
 def test_translated_rows_scale_the_rational_difference():
     # (s, w) is the exact difference q - p times s > 0, and w points the same
-    # way as the row `_scaled_row` makes of the Fraction difference.
+    # way as the row of the Fraction difference.
     rng = Random(61)
     for d in (1, 2, 3, 4):
         for _ in range(25):
@@ -528,5 +574,5 @@ def test_translated_rows_scale_the_rational_difference():
             for q, (s, w) in zip(pts, _translated_rows(pts, p)):
                 assert s > 0
                 assert tuple(Fraction(x, s) for x in w) == (q - p).coords
-                s0, w0 = _scaled_row((q - p).coords)
+                *w0, s0 = (q - p).row
                 assert all(x * s0 == y * s for x, y in zip(w, w0))
