@@ -11,15 +11,21 @@ between the input points and the integer kernel, and no point is rescaled.
 In the plane, a clean input is counted by one angular sweep (Rousseeuw and
 Ruts, AS 307, 1996; the colourful form is Zasenko and Stephen, COCOA 2016).
 Clean means that the query point and the points are pairwise distinct and no
-three of them lie on one line, which an O(n^2) pass hashing the line through
-every pair certifies.  The vectors are then sorted by the exact angular
-comparator of `exact`, and one two-pointer pass finds, for each point, how
-many points of each colour lie in the open half-turn after it.  A triple
-misses the origin exactly when its other two points lie in the half-turn after
-its first one, so the depth is the number of triples less the sum of those
-pairs, in O(n log n) after the certificate.  On clean input no tuple is
-degenerate and the query point is on no simplex boundary, so the open and
-closed counts agree and both counters are zero.
+three of them lie on one line.  The translated vectors are sorted by
+`exact._angular_order`, the order that planar hull membership and the circle
+cells read too, and one two-pointer pass finds, for each point, how many
+points of each colour lie in the open half-turn after it.  A triple misses
+the origin exactly when its other two points lie in the half-turn after its
+first one, so the depth is the number of triples less the sum of those
+pairs, in O(n log n).  The certificate has two sides.  The query side, that
+the query point is none of the points and on no line through two of them,
+is read from the sweep itself: no vector is zero, no two neighbours in the
+angular order share a ray, and no half-turn count stops on an opposite ray.
+The points' side, that no two coincide and no three are collinear, is an
+O(n^2) pass hashing the line through every pair, on the points' own integer
+rows.  On clean input no tuple is degenerate and the query point is on no
+simplex boundary, so the open and closed counts agree and both counters are
+zero.
 
 Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
@@ -46,8 +52,6 @@ across workers and summed without changing results.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations, product
 from math import comb, gcd, lcm
 from operator import mul
@@ -59,7 +63,7 @@ from .exact import (
     InputError,
     Mode,
     Point,
-    _angle_cmp,
+    _angular_order,
     _check_budget,
     _cross,
     _det_int,
@@ -255,25 +259,23 @@ def _colourful_keys(class_keys: Sequence[range], colours: Sequence[int], k: int)
         yield from product(*(class_keys[c] for c in colour_sub))
 
 
-def _clean_plane(scaled: Sequence[tuple[int, tuple[int, int]]]) -> bool:
-    """True iff the origin and the plane vectors are pairwise distinct and no
-    three of them lie on one line.
+def _clean_plane(rows: Sequence[tuple[int, int, int]]) -> bool:
+    """True iff the points of the homogeneous rows (s * x, s * y, s), s > 0,
+    are pairwise distinct and no three of them lie on one line.
 
-    scaled holds pairs (s, w), w being the vector times s > 0, as
-    `_translated_rows` makes them.
-    The difference of vectors j and i times s_i * s_j is s_i * w_j - s_j * w_i;
-    reduced by its gcd and sign it names the line through the two, and a name
-    repeated from one vector puts three of them on one line.  O(n^2).
+    The difference of points j and i times s_i * s_j is s_i * X_j - s_j * X_i;
+    reduced by its gcd and sign it names the line through the two, and a
+    name repeated from one point puts three of them on one line.  O(n^2), on
+    the points' own rows: the query point plays no part, so the integers
+    are those of the input.
 
-    This is the d = 2 pencil of `exact.in_general_position` with the query
-    point as row 0: vector i is the prefix, eliminated on its homogeneous
-    coordinate s_i, and the differences are the plane vectors of the later
-    rows, so it answers in_general_position(points + [query]).
+    This is the d = 2 pencil of `exact.in_general_position`: point i is the
+    prefix, eliminated on its homogeneous coordinate s_i, and the
+    differences are the plane vectors of the later rows.
     """
-    pts = [(1, (0, 0)), *scaled]
-    for i, (si, (xi, yi)) in enumerate(pts):
+    for i, (xi, yi, si) in enumerate(rows):
         seen = set()
-        for sj, (xj, yj) in pts[i + 1:]:
+        for xj, yj, sj in rows[i + 1:]:
             dx = si * xj - sj * xi
             dy = si * yj - sj * yi
             g = gcd(dx, dy)
@@ -290,53 +292,71 @@ def _clean_plane(scaled: Sequence[tuple[int, tuple[int, int]]]) -> bool:
 
 def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int):
     """For each plane vector in angular order, its index in vecs, its colour
-    and the number of vectors of each of the r colours in the open half-turn
-    counter-clockwise after it (one list, updated in place between items).
-    The vectors must be nonzero with no two on one line through the origin,
-    so that no cross product between two of them is zero.
+    and the numbers of vectors of each of the r colours in the open
+    half-turn counter-clockwise after it; or None when two of the vectors lie
+    on one line through the origin.  The vectors must be nonzero.
 
-    This is the package's one angular sort: planar depth and the circle cells
-    of `arrangements` both read their order from it.
+    The order is `exact._angular_order`.  Two vectors on one ray are
+    neighbours in it, with a zero cross product.  Two opposite ones are
+    found by the two-pointer pass: the pointer of a vector runs through its
+    open half-turn and stops on the first vector outside it, and when no two
+    vectors share a ray, that is the opposite one if there is one.
     """
     n = len(vecs)
-    order = sorted(range(n), key=cmp_to_key(lambda a, b: _angle_cmp(vecs[a], vecs[b])))
+    order = _angular_order(vecs)
     vs = [vecs[k] for k in order]
+    if any(_cross(a, b) == 0 for a, b in zip(vs, vs[1:])):
+        return None
     cs = [colours[k] for k in order]
     window = [0] * r  # colours of the vectors i+1 .. j-1 (cyclically)
+    out = []
     j = 1
     for i in range(n):
         if j == i:
             j += 1
         elif i:
             window[cs[i]] -= 1
-        while _cross(vs[i], vs[j % n]) > 0:
+        while (c := _cross(vs[i], vs[j % n])) > 0:
             window[cs[j % n]] += 1
             j += 1
-        yield order[i], cs[i], window
+        if c == 0 and j % n != i:
+            return None
+        out.append((order[i], cs[i], tuple(window)))
+    return out
 
 
 def _sweep_depth(
-    scaled: Sequence[tuple[int, tuple[int, int]]],
+    rows: Sequence[tuple[int, int, int]],
+    vecs: Sequence[tuple[int, int]],
     colours: Sequence[int] | None = None,
 ) -> int | None:
-    """Depth of the origin among the plane vectors by one angular sweep, or
-    None unless the input is clean (see `_clean_plane`).
+    """Depth of the query point by one angular sweep, or None unless the
+    input is clean.
+
+    rows are the homogeneous rows of the points and vecs the points
+    translated to the query, as `_translated_rows` makes them.  Clean means
+    that the points are pairwise distinct with no three on one line
+    (`_clean_plane`), and that the query point is none of them and on no
+    line through two of them: no vector is zero and no two are parallel,
+    which `_half_turns` reports from the angular order.
 
     A triple misses the origin exactly when its other two vectors lie in the
     open half-turn after its first one.  Without colours the count is over
     all triples; with a class index per vector it is over triples of three
     distinct colours.  On clean input the open and closed counts agree.
     """
-    if not _clean_plane(scaled):
+    if (0, 0) in vecs:
         return None
-    vecs = [w for _, w in scaled]
     n = len(vecs)
+    r = 1 if colours is None else max(colours) + 1
+    turns = _half_turns(vecs, colours or [0] * n, r)
+    if turns is None or not _clean_plane(rows):
+        return None
     if colours is None:
-        return comb(n, 3) - sum(comb(h[0], 2) for _, _, h in _half_turns(vecs, [0] * n, 1))
-    r = max(colours) + 1
+        return comb(n, 3) - sum(comb(h[0], 2) for _, _, h in turns)
     sizes = [colours.count(c) for c in range(r)]
     missed = 0
-    for _, a, h in _half_turns(vecs, colours, r):
+    for _, a, h in turns:
         others = sum(h) - h[a]
         missed += (others * others - sum(x * x for x in h) + h[a] * h[a]) // 2
     return sum(x * y * z for x, y, z in combinations(sizes, 3)) - missed
@@ -360,7 +380,7 @@ def monochrome_depth(
     _check_query(len(S), d + 1, mode)
     scaled = _translated_rows(S, p)
     if d == 2 and not want_witnesses:
-        swept = _sweep_depth(scaled)
+        swept = _sweep_depth([q.row for q in S], [w for _, w in scaled])
         if swept is not None:
             return DepthReport(mode, swept)
     _check_budget([1] * len(S), d + 1)
@@ -389,10 +409,12 @@ def colourful_depth(
     d = config.dim
     r = config.num_classes
     _check_query(r, d + 1, mode)
-    scaled = _translated_rows(config.points(), p)
+    points = config.points()
+    scaled = _translated_rows(points, p)
     labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
     if d == 2 and not want_witnesses:
-        swept = _sweep_depth(scaled, [ci for ci, _ in labels])
+        swept = _sweep_depth([q.row for q in points], [w for _, w in scaled],
+                             [ci for ci, _ in labels])
         if swept is not None:
             return DepthReport(mode, swept)
     _check_budget(config.class_sizes(), d + 1)
@@ -537,8 +559,8 @@ def core_depth_samples(
     by point, then one per class.  A mixture is kept as an integer vector
     over one integer denominator: the class's points share the lcm s of
     their scales, and sum(w_i * q_i) / sum(w) is
-    sum(w_i * (s * q_i)) / (s * sum(w)).  So is the candidate, and each of
-    its coordinates becomes one `Fraction` at the end.
+    sum(w_i * (s * q_i)) / (s * sum(w)).  So is the candidate, which becomes
+    a `Point` through the pair constructor at the end.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -573,7 +595,7 @@ def core_depth_samples(
             num = [x * b + wi * y * den for x, y in zip(num, a)]
             den *= b
         den *= sum(cw)
-        consider(Point(Fraction(x, den) for x in num))
+        consider(Point._from_pairs([(x, den) for x in num]))
     return out
 
 

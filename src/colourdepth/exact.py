@@ -5,6 +5,10 @@ on integers.  A `Point` computes its homogeneous integer row (s * x, s) once,
 when it is made: s is the positive lcm of the denominators, and a positive
 scaling changes no determinant sign, rank, or origin-in-hull answer.  The row
 is in lowest terms, so it is canonical, and points compare and hash by it.
+It is built from (numerator, denominator) integer pairs, which the one
+rational parser `_parse_pair` reads from ints and "num/den" strings with
+`int()` alone, or which a caller that drew them as integers hands to the
+pair constructor `Point._from_pairs`.
 Predicates and counters read the rows and never rescale a point.  A point
 translated to a query point p is formed on those integer rows too, as
 s_p * Q - s_q * P, so no rational difference is ever built.  One
@@ -25,9 +29,15 @@ then decides every point against it with a dot product; a zero normal means
 the facet spans no hyperplane, which is all that query-side general
 position asks of the normal.
 
-Both hull searches, the Caratheodory subset search of closed membership and
-the facet loop of strict membership, refuse a set with more than
-`MAX_TUPLES` (d+1)-subsets of distinct points up front.
+In the plane, hull membership needs neither search.  The points translated
+to p, sorted once by angle, leave a gap of more than a half-turn between
+neighbouring directions exactly when p is outside their closed hull, and of
+a half-turn or more exactly when p is outside its interior: O(n log n).
+That angular order, `_angular_order`, is the package's one sort of plane
+vectors; the planar depth sweep and the circle cells read it too.  In
+higher dimensions, both hull searches, the Caratheodory subset search of
+closed membership and the facet loop of strict membership, refuse a set
+with more than `MAX_TUPLES` (d+1)-subsets of distinct points up front.
 
 General position needs no normal at all.  Facets that share their first
 d-1 points P form a pencil of hyperplanes through span(P), and two points
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -82,28 +93,61 @@ class DegenerateConeError(InputError):
 # build a 10^8-digit integer.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)$")
+_PAIR = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_fraction(v) -> Fraction:
     """The rational an int, a `Fraction` or a rational string stands for;
-    anything else, a bool included, is an `InputError`.  Every coordinate of
-    a `Point`, and so every rational read from a file, is parsed here."""
+    anything else, a bool included, is an `InputError`.  This is
+    `_parse_pair` as a `Fraction`."""
     if isinstance(v, Fraction):
         return v
+    return Fraction(*_parse_pair(v))
+
+
+def _parse_pair(v) -> tuple[int, int]:
+    """The (numerator, denominator) integer pair, denominator positive and
+    not necessarily in lowest terms, of an int, a `Fraction` or a rational
+    string; anything else, a bool included, is an `InputError`.  This is the
+    package's one rational parser: every coordinate of a `Point`, and so
+    every rational read from a file, is parsed here.
+
+    A plain int, and a string "n" or "n/q" of ASCII digits (a sign on n
+    only, q not zero, spaces around the whole) are read with `int()` alone.
+    Every other spelling goes through `Fraction`, which gives the same value
+    for the spellings both accept and says why it refuses the others.
+    """
+    if type(v) is int:
+        return v, 1
+    if type(v) is str:
+        m = _PAIR.fullmatch(v.strip())
+        if m:
+            num, den = m.groups()
+            try:
+                q = int(den) if den else 1
+                if q:
+                    return int(num), q
+            except ValueError:  # more than 4300 digits: Fraction says so below
+                pass
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
     if isinstance(v, bool):
         raise InputError(f"not a rational: {v!r}")
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v), 1
     if isinstance(v, str):
         text = v.strip()
         try:
             exponent = _EXPONENT.search(text)
             if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
                 raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
-            return Fraction(text)
+            return Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"malformed rational {v!r}: {e}") from e
     raise InputError(f"coordinates must be integers or 'num/den' strings, got {v!r}")
+
+
+_set = object.__setattr__
 
 
 class Point:
@@ -115,11 +159,27 @@ class Point:
     __slots__ = ("coords", "row")
 
     def __init__(self, coords: Iterable):
-        coords = tuple([parse_fraction(c) for c in coords])
-        if not coords:
+        pairs = [_parse_pair(c) for c in coords]
+        if not pairs:
             raise InputError("a point needs at least one coordinate")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "row", _scaled_pairs([c.as_integer_ratio() for c in coords]))
+        _set(self, "coords", tuple([Fraction(n, q) for n, q in pairs]))
+        _set(self, "row", _scaled_pairs(pairs))
+
+    @classmethod
+    def _from_pairs(
+        cls, pairs: Sequence[tuple[int, int]], row: tuple[int, ...] | None = None
+    ) -> "Point":
+        """The point of nonempty (numerator, denominator) integer pairs,
+        denominators positive, with no parsing.  row, when given, must be
+        `_scaled_pairs(pairs)`, built by a caller that needed it first."""
+        self = object.__new__(cls)
+        _set(self, "coords", tuple([Fraction(n, q) for n, q in pairs]))
+        _set(self, "row", _scaled_pairs(pairs) if row is None else row)
+        return self
+
+    def __reduce__(self):
+        # Slot state would be restored through __setattr__, which refuses it.
+        return Point._from_pairs, ([c.as_integer_ratio() for c in self.coords],)
 
     @property
     def dim(self) -> int:
@@ -366,26 +426,55 @@ def _cross(a: Sequence, b: Sequence):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _half(v: Sequence) -> int:
-    """0 for angles in [0, pi), 1 for [pi, 2pi), measured from the +x axis."""
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
+def _angular_order(vecs: Sequence[Sequence[int]]) -> list[int]:
+    """The indices of nonzero plane vectors in counter-clockwise order of
+    their angles in [0, 2pi) from the +x axis; vectors on one ray keep their
+    index order and are neighbours.
+
+    The half-turn [0, pi) comes first, then [pi, 2pi).  Within a half-turn,
+    a comes before b exactly when cross(a, b) > 0, so each half is sorted on
+    the sign of one integer cross product.
+
+    This is the package's one angular order: planar hull membership, the
+    planar depth sweep `depth._half_turns` and the circle cells of
+    `arrangements` all read it.
+    """
+    halves: tuple[list[int], list[int]] = ([], [])
+    for k, (x, y) in enumerate(vecs):
+        halves[0 if y > 0 or (y == 0 and x > 0) else 1].append(k)
+    # cmp(a, b) = -cross(a, b): negative when a comes first.
+    key = cmp_to_key(lambda a, b: vecs[b][0] * vecs[a][1] - vecs[a][0] * vecs[b][1])
+    return sorted(halves[0], key=key) + sorted(halves[1], key=key)
 
 
-def _angle_cmp(a: Sequence, b: Sequence) -> int:
-    """Exact counter-clockwise angular order of nonzero plane vectors from the
-    +x axis: half-turn first, then the cross-product sign.  0 only for
-    vectors on one ray."""
-    ha, hb = _half(a), _half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = _cross(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+def _plane_hull_contains(vecs: Sequence[tuple[int, int]], strict: bool) -> bool:
+    """True iff the origin lies in the closed convex hull of the plane
+    vectors, or with strict, in its interior.
+
+    The origin is outside the closed hull exactly when the vectors lie in an
+    open half-plane, that is, when the directions of the nonzero ones leave
+    a cyclic gap of more than a half-turn.  It is outside the interior
+    exactly when they lie in a closed half-plane: a gap of a half-turn or
+    more.  A zero vector puts the origin in the closed hull and does nothing
+    for the interior.  In the angular order each gap lies between two
+    neighbours, and the sign of their cross product says whether it is less
+    than a half-turn, a half-turn or no turn, or more; their dot product
+    tells a half-turn (opposite rays) from no turn (one ray).  O(n log n).
+    """
+    nonzero = [w for w in vecs if w[0] or w[1]]
+    if not strict and len(nonzero) < len(vecs):
+        return True
+    if not nonzero:
+        return False
+    vs = [nonzero[k] for k in _angular_order(nonzero)]
+    a, b = vs[-1], vs[0]
+    if _cross(a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0:
+        return False  # the first and last on one ray, so all are: a full turn
+    for a, b in zip(vs[-1:] + vs[:-1], vs):
+        c = _cross(a, b)
+        if c < 0 or c == 0 and strict and a[0] * b[0] + a[1] * b[1] < 0:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------- predicates
@@ -503,10 +592,14 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     strictly on the inner side of every supporting hyperplane spanned by d
     points of S.
 
-    Both searches are refused with an `InputError` when S has more than
-    `MAX_TUPLES` (d+1)-subsets of distinct points.
+    In the plane, every other case reads the angular order of the points
+    translated to p instead (`_plane_hull_contains`), in O(n log n).  In
+    higher dimensions both searches are refused with an `InputError` when S
+    has more than `MAX_TUPLES` (d+1)-subsets of distinct points.
     """
     d = _check_dims(S, p.dim)
+    if d == 2 and not (strict and len(set(S)) == 3):
+        return _plane_hull_contains([w for _, w in _translated_rows(S, p)], strict)
     _check_budget([1] * len(set(S)), d + 1)
     if not strict:
         return _hull_contains([w for _, w in _translated_rows(S, p)])

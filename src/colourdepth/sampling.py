@@ -6,15 +6,16 @@ downstream computation stays exact.  Numerators are drawn symmetrically about
 zero, which makes the per-point distribution centrally symmetric.
 
 A point is drawn as integer (numerator, denominator) pairs, one per
-coordinate, and drawn again while every numerator is zero.  The core sampler
-tests each candidate class on the homogeneous integer rows of those pairs,
-made by `exact._scaled_pairs` as `Point` makes its own, and builds `Fraction`
-points only for the class it accepts; most candidate classes are rejected.
+coordinate, and drawn again while every numerator is zero, and becomes a
+`Point` through the pair constructor `Point._from_pairs`, with no parsing.
+The core sampler tests each candidate class on the homogeneous integer rows
+of those pairs, made by `exact._scaled_pairs` as `Point` makes its own, and
+builds points only for the class it accepts, handing each its row; most
+candidate classes are rejected.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 from .exact import InputError, Point, _scaled_pairs, _strict_hull_contains
@@ -43,12 +44,8 @@ def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
             return pairs
 
 
-def _point(pairs: list[tuple[int, int]]) -> Point:
-    return Point(Fraction(n, q) for n, q in pairs)
-
-
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:
-    return _point(_draw(rng, dim, bound))
+    return Point._from_pairs(_draw(rng, dim, bound))
 
 
 def random_points(rng: Random, n: int, dim: int, bound: int = DEFAULT_BOUND) -> list[Point]:
@@ -68,8 +65,9 @@ def random_core_class(
     zero_row = (0,) * dim + (1,)
     for _ in range(max_tries):
         draws = [_draw(rng, dim, bound) for _ in range(size)]
-        if _strict_hull_contains([_scaled_pairs(pairs) for pairs in draws], zero_row):
-            return [_point(pairs) for pairs in draws]
+        rows = [_scaled_pairs(pairs) for pairs in draws]
+        if _strict_hull_contains(rows, zero_row):
+            return [Point._from_pairs(pairs, row) for pairs, row in zip(draws, rows)]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"
     )

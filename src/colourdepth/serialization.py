@@ -2,8 +2,11 @@
 
 Coordinates serialize as rational strings "num/den" (plain integers allowed
 as shorthand), never as floats, so a parse-write cycle reproduces every value
-bit for bit.  Every coordinate read back is parsed by `exact.parse_fraction`,
-the parser that `Point` applies to its own coordinates.
+bit for bit.  Every coordinate read back is parsed by the one rational
+parser of `exact`, which `Point` applies to its own coordinates: integers
+and "num/den" strings become integer pairs with `int()` alone, and the
+point's row is built from them.  `parse_fraction` is that parser with a
+`Fraction` result.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Shared test helpers: an independent hull-feasibility oracle and friends."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -243,3 +244,29 @@ def core_class_by_rejection(rng: Random, size: int, dim: int, bound: int, max_tr
         if in_convex_hull(zero, pts, strict=True):
             return pts
     return None
+
+
+# ------------------------------------------------------------- parser oracle
+
+
+def parse_by_fraction_strings(v):
+    """A coordinate parsed with every string going through `Fraction(str)`,
+    the reference that the library's integer path for ints and "num/den"
+    strings must agree with.  Returns ("ok", the Fraction) or ("error", the
+    `InputError` message)."""
+    if isinstance(v, Fraction):
+        return "ok", v
+    if isinstance(v, bool):
+        return "error", f"not a rational: {v!r}"
+    if isinstance(v, int):
+        return "ok", Fraction(v)
+    if isinstance(v, str):
+        text = v.strip()
+        try:
+            exponent = re.search(r"[eE]([-+]?\d+)$", text)
+            if exponent and abs(int(exponent.group(1))) > 4300:
+                raise ValueError("exponent beyond 4300")
+            return "ok", Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            return "error", f"malformed rational {v!r}: {e}"
+    return "error", f"coordinates must be integers or 'num/den' strings, got {v!r}"

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_by_fraction_strings
 from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration
@@ -178,6 +179,36 @@ def test_hull_search_above_budget_is_refused_up_front(tmp_path, argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "64684950 vertex tuples" in proc.stderr
+
+
+def test_planar_hull_of_3000_points_is_decided(tmp_path):
+    # C(3000, 3) = 4,495,501,000 subsets, but the plane reads the angular
+    # order and is never refused.
+    rng = Random(3)
+    path = tmp_path / "big2.json"
+    path.write_text(json.dumps({"dimension": 2, "colours": [
+        [[rng.randint(-10**6, 10**6) for _ in range(2)] for _ in range(3000)]
+    ]}))
+    proc = cli_process(["core", "--config", str(path), "--point", "0,0"], timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["member: true", "strict_member: true"]
+
+
+# Coordinates that every parser path must refuse, in a point-set file.
+MALFORMED_COORDINATES = [
+    "1/0", "1/-2", "1e99999", "9" * 4400, "abc", "", "1/2/3", True, None, 0.5,
+]
+
+
+@pytest.mark.parametrize("index", range(len(MALFORMED_COORDINATES)))
+def test_malformed_coordinate_error_bytes(capsys, tmp_path, index):
+    coordinate = MALFORMED_COORDINATES[index]
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"points": [[0, 1], [1, 0], [coordinate, -1]]}))
+    code, out, err = run(capsys, "depth", "--points", str(path), "--point", "0,0")
+    kind, message = parse_by_fraction_strings(coordinate)
+    assert kind == "error"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_enumeration_above_budget_is_one_line_input_error(capsys, tmp_path):

@@ -443,19 +443,20 @@ def test_strict_core_point_depth_at_least_two_d():
 # --------------------------------------------------------------- planar sweep
 
 
-def scale_and_vector(v):
-    """(s, s * v), read off the row of v."""
-    return v.row[-1], v.row[:-1]
+def rows_and_vectors(S, p):
+    """The rows of the points, and the points translated to p as integer
+    vectors (s * (q - p) for some s > 0, read off the row of q - p)."""
+    return [q.row for q in S], [(q - p).row[:-1] for q in S]
 
 
 def swept(S, p):
     """The sweep's monochrome answer, or None where it falls back."""
-    return _sweep_depth([scale_and_vector(q - p) for q in S])
+    return _sweep_depth(*rows_and_vectors(S, p))
 
 
 def swept_colourful(cfg, p):
-    scaled = [scale_and_vector(q - p) for cls in cfg.classes for q in cls]
-    return _sweep_depth(scaled, [c for c, cls in enumerate(cfg.classes) for _ in cls])
+    return _sweep_depth(*rows_and_vectors(cfg.points(), p),
+                        [c for c, cls in enumerate(cfg.classes) for _ in cls])
 
 
 def enumerated(counter, *args):
@@ -563,9 +564,51 @@ def test_sweep_falls_back_to_enumeration(name):
             enumerated(colourful_depth, cfg, origin(2), mode))
 
 
+# p = 0 throughout.  The points are in general position, so the points'
+# certificate passes and the query point alone keeps the sweep from running.
+QUERY_ON_A_LINE = {
+    # 0 between (-2, -1) and (4, 2): opposite rays, not neighbours in the
+    # angular order, found where the half-turn pointer stops.
+    "on_a_segment": [pt(-2, -1), pt(4, 2), pt(1, 3), pt(-1, 5), pt(3, -4), pt(-3, 1)],
+    # 0 beyond (2, 1) on the line through (2, 1) and (6, 3): one ray.
+    "on_the_line_outside_the_segment": [pt(2, 1), pt(6, 3), pt(-1, 3), pt(1, -5), pt(-4, -1)],
+    "equal_to_a_point": [pt(0, 0), pt(3, 1), pt(-2, 3), pt(-1, -4), pt(5, -2)],
+    # (1, 2) and (3, 6) on one ray, the others around the query.
+    "two_points_on_one_ray": [pt(-3, 1), pt(1, 2), pt(3, 6), pt(2, -3), pt(-1, -3), pt(4, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_ON_A_LINE))
+def test_query_on_a_line_through_two_points_is_enumerated(name):
+    S = QUERY_ON_A_LINE[name]
+    assert in_general_position(S) and not in_general_position_with(S, origin(2))
+    assert depth._clean_plane([q.row for q in S])
+    assert swept(S, origin(2)) is None
+    cfg = config(2, S[0::3], S[1::3], S[2::3])
+    assert swept_colourful(cfg, origin(2)) is None
+    for mode in ("open", "closed"):
+        assert fields(monochrome_depth(S, origin(2), mode)) == fields(
+            enumerated(monochrome_depth, S, origin(2), mode))
+        assert fields(colourful_depth(cfg, origin(2), mode)) == fields(
+            enumerated(colourful_depth, cfg, origin(2), mode))
+
+
+def test_collinear_points_away_from_the_query_are_enumerated():
+    S = [pt(1, 1), pt(2, 3), pt(3, 5), pt(-2, 1), pt(1, -4)]
+    p = pt(-1, 0)
+    assert in_general_position_with(S, p) and not depth._clean_plane([q.row for q in S])
+    assert swept(S, p) is None
+    for mode in ("open", "closed"):
+        rep = monochrome_depth(S, p, mode)
+        assert rep.degenerate > 0
+        assert fields(rep) == fields(enumerated(monochrome_depth, S, p, mode))
+
+
 def test_clean_plane_is_the_planar_pencil():
-    # `_clean_plane` is `in_general_position` at d = 2 with the query point
-    # as row 0: both accept exactly the clean inputs.
+    # The sweep's certificate, `_clean_plane` on the points plus the query
+    # side read from the angular order, is `in_general_position` at d = 2 of
+    # the points and the query point: both accept exactly the clean inputs.
+    # `_clean_plane` alone is `in_general_position` of the points.
     rng = Random(23)
     kinds = {True: 0, False: 0}
     for trial in range(400):
@@ -583,8 +626,10 @@ def test_clean_plane_is_the_planar_pencil():
             S[b] = S[a]
         elif kind == 3:  # p is one of the points
             p = rng.choice(S)
-        clean = depth._clean_plane([scale_and_vector(q - p) for q in S])
+        clean = swept(S, p) is not None
         assert clean == in_general_position(S + [p]), (S, p)
+        if n > 2:
+            assert depth._clean_plane([q.row for q in S]) == in_general_position(S), S
         kinds[clean] += 1
     assert min(kinds.values()) > 50
 

@@ -1,9 +1,12 @@
 """Exact predicate tests: frozen examples, invariants, and oracle agreement."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from conftest import (
     general_position_by_subsets,
     general_position_with_by_subsets,
     homogeneous,
+    parse_by_fraction_strings,
     rand_point,
     strictly_inside_by_facets,
 )
@@ -25,6 +29,8 @@ from colourdepth.exact import (
     DegenerateConeError,
     _cofactors,
     _det_int,
+    _hull_contains,
+    _strict_hull_contains,
     _translated_rows,
     InputError,
     Point,
@@ -70,6 +76,70 @@ def test_point_coordinates_parse_like_files():
     for coords in ((True, 0), ("abc", 1), ("1/0", 1), ("1e5000", 1)):
         with pytest.raises(InputError):
             pt(*coords)
+
+
+def _spelling(rng: Random, value: Fraction) -> str:
+    """A random "n" or "n/q" string for value: unreduced, with an optional
+    plus sign, leading zeros and surrounding whitespace."""
+    k = rng.randint(1, 6)
+    num, den = abs(value.numerator) * k, value.denominator * k
+    sign = "-" if value < 0 else rng.choice(["", "+"])
+    text = sign + "0" * rng.randint(0, 2) + str(num)
+    if den != 1 or rng.randrange(2):
+        text += "/" + "0" * rng.randint(0, 2) + str(den)
+    pad = lambda: rng.choice(["", " ", "  ", "\t", "\n "])  # noqa: E731
+    return pad() + text + pad()
+
+
+def test_parser_spellings_give_the_points_of_their_fractions():
+    rng = Random(31)
+    for trial in range(600):
+        d = 1 + trial % 4
+        values = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(d)]
+        if trial % 5 == 0:
+            values = [Fraction(rng.randint(-10**6, 10**6)) for _ in range(d)]
+        spelled = [v.numerator if v.denominator == 1 and rng.randrange(2) else _spelling(rng, v)
+                   for v in values]
+        want, got = Point(values), Point(spelled)
+        assert got.coords == want.coords and got.row == want.row, spelled
+        assert got == want and hash(got) == hash(want)
+        assert all(type(c) is Fraction for c in got.coords)
+
+
+def _outcome(v):
+    try:
+        return "ok", pt(v).coords[0]
+    except InputError as e:
+        return "error", str(e)
+
+
+ODD_SPELLINGS = [
+    "1/0", "1/-2", "1e99999", "9" * 4400, 9 * 10**4399, "-" + "9" * 4000 + "/7", "0.5",
+    "1_0", "\u0663", "\u0663/2", "\u00b2", "", " ", "/", "1/", "/2", "--1", "+-1", "1/+2",
+    "1 / 2", "1/2/3", "0x10", "1 2", "-0", "+0/7", "007/010", True, False, None, 0.5,
+]
+
+
+def test_parser_matches_the_fraction_string_parser():
+    # Values and InputError messages are those of parsing every string with
+    # Fraction(str), whichever path the parser takes.
+    for v in ODD_SPELLINGS:
+        assert _outcome(v) == parse_by_fraction_strings(v), ODD_SPELLINGS.index(v)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_points_pickle_and_copy(d):
+    rng = Random(70 + d)
+    points = [Point(rng.randint(-50, 50) for _ in range(d)), rand_point(rng, d),
+              Point(["6/4"] * d), origin(d)]
+    for q in points:
+        copies = [pickle.loads(pickle.dumps(q, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies + [copy.deepcopy(q), copy.copy(q)]:
+            assert type(c) is Point
+            assert c.coords == q.coords and c.row == q.row
+            assert c == q and hash(c) == hash(q)
+            assert all(type(x) is Fraction for x in c.coords)
 
 
 # ---------------------------------------------------------------- orientation
@@ -286,6 +356,76 @@ def test_hull_matches_feasibility_oracle():
         S = [rand_point(rng, d, 6) for _ in range(n)]
         p = rand_point(rng, d, 6)
         assert in_convex_hull(p, S) == feasible_by_basis_enumeration(p, S)
+
+
+# ------------------------------------------------------------ planar hull
+
+
+# name: (S, p, closed, strict)
+PLANAR_HULLS = {
+    "at_a_vertex": ([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)], pt(0, 0), True, False),
+    "on_an_edge": ([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)], pt(2, 0), True, False),
+    "inside_at_a_point": ([pt(0, 0), pt(4, 0), pt(0, 4), pt(1, 1)], pt(1, 1), True, True),
+    "inside": ([pt(3, 0), pt(0, 3), pt(-3, 0), pt(0, -3)], pt("1/3", "-1/2"), True, True),
+    "outside": ([pt(3, 0), pt(0, 3), pt(-3, 0), pt(0, -3)], pt(2, 2), False, False),
+    "line_through_query": ([pt(-1, -1), pt(1, 1), pt(2, 2)], pt(0, 0), True, False),
+    "line_beyond_query": ([pt(1, 1), pt(2, 2), pt(3, 3)], pt(0, 0), False, False),
+    "line_missing_query": ([pt(1, 0), pt(0, 1), pt(-1, 2)], pt(0, 0), False, False),
+    "two_opposite_points": ([pt(-1, 2), pt(1, -2)], pt(0, 0), True, False),
+    "one_point": ([pt(1, 1)], pt(1, 1), True, False),
+    "one_point_elsewhere": ([pt(1, 1)], pt(0, 0), False, False),
+    "repeated_points": ([pt(1, 0), pt(1, 0), pt(-1, 1), pt(-1, -1), pt(-1, 1)], pt(0, 0),
+                        True, True),
+    "repeated_on_one_ray": ([pt(1, 0), pt(1, 0), pt(2, 0), pt(3, 0)], pt(0, 0), False, False),
+    "half_turn_gap": ([pt(1, 0), pt(-1, 0), pt(0, 1), pt(1, 1)], pt(0, 0), True, False),
+}
+
+
+def _hull_answers(p, S):
+    """(closed, strict) from `in_convex_hull`, checked against the subset
+    search, the facet loop and the conftest oracles."""
+    closed, strict = in_convex_hull(p, S), in_convex_hull(p, S, strict=True)
+    assert closed == _hull_contains([w for _, w in _translated_rows(S, p)]), (S, p)
+    assert closed == feasible_by_basis_enumeration(p, S), (S, p)
+    assert strict == strictly_inside_by_facets(p, S), (S, p)
+    assert strict == _strict_hull_contains([q.row for q in S], p.row), (S, p)
+    return closed, strict
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR_HULLS))
+def test_planar_hull_cases(name):
+    S, p, closed, strict = PLANAR_HULLS[name]
+    assert _hull_answers(p, S) == (closed, strict)
+
+
+def test_planar_hull_matches_the_searches():
+    # Clean random sets with the query inside or outside, and degenerate
+    # lattice sets: repeated points, three on a line, the query at a point,
+    # a midpoint or on a line through two points.
+    rng = Random(61)
+    seen = set()
+    for trial in range(600):
+        if trial % 2:
+            S, p = degenerate_lattice_case(rng, 2, 8)
+        else:
+            S = [rand_point(rng, 2, 20) for _ in range(rng.randint(1, 8))]
+            w = [rng.randint(0, 3) for _ in S]
+            inside = Point(sum(wi * q[k] for wi, q in zip(w, S)) / (sum(w) or 1)
+                           for k in range(2))
+            p = inside if rng.randrange(2) else rand_point(rng, 2, 20)
+        seen.add(_hull_answers(p, S))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_planar_hull_of_3000_points_is_decided_in_both_modes():
+    # C(3000, 3) = 4,495,501,000 subsets: the plane is never refused.
+    rng = Random(3)
+    S = [Point([rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)]) for _ in range(3000)]
+    for p, want in ((origin(2), (True, True)), (pt(2 * 10**6, 0), (False, False))):
+        start = perf_counter()
+        got = in_convex_hull(p, S), in_convex_hull(p, S, strict=True)
+        assert perf_counter() - start < 1
+        assert got == want
 
 
 # ------------------------------------------------------------ general position

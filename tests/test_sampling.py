@@ -1,12 +1,13 @@
 """Sampler tests: the integer-row core sampler against its Fraction loop."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from conftest import core_class_by_rejection
-from colourdepth.exact import _scaled_pairs
-from colourdepth.sampling import SamplingError, _draw, _point, random_core_class, random_point
+from colourdepth.exact import Point, _scaled_pairs
+from colourdepth.sampling import SamplingError, _draw, random_core_class, random_point
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -43,4 +44,4 @@ def test_drawn_rows_are_the_rows_of_the_points():
     for d in (1, 2, 3):
         for _ in range(300):
             pairs = _draw(rng, d, 6)
-            assert _scaled_pairs(pairs) == _point(pairs).row, pairs
+            assert _scaled_pairs(pairs) == Point(Fraction(n, q) for n, q in pairs).row, pairs
