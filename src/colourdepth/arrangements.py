@@ -13,16 +13,16 @@ both the order of the rays and every h.
 The depth of every cell is also counted outright, at the sum u of its two
 bounding rays, by the counter under `depth.antipodal_cone_count`: the cones
 covering u are the colourful triangles that hold 0 together with -u.  The
-recounts run on the integer vectors of the sweep, and share one memo of
-minors, so the |X| |Y| minors of the generator pairs are computed once for
-all cells.  Propagation must close up around the circle and must agree with
-every recount; both checks run on every construction.  Each ray is the
-integer vector of its point's row; there is no trigonometry anywhere.
+recounts run on the integer vectors of the sweep, as one count with the
+cells as its last class, so the |X| |Y| generator minors are computed once
+for all cells.  Propagation must close up around the circle and must agree
+with every recount; both checks run on every construction.  Each ray is
+the integer vector of its point's row; there is no trigonometry anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 from .depth import _antipodal_count, _half_turns
@@ -127,14 +127,13 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     # to its hull).  The cones holding it are those holding 0 with its
     # antipode, appended as one more column per cell.
     n = len(order)
-    pairs = list(product(range(sizes[0]), range(sizes[0], n)))
-    cols, minors, cones = list(vecs), {}, []
+    cols = list(vecs)
     for k in range(n):
         a, b = vecs[order[k]], vecs[order[(k + 1) % n]]
         if _cross(a, b) <= 0:
             raise DegenerateArrangementError("consecutive rays spread by half a turn")
         cols.append((-a[0] - b[0], -a[1] - b[1]))
-        cones.append(_antipodal_count(pairs, cols, len(cols) - 1, minors).count)
+    cones, _ = _antipodal_count((*sizes, n), [(0, 1)], cols)
 
     depths = list(accumulate(deltas[1:], initial=cones[0]))
     # closure: crossing the first ray from the last cell returns to the seed

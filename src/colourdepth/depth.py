@@ -31,11 +31,12 @@ Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
 decided by the integer kernel of `exact`: cofactor signs for a simplex, and
 the Caratheodory hull search for degenerate tuples in closed mode.  A
-cofactor is a d x d minor on the tuple's other d points, and neighbouring
-tuples share them, so each query memoises its minors by point keys in a dict
-that lives for that call: monochrome counting computes C(n, d) minors rather
-than (d+1) C(n, d+1), and colourful d = 3 with four classes of four computes
-256 rather than 1,024.
+cofactor is a d x d minor on the tuple's other d points.  Tuples come in
+blocks of d points and a run of last points; each face of d-1 points keeps
+one row of its minors with later points, and a block slices d rows.  So a
+call computes C(n, d) minors for a monochrome count rather than
+(d+1) C(n, d+1), and 256 rather than 1,024 for colourful d = 3 with four
+classes of four.
 The same enumeration can tally, for every point, the counted simplices that
 pick it: `colour_decomposition` returns the depth of the origin together with
 these per-point counts, which for the points of any one colour sum to the
@@ -45,14 +46,14 @@ the elementary symmetric polynomial e_{d+1} of the class sizes, with
 `exact.MAX_TUPLES` and refuses a larger input with an `InputError`; the
 planar sweep is not limited.
 Enumeration is also the oracle the sweep is tested against.  Its order is
-lexicographic over colour index then point index, so witness lists and counts
+colour subsets in lexicographic order, then points, so witness lists and counts
 are reproducible byte for byte, and the enumeration space can be partitioned
 across workers and summed without changing results.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, gcd, lcm
 from operator import mul
 from random import Random
@@ -65,10 +66,9 @@ from .exact import (
     Point,
     _angular_order,
     _check_budget,
+    _cofactors,
     _cross,
-    _det_int,
     _hull_contains,
-    _origin_status,
     _translated_rows,
     in_convex_hull,
     in_general_position_with,
@@ -167,69 +167,79 @@ class ConeCount(NamedTuple):
     degenerate: int
 
 
-def _memo_cofactors(
-    key_tuples: Iterable[tuple[int, ...]],
-    cols: Sequence[tuple[int, ...]],
-    d: int,
-    minors: dict[tuple[int, ...], int] | None = None,
-):
-    """Yield each tuple of d+1 keys with the `_cofactors` of its columns
-    cols[k].
+def _cofactor_blocks(blocks, cols: Sequence[tuple[int, ...]], ends: Sequence[int]):
+    """For each block (P, R) of d keys and a key range, yield P, R, |t_d|
+    and the slices over R of the `_cofactors` t_{d-1} .. t_0 of the tuples
+    P + (k,), all times the sign of t_d (+1 when t_d is zero).
 
-    Cofactor i is the minor on every column but the i-th, with the sign
-    (-1)^(d+i).  Each minor is computed once and memoised by the keys of its
-    columns, so a query costs one determinant per d-subset that occurs
-    rather than d+1 per simplex.  The memo lives for the call unless the
-    caller passes one to share between calls on the same keys and columns.
-    A vertex set must come in one fixed key order.
-    """
-    if minors is None:
-        minors = {}
-    get = minors.get
-    drops = [(i, (d + i) % 2) for i in range(d + 1)]
-    for keys in key_tuples:
-        t = []
-        for i, negate in drops:
-            face = keys[:i] + keys[i + 1:]
-            m = get(face)
-            if m is None:
-                m = minors[face] = _det_int([cols[k] for k in face])
-            t.append(-m if negate else m)
-        yield keys, t
+    t_i is (-1)^(d+i) det(cols[G] + [cols[k]]) for the face G of P without
+    its i-th key, and t_d is det(cols[P]).  A face keeps one row of these
+    minors, from ends[G[-1]] (the first key after the class of its last key)
+    to the end, which must hold R and P[-1]: the dot products with its normal,
+    in closed form up to d = 3, else from `_cofactors` of its transpose."""
+    rows = {}
 
-
-def _count_tuples(
-    key_tuples: Iterable[tuple[int, ...]],
-    scales: Sequence[int],
-    cols: Sequence[tuple[int, ...]],
-    mode: Mode,
-    want_witnesses: bool,
-    tally: list[int] | None = None,
-):
-    """Shared counting core.  key_tuples yields the d+1 indices of each
-    simplex; cols[k] is the integer vector of translated point k and
-    scales[k] its positive scale.  Witnesses are key tuples.  A tally, one entry
-    per key, gains one for every key of every counted simplex."""
-    count = degenerate = boundary = 0
-    witnesses = [] if want_witnesses else None
-    for keys, t in _memo_cofactors(key_tuples, cols, len(cols[0])):
-        open_hit, closed_hit, degen = _origin_status(
-            t, sum(map(mul, map(scales.__getitem__, keys), t))
-        )
-        if degen:
-            degenerate += 1
-            hit = mode == "closed" and _hull_contains([cols[k] for k in keys])
+    def row(G):
+        lo = ends[G[-1]] if G else 0
+        if len(G) == 2:
+            (a, b, c), (e, f, g) = cols[G[0]], cols[G[1]]
+            u, v, w = b * g - c * f, c * e - a * g, a * f - b * e
+            r = [u * x + v * y + w * z for x, y, z in cols[lo:]]
+        elif len(G) == 1:
+            a, b = cols[G[0]]
+            r = [a * y - b * x for x, y in cols[lo:]]
         else:
-            if closed_hit and not open_hit:
+            N = _cofactors(list(zip(*[cols[k] for k in G]))) if G else (1,)
+            r = [sum(map(mul, N, c)) for c in cols[lo:]]
+        rows[G] = e = (lo, r, [-x for x in r])
+        return e
+
+    # combinations(P, d - 1) drops P[d-1-j] at j: t_{d-1-j}, of sign (-1)^(j+1).
+    for P, R in blocks:
+        sl = []
+        for G in combinations(P, len(P) - 1):
+            lo, r, neg = rows.get(G) or row(G)
+            if not sl:
+                td = r[P[-1] - lo]
+                flip = td >= 0
+            sl.append((neg if flip else r)[R.start - lo:R.stop - lo])
+            flip = not flip
+        yield P, R, -td if td < 0 else td, sl
+
+
+def _count_blocks(blocks, scales, cols, ends, mode: Mode, want_witnesses: bool,
+                  tally: list[int] | None = None):
+    """Shared counting core: `exact._origin_status` of each tuple of
+    `_cofactor_blocks`, skipping the determinant sum(scale_i * t_i) of an
+    open hit, whose cofactors of one strict sign cannot sum to zero.  cols[k]
+    is translated point k times its positive scale scales[k].  Witnesses are
+    key tuples; a tally gains one at each key of each counted simplex."""
+    count = degenerate = boundary = 0
+    closed, witnesses = mode == "closed", [] if want_witnesses else None
+    for P, R, td, sl in _cofactor_blocks(blocks, cols, ends):
+        sc, got = [scales[q] for q in P[::-1]], []
+        for k, t in zip(R, zip(*sl)):
+            m = min(t)
+            if m > 0 < td:
+                got.append(k)
+                continue
+            det = sum(map(mul, sc, t)) + scales[k] * td
+            if det == 0:
+                degenerate += 1
+                if closed and _hull_contains([cols[q] for q in P + (k,)]):
+                    got.append(k)
+            elif m >= 0 if det > 0 else td == 0 and max(t) <= 0:
                 boundary += 1
-            hit = open_hit if mode == "open" else closed_hit
-        if hit:
-            count += 1
-            if want_witnesses:
-                witnesses.append(keys)
-            if tally is not None:
-                for k in keys:
-                    tally[k] += 1
+                if closed:
+                    got.append(k)
+        count += len(got)
+        if witnesses is not None:
+            witnesses += [P + (k,) for k in got]
+        if tally is not None:
+            for q in P:
+                tally[q] += len(got)
+            for k in got:
+                tally[k] += 1
     return count, degenerate, boundary, witnesses
 
 
@@ -243,20 +253,17 @@ def _check_query(classes: int, k: int, mode: Mode = "open") -> None:
         raise InputError(f"need at least {k} colour classes to pick from, got {classes}")
 
 
-def _class_keys(config: ColourfulConfiguration) -> list[range]:
-    """The flat point indices of each colour class, classes in order."""
-    out, start = [], 0
-    for cls in config.classes:
-        out.append(range(start, start + len(cls)))
-        start += len(cls)
-    return out
+def _class_keys(sizes: Sequence[int]) -> tuple[list[range], list[int]]:
+    """The flat indices of classes of the given sizes, in order, and for
+    each index the first one after its class: the ends of `_cofactor_blocks`."""
+    keys = [range(e - n, e) for n, e in zip(sizes, accumulate(sizes))]
+    return keys, [k.stop for k in keys for _ in k]
 
 
-def _colourful_keys(class_keys: Sequence[range], colours: Sequence[int], k: int):
-    """Flat index tuples picking one point from each of k of the colours,
-    lexicographic over colour subset then points."""
-    for colour_sub in combinations(colours, k):
-        yield from product(*(class_keys[c] for c in colour_sub))
+def _colourful_blocks(keys: Sequence[range], subsets: Iterable[tuple[int, ...]]):
+    """The blocks picking one key from each class of each subset, in
+    lexicographic order: prefixes over its classes but the last, which is R."""
+    return ((P, keys[c[-1]]) for c in subsets for P in product(*[keys[i] for i in c[:-1]]))
 
 
 def _clean_plane(rows: Sequence[tuple[int, int, int]]) -> bool:
@@ -384,10 +391,10 @@ def monochrome_depth(
         if swept is not None:
             return DepthReport(mode, swept)
     _check_budget([1] * len(S), d + 1)
-    scales, cols = zip(*scaled)
-    count, degenerate, boundary, wit = _count_tuples(
-        combinations(range(len(S)), d + 1), scales, cols, mode, want_witnesses
-    )
+    n = len(S)
+    blocks = ((P, range(P[-1] + 1, n)) for P in combinations(range(n - 1), d))
+    count, degenerate, boundary, wit = _count_blocks(
+        blocks, *zip(*scaled), range(1, n + 1), mode, want_witnesses)
     return DepthReport(mode, count, tuple(wit) if wit is not None else None,
                        degenerate, boundary)
 
@@ -417,15 +424,19 @@ def colourful_depth(
                              [ci for ci, _ in labels])
         if swept is not None:
             return DepthReport(mode, swept)
-    _check_budget(config.class_sizes(), d + 1)
-    scales, cols = zip(*scaled)
-    count, degenerate, boundary, wit = _count_tuples(
-        _colourful_keys(_class_keys(config), range(r), d + 1),
-        scales, cols, mode, want_witnesses,
-    )
+    count, degenerate, boundary, wit = _count_colourful(config, scaled, mode, want_witnesses)
     if wit is not None:
         wit = tuple(tuple(labels[k] for k in keys) for keys in wit)
     return DepthReport(mode, count, wit, degenerate, boundary)
+
+
+def _count_colourful(config, scaled, mode: Mode, want_witnesses: bool, tally=None):
+    """`_count_blocks` over the colourful tuples of config, whose points
+    have the (scale, vector) pairs scaled."""
+    _check_budget(config.class_sizes(), config.dim + 1)
+    keys, ends = _class_keys(config.class_sizes())
+    blocks = _colourful_blocks(keys, combinations(range(config.num_classes), config.dim + 1))
+    return _count_blocks(blocks, *zip(*scaled), ends, mode, want_witnesses, tally)
 
 
 def core_membership(config: ColourfulConfiguration, p: Point, strict: bool = False) -> bool:
@@ -457,11 +468,13 @@ def zero_containing_count(
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d)
     scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
-    class_keys = _class_keys(config)
-    fixed = (class_keys[colour][point],)
-    key_tuples = (fixed + rest for rest in _colourful_keys(class_keys, others, d))
-    count, _, _, _ = _count_tuples(key_tuples, scales, cols, mode, False)
-    return count
+    keys, ends = _class_keys(config.class_sizes())
+    # The fixed key is a class of its own, first; the face ending on it keeps a row of all keys.
+    fixed = keys[colour][point]
+    ends[fixed] = 0
+    keys = [range(fixed, fixed + 1)] + [keys[c] for c in others]
+    blocks = _colourful_blocks(keys, ((0, *c) for c in combinations(range(1, r), d)))
+    return _count_blocks(blocks, scales, cols, ends, mode, False)[0]
 
 
 def colour_decomposition(
@@ -477,17 +490,11 @@ def colour_decomposition(
     `zero_containing_count`, the query point is the origin.  The report has
     no witnesses.
     """
-    d = config.dim
-    r = config.num_classes
-    _check_query(r, d + 1, mode)
-    _check_budget(config.class_sizes(), d + 1)
-    scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
-    class_keys = _class_keys(config)
-    tally = [0] * len(cols)
-    count, degenerate, boundary, _ = _count_tuples(
-        _colourful_keys(class_keys, range(r), d + 1), scales, cols, mode, False, tally
-    )
-    counts = tuple(tuple(tally[k] for k in keys) for keys in class_keys)
+    _check_query(config.num_classes, config.dim + 1, mode)
+    scaled = [(q.row[-1], q.row[:-1]) for q in config.points()]
+    tally = [0] * len(scaled)
+    count, degenerate, boundary, _ = _count_colourful(config, scaled, mode, False, tally)
+    counts = tuple(tuple(tally[k] for k in ks) for ks in _class_keys(config.class_sizes())[0])
     return DepthReport(mode, count, None, degenerate, boundary), counts
 
 
@@ -513,33 +520,27 @@ def antipodal_cone_count(
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d)
     cols = [q.row[:-1] for q in config.points() + [v]]
-    gen_tuples = _colourful_keys(_class_keys(config), others, d)
-    return _antipodal_count(gen_tuples, cols, len(cols) - 1, {})
+    counts, degenerate = _antipodal_count([*config.class_sizes(), 1], combinations(others, d), cols)
+    return ConeCount(counts[0], degenerate)
 
 
-def _antipodal_count(
-    gen_tuples: Iterable[tuple[int, ...]],
-    cols: Sequence[tuple[int, ...]],
-    v: int,
-    minors: dict[tuple[int, ...], int],
-) -> ConeCount:
-    """`antipodal_cone_count` on integer columns: the cones on the key tuples
-    gen_tuples that contain -cols[v].
-
-    minors is the `_memo_cofactors` memo; a caller that counts at several
-    columns v over the same generators passes one memo to all its calls, so
-    each generator minor is computed once.
-    """
+def _antipodal_count(sizes: Sequence[int], subsets, cols) -> tuple[list[int], int]:
+    """`antipodal_cone_count` on integer columns in classes of the given
+    sizes, at every antipode at once: for each key v of the last class, the
+    cones containing -cols[v] whose generators pick one key from each class
+    of a subset, and the number of linearly dependent generator tuples.  So
+    each generator minor is computed once for all antipodes."""
     # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
     # the determinant of the generators (see `cone_contains`).
-    count = degenerate = 0
-    tuples = (gens + (v,) for gens in gen_tuples)
-    for _, t in _memo_cofactors(tuples, cols, len(cols[v]), minors):
-        if t[-1] == 0:
-            degenerate += 1
-        elif all(x * t[-1] >= 0 for x in t):
-            count += 1
-    return ConeCount(count, degenerate)
+    keys, ends = _class_keys(sizes)
+    counts, degenerate = [0] * sizes[-1], 0
+    blocks = _colourful_blocks(keys, ((*c, len(sizes) - 1) for c in subsets))
+    for _, _, td, sl in _cofactor_blocks(blocks, cols, ends):
+        degenerate += td == 0
+        if td:
+            for j, t in enumerate(zip(*sl)):
+                counts[j] += min(t) >= 0
+    return counts, degenerate
 
 
 def core_depth_samples(

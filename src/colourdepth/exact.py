@@ -277,10 +277,10 @@ def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple
 
 
 MAX_TUPLES = 10_000_000
-"""The most vertex tuples one count or hull search enumerates.  A d = 3 tuple
-of random rationals costs about 6 us (Python 3.11 on a 2-vCPU Xeon), so that
-is about a minute, and about three minutes at d = 4.  A larger input raises
-`InputError` with the tuple count instead of running for hours."""
+"""The most vertex tuples one count or hull search enumerates.  A counted
+tuple of random rationals costs about 2.5 us at d = 3 and 4.5 us at d = 4
+(Python 3.11 on a 2-vCPU Xeon), so that is about 25 s and 45 s.  A larger
+input raises `InputError` with the tuple count instead of running for hours."""
 
 
 def _check_budget(sizes: Sequence[int], k: int) -> None:

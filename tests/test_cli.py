@@ -31,14 +31,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def cli_process(argv, timeout=60):
-    """Run `python -m colourdepth.cli` with argv in a fresh process."""
+def cli_process(argv, timeout=60, module="colourdepth.cli"):
+    """Run `python -m colourdepth.cli`, or another module, with argv in a
+    fresh process."""
     root = Path(__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-m", "colourdepth.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_package_runs_as_the_console_script():
+    proc = cli_process(["gen", "identical", "--dim", "3"], module="colourdepth")
+    assert proc.returncode == 0, proc.stderr
+    assert "depth_at_origin: 24" in proc.stdout.splitlines()
+    proc = cli_process(["audit", "mu", "--dim", "0", "--trials", "1"], module="colourdepth")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_gen_sminus_prints_depth(capsys, tmp_path):

@@ -154,6 +154,24 @@ def test_colourful_more_colours_than_needed():
         assert colours == sorted(colours) and len(set(colours)) == 3
 
 
+def test_colourful_witnesses_list_colour_subsets_then_points():
+    # With more than d+1 colours, witnesses come by colour subset first, in
+    # lexicographic order, and by points within one: not sorted, since
+    # ((0, 1), (1, 0), (3, 2)) comes before ((0, 0), (2, 1), (3, 2)).
+    cfg = config(2, TRIANGLE, TRIANGLE, TRIANGLE, TRIANGLE)
+    rep = colourful_depth(cfg, pt(0, 0), "open", want_witnesses=True)
+    assert rep.witnesses == (
+        ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 2), (2, 1)), ((0, 1), (1, 0), (2, 2)),
+        ((0, 1), (1, 2), (2, 0)), ((0, 2), (1, 0), (2, 1)), ((0, 2), (1, 1), (2, 0)),
+        ((0, 0), (1, 1), (3, 2)), ((0, 0), (1, 2), (3, 1)), ((0, 1), (1, 0), (3, 2)),
+        ((0, 1), (1, 2), (3, 0)), ((0, 2), (1, 0), (3, 1)), ((0, 2), (1, 1), (3, 0)),
+        ((0, 0), (2, 1), (3, 2)), ((0, 0), (2, 2), (3, 1)), ((0, 1), (2, 0), (3, 2)),
+        ((0, 1), (2, 2), (3, 0)), ((0, 2), (2, 0), (3, 1)), ((0, 2), (2, 1), (3, 0)),
+        ((1, 0), (2, 1), (3, 2)), ((1, 0), (2, 2), (3, 1)), ((1, 1), (2, 0), (3, 2)),
+        ((1, 1), (2, 2), (3, 0)), ((1, 2), (2, 0), (3, 1)), ((1, 2), (2, 1), (3, 0)),
+    )
+
+
 def test_colourful_witness_order_lexicographic():
     cfg = config(2, TRIANGLE, TRIANGLE, TRIANGLE)
     rep = colourful_depth(cfg, pt(0, 0), "open", want_witnesses=True)
@@ -644,7 +662,7 @@ def test_witnesses_never_take_the_sweep(monkeypatch):
     assert rep.count == len(rep.witnesses) == 5
 
 
-# ----------------------------------------------------------- minor memo
+# ------------------------------------------------------------ block engine
 
 
 def per_tuple(p, tuples, mode):
@@ -666,7 +684,7 @@ def per_tuple(p, tuples, mode):
     return count, tuple(witnesses), degenerate, boundary
 
 
-def memoised(rep):
+def answers(rep):
     return rep.count, rep.witnesses, rep.degenerate, rep.boundary
 
 
@@ -674,26 +692,40 @@ def counters(rep):
     return rep.count, rep.degenerate, rep.boundary
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_memoised_counts_match_per_tuple_loop(d):
-    # Counting memoises every d x d minor by its point keys; each tuple's
-    # answer and both counters must be those of a lone simplex test.  Odd
-    # trials query the origin among the points of a random core
-    # configuration, where most simplices are hit.
+def mixed_scale_case(rng, d, n_max):
+    """d+1 to n_max points with small numerators over a denominator of 1 to
+    3 per point, so that the translated points have unequal scales, and a
+    query point that is one of them, the midpoint of two, or the origin."""
+    dens = [rng.randint(1, 3) for _ in range(rng.randint(d + 1, n_max))]
+    S = [Point(Fraction(rng.randint(-3, 3), den) for _ in range(d)) for den in dens]
+    a, b = rng.choice(S), rng.choice(S)
+    return S, rng.choice([a, Point((x + y) / 2 for x, y in zip(a.coords, b.coords)), origin(d)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_block_counts_match_per_tuple_loop(d):
+    # Counting reads the cofactors of a block of tuples from rows of minors
+    # shared by the faces of its first d points; each tuple's answer and
+    # both counters must be those of a lone simplex test.  Trials cycle
+    # through small-integer lattice input (mixed scales at d = 1, where a
+    # face is empty), the origin among the points of a random core
+    # configuration, where most simplices are hit, and points of unequal
+    # scales.  Planar counts ask for witnesses, so they enumerate too.
     rng = Random(50 + d)
-    for trial in range(40 if d == 3 else 16):
-        if trial % 2:
+    for trial in range({1: 36, 2: 36, 3: 60, 4: 24}[d]):
+        if trial % 3 == 1:
             core = random_core_config(rng, d, d + 1)
             S, p = [*core.classes[0], *core.classes[1][:3]], origin(d)
             cfg = config(d, *(cls[:2] for cls in core.classes))
         else:
-            S, p = degenerate_lattice_case(rng, d, d + 4)
+            lattice = trial % 3 == 0 and d > 1
+            S, p = (degenerate_lattice_case if lattice else mixed_scale_case)(rng, d, d + 4)
             r = d + 1 + trial % 4 // 2
             cfg = config(d, *(S[c::r] or [p] for c in range(r)))
         for mode in ("open", "closed"):
             rep = monochrome_depth(S, p, mode, want_witnesses=True)
             tuples = [(sub, [S[i] for i in sub]) for sub in combinations(range(len(S)), d + 1)]
-            assert memoised(rep) == per_tuple(p, tuples, mode), (S, p, mode)
+            assert answers(rep) == per_tuple(p, tuples, mode), (S, p, mode)
             assert counters(monochrome_depth(S, p, mode)) == counters(rep)
 
         r = cfg.num_classes
@@ -704,5 +736,20 @@ def test_memoised_counts_match_per_tuple_loop(d):
                 for colours in combinations(range(r), d + 1)
                 for picks in product(*(range(len(cfg.classes[c])) for c in colours))
             ]
-            assert memoised(rep) == per_tuple(p, tuples, mode), (cfg, p, mode)
+            assert answers(rep) == per_tuple(p, tuples, mode), (cfg, p, mode)
             assert counters(colourful_depth(cfg, p, mode)) == counters(rep)
+
+        # The fixed colour is first, last and in between among the classes.
+        centred = cfg.translated(-p)
+        for colour, cls in enumerate(centred.classes):
+            others = [c for c in range(r) if c != colour]
+            for k, q in enumerate(cls):
+                tuples = [
+                    (None, [q, *(centred.classes[c][i] for c, i in zip(colours, picks))])
+                    for colours in combinations(others, d)
+                    for picks in product(*(range(len(centred.classes[c])) for c in colours))
+                ]
+                for mode in ("open", "closed"):
+                    assert zero_containing_count(centred, colour, k, mode) == (
+                        per_tuple(origin(d), tuples, mode)[0]
+                    ), (cfg, p, colour, k, mode)
