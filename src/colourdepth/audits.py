@@ -3,9 +3,11 @@ heuristic.
 
 Every audit derives the random state of trial t from seed + t, so a report is
 independent of how trials are scheduled or partitioned across workers, and
-identical inputs produce identical reports byte for byte.  Extremal
-configurations from `constructions` are planted into the bound audits so that
-tightness is witnessed, not just bounded.
+identical inputs produce identical reports byte for byte.  The parity audits
+and `depth_stats` share one trial loop, `_seeded_records`, and every audit
+reports through one builder, `_report`.  Extremal configurations from
+`constructions` are planted into the bound audits so that tightness is
+witnessed, not just bounded.
 
 Parity violations are never expected: the parity statements are theorems for
 valid trials, so a nonzero violation count signals an implementation bug.
@@ -83,18 +85,9 @@ class AuditReport(NamedTuple):
     generation_failures: int = 0
 
     def summary(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "dim": self.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "violations": self.violations,
-            "min_observed": self.min_observed,
-            "max_observed": self.max_observed,
-            "reference_bounds": list(self.reference_bounds),
-            "generation_failures": self.generation_failures,
-        }
-        out.update(self.extra)
+        out = self._asdict()
+        del out["records"]
+        out.update(out.pop("extra"), reference_bounds=list(self.reference_bounds))
         return out
 
     def summary_json(self) -> str:
@@ -109,6 +102,33 @@ def write_csv(report: AuditReport, path) -> None:
         w.writerow(CSV_HEADER)
         for rec in report.records:
             w.writerow([rec.trial, rec.seed, rec.depth, int(rec.core_flag), int(rec.gp_flag)])
+
+
+def _check_trials(d: int, trials: int) -> None:
+    if d < 1:
+        raise InputError("dimension must be at least 1")
+    if trials < 1:
+        raise InputError("trials must be at least 1")
+
+
+def _seeded_records(trials: int, seed: int, keep_records: bool, trial) -> list[TrialRecord]:
+    """Record trial t of range(trials) from trial(Random(seed + t)), which
+    gives the trial's depth report and a call for its strict core flag.  The
+    flag is asked for only when records are kept; otherwise it is False."""
+    records = []
+    for t in range(trials):
+        rep, core = trial(Random(seed + t))
+        gp = rep.degenerate == 0 and rep.boundary == 0
+        records.append(TrialRecord(t, seed + t, rep.count, keep_records and core(), gp))
+    return records
+
+
+def _report(kind: str, d: int, trials: int, seed: int, records, keep_records=True, **fields):
+    """The AuditReport of a run, with the extremes of its recorded depths."""
+    depths = [r.depth for r in records]
+    records = tuple(records) if keep_records else None
+    return AuditReport(kind, d, trials, seed, min_observed=min(depths),
+                       max_observed=max(depths), records=records, **fields)
 
 
 def known_min_core_depth(d: int) -> int:
@@ -136,26 +156,26 @@ def known_max_core_depth(d: int) -> int:
 # ---------------------------------------------------------------------- parity
 
 
-def _draw_monochrome(rng: Random, d: int, n: int, bound: int):
+def _monochrome_trial(rng: Random, d: int, n: int):
     for _ in range(MAX_TRIAL_ATTEMPTS):
-        S = random_points(rng, n, d, bound)
-        p = random_point(rng, d, bound)
+        S = random_points(rng, n, d, DEFAULT_BOUND)
+        p = random_point(rng, d, DEFAULT_BOUND)
         if in_general_position(S + [p]):
-            return S, p
+            return monochrome_depth(S, p, "open"), lambda: in_convex_hull(p, S, strict=True)
     raise AuditViolation("could not draw a general-position monochrome trial")
 
 
-def _draw_colourful(rng: Random, d: int, sizes, bound: int):
+def _colourful_trial(rng: Random, d: int, sizes):
     for _ in range(MAX_TRIAL_ATTEMPTS):
-        classes = tuple(tuple(random_points(rng, s, d, bound)) for s in sizes)
+        classes = tuple(tuple(random_points(rng, s, d, DEFAULT_BOUND)) for s in sizes)
         config = ColourfulConfiguration(d, classes)
-        p = random_point(rng, d, bound)
+        p = random_point(rng, d, DEFAULT_BOUND)
         rep = colourful_depth(config, p, "open")
         # Valid trial: no degenerate colourful tuple and p on no tuple
         # boundary; the counted depth is then locally constant, so the parity
         # statements apply.
         if rep.degenerate == 0 and rep.boundary == 0:
-            return config, p, rep
+            return rep, lambda: core_membership(config, p, strict=True)
     raise AuditViolation("could not draw a clean colourful trial")
 
 
@@ -175,10 +195,7 @@ def parity_audit(
     "colourful_odd_d" (d odd, d+1 points in each of d+1 colours),
     "colourful_even_sizes" (all class sizes even).
     """
-    if d < 1:
-        raise InputError("dimension must be at least 1")
-    if trials < 1:
-        raise InputError("trials must be at least 1")
+    _check_trials(d, trials)
     if kind == "monochrome":
         n = n if n is not None else d + 4
         if (n - d) % 2 != 0:
@@ -197,37 +214,12 @@ def parity_audit(
             raise InputError("every class size must be even")
     else:
         raise InputError(f"unknown parity audit kind {kind!r}")
-
-    violations = 0
-    records = [] if keep_records else None
-    lo = hi = None
-    for t in range(trials):
-        rng = Random(seed + t)
-        if kind == "monochrome":
-            S, p = _draw_monochrome(rng, d, n, DEFAULT_BOUND)
-            rep = monochrome_depth(S, p, "open")
-        else:
-            config, p, rep = _draw_colourful(rng, d, sizes, DEFAULT_BOUND)
-        if rep.count % 2 != 0:
-            violations += 1
-        lo = rep.count if lo is None else min(lo, rep.count)
-        hi = rep.count if hi is None else max(hi, rep.count)
-        if keep_records:
-            if kind == "monochrome":
-                core = in_convex_hull(p, S, strict=True)
-            else:
-                core = core_membership(config, p, strict=True)
-            records.append(TrialRecord(t, seed + t, rep.count, core, True))
-    return AuditReport(
-        kind=f"parity:{kind}",
-        dim=d,
-        trials=trials,
-        seed=seed,
-        violations=violations,
-        min_observed=lo,
-        max_observed=hi,
+    draw, shape = (_monochrome_trial, n) if kind == "monochrome" else (_colourful_trial, sizes)
+    records = _seeded_records(trials, seed, keep_records, lambda rng: draw(rng, d, shape))
+    return _report(
+        f"parity:{kind}", d, trials, seed, records, keep_records,
+        violations=sum(r.depth % 2 for r in records),
         reference_bounds=(0, 0),
-        records=tuple(records) if records is not None else None,
         extra={"n": n, "sizes": list(sizes) if sizes else None},
     )
 
@@ -280,20 +272,13 @@ def mu_audit(d: int, trials: int, core_samples: int, seed: int) -> AuditReport:
     records, failures = _bound_trials(d, trials, seed, planted, measure)
     if not records:
         raise AuditViolation("no usable trials in minimum-depth audit")
-    estimates = [r.depth for r in records]
     lower = known_min_core_depth(d)
-    return AuditReport(
-        kind="mu",
-        dim=d,
-        trials=trials,
-        seed=seed,
-        violations=sum(1 for e in estimates if e < lower),
-        min_observed=min(estimates),
-        max_observed=max(estimates),
+    return _report(
+        "mu", d, trials, seed, records,
+        violations=sum(r.depth < lower for r in records),
         reference_bounds=(lower, lower),
-        records=tuple(records),
-        generation_failures=failures,
         extra={"core_samples": core_samples},
+        generation_failures=failures,
     )
 
 
@@ -307,20 +292,13 @@ def nu_audit(d: int, trials: int, seed: int, *, samples: int = 4) -> AuditReport
     records, failures = _bound_trials(d, trials, seed, gen_splus, measure)
     if not records:
         raise AuditViolation("no usable trials in maximum-depth audit")
-    observed = [r.depth for r in records]
     target = known_max_core_depth(d)
-    return AuditReport(
-        kind="nu",
-        dim=d,
-        trials=trials,
-        seed=seed,
-        violations=sum(1 for v in observed if v > target),
-        min_observed=min(observed),
-        max_observed=max(observed),
+    return _report(
+        "nu", d, trials, seed, records,
+        violations=sum(r.depth > target for r in records),
         reference_bounds=(target, target),
-        records=tuple(records),
-        generation_failures=failures,
         extra={"samples": samples, "proven_max": target},
+        generation_failures=failures,
     )
 
 
@@ -334,46 +312,27 @@ def depth_stats(d: int, trials: int, seed: int, *, keep_records: bool = False) -
     The coordinate sampler is uniform on bounded rationals, hence symmetric
     about 0; the heuristic value assumes exactly such symmetric draws.
     """
-    if d < 1:
-        raise InputError("dimension must be at least 1")
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    total = Fraction(0)
-    clean = 0
-    records = [] if keep_records else None
-    lo = hi = None
+    _check_trials(d, trials)
     zero = origin(d)
-    for t in range(trials):
-        rng = Random(seed + t)
+
+    def trial(rng: Random):
         classes = tuple(
             tuple(random_points(rng, d + 1, d, DEFAULT_BOUND)) for _ in range(d + 1)
         )
         config = ColourfulConfiguration(d, classes)
         rep = colourful_depth(config, zero, "open")
-        gp = rep.degenerate == 0 and rep.boundary == 0
-        clean += gp
-        total += rep.count
-        lo = rep.count if lo is None else min(lo, rep.count)
-        hi = rep.count if hi is None else max(hi, rep.count)
-        if keep_records:
-            core = core_membership(config, zero, strict=True)
-            records.append(TrialRecord(t, seed + t, rep.count, core, gp))
-    mean = total / trials
-    heuristic = Fraction((d + 1) ** (d + 1), 2**d)
-    return AuditReport(
-        kind="stats",
-        dim=d,
-        trials=trials,
-        seed=seed,
+        return rep, lambda: core_membership(config, zero, strict=True)
+
+    records = _seeded_records(trials, seed, keep_records, trial)
+    mean = Fraction(sum(r.depth for r in records), trials)
+    return _report(
+        "stats", d, trials, seed, records, keep_records,
         violations=0,
-        min_observed=lo,
-        max_observed=hi,
         reference_bounds=(0, (d + 1) ** (d + 1)),
-        records=tuple(records) if records is not None else None,
         extra={
             "mean": float(mean),
             "mean_exact": f"{mean.numerator}/{mean.denominator}",
-            "heuristic_mean": float(heuristic),
-            "clean_trials": clean,
+            "heuristic_mean": (d + 1) ** (d + 1) / 2**d,
+            "clean_trials": sum(r.gp_flag for r in records),
         },
     )

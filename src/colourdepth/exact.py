@@ -583,22 +583,21 @@ def _strict_hull_contains(rows: Sequence[tuple[int, ...]], p_row: tuple[int, ...
 def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     """Exact convex hull membership.
 
-    Non-strict containment is a Caratheodory search for a closed simplex of
-    points of S around p.  Strict containment asks for p in the interior of
-    conv(S).  When S has d+1 distinct points, conv(S) is a simplex, and p is
-    interior exactly when it is in the open simplex: the signs of d+1
-    cofactors of the points translated to p, with no rank and no facet
-    normal.  Larger sets must have a full-dimensional hull, and p must lie
-    strictly on the inner side of every supporting hyperplane spanned by d
-    points of S.
-
-    In the plane, every other case reads the angular order of the points
-    translated to p instead (`_plane_hull_contains`), in O(n log n).  In
-    higher dimensions both searches are refused with an `InputError` when S
-    has more than `MAX_TUPLES` (d+1)-subsets of distinct points.
+    In the plane every query, closed or strict, reads the angular order of
+    the points translated to p (`_plane_hull_contains`), in O(n log n).
+    Above the plane, non-strict containment is a Caratheodory search for a
+    closed simplex of points of S around p, and strict containment asks for
+    p in the interior of conv(S).  When S has d+1 distinct points, conv(S)
+    is a simplex, and p is interior exactly when it is in the open simplex:
+    the signs of d+1 cofactors of the points translated to p, with no rank
+    and no facet normal.  Larger sets must have a full-dimensional hull, and
+    p must lie strictly on the inner side of every supporting hyperplane
+    spanned by d points of S.  Both searches are refused with an
+    `InputError` when S has more than `MAX_TUPLES` (d+1)-subsets of
+    distinct points.
     """
     d = _check_dims(S, p.dim)
-    if d == 2 and not (strict and len(set(S)) == 3):
+    if d == 2:
         return _plane_hull_contains([w for _, w in _translated_rows(S, p)], strict)
     _check_budget([1] * len(set(S)), d + 1)
     if not strict:

@@ -170,7 +170,7 @@ def degenerate_lattice_case(rng: Random, d: int, n_max: int):
     if shape == 0:  # generic lattice points, duplicates likely in low d
         S = [lat() for _ in range(n)]
     elif shape == 1:  # repeated points
-        S = [lat() for _ in range(n - 2)]
+        S = [lat() for _ in range(max(n - 2, 1))]
         S += rng.choices(S, k=2)
     elif shape == 2:  # all but one on the hyperplane x_d = 0
         S = [Point(lat().coords[:-1] + (0,)) for _ in range(n - 1)] + [lat()]

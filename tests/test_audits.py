@@ -1,6 +1,7 @@
 """Audit harness tests: determinism, partition invariance, report shapes."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -61,13 +62,20 @@ def test_parity_deterministic_and_partition_invariant():
 @pytest.mark.parametrize("kind, d, kw", [
     ("monochrome", 2, {"n": 6}),
     ("colourful_even_sizes", 2, {}),
+    ("colourful_odd_d", 3, {"trials": 3}),
+    ("stats", 2, {}),
 ])
 def test_parity_summary_does_not_depend_on_records(kind, d, kw):
-    with_records = parity_audit(kind, d, 20, 5, **kw)
-    without = parity_audit(kind, d, 20, 5, keep_records=False, **kw)
+    # Parity audits and depth_stats share one trial loop: kept records add
+    # each trial's strict core flag and change nothing in the summary.
+    audit = partial(depth_stats, d) if kind == "stats" else partial(parity_audit, kind, d)
+    kw = {"trials": 20, "seed": 5, **kw}
+    with_records = audit(keep_records=True, **kw)
+    without = audit(keep_records=False, **kw)
     assert without.records is None
     assert without.summary() == with_records.summary()
-    assert with_records.max_observed == max(r.depth for r in with_records.records)
+    depths = [r.depth for r in with_records.records]
+    assert (with_records.min_observed, with_records.max_observed) == (min(depths), max(depths))
 
 
 def test_known_min_core_depth_is_d_squared_plus_one():

@@ -346,6 +346,7 @@ def test_gen_random_refuses_an_oversized_enumeration_before_sampling(tmp_path):
     ["audit", "stats", "--dim", "0", "--trials", "2"],
     ["audit", "mu", "--dim", "0", "--trials", "2"],
     ["audit", "nu", "--dim", "0", "--trials", "2"],
+    ["audit", "parity", "--dim", "0", "--parity-kind", "colourful_odd_d", "--trials", "2"],
 ])
 def test_dimension_zero_is_one_line_input_error(argv):
     proc = cli_process(argv)

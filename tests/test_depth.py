@@ -707,10 +707,9 @@ def test_block_counts_match_per_tuple_loop(d):
     # Counting reads the cofactors of a block of tuples from rows of minors
     # shared by the faces of its first d points; each tuple's answer and
     # both counters must be those of a lone simplex test.  Trials cycle
-    # through small-integer lattice input (mixed scales at d = 1, where a
-    # face is empty), the origin among the points of a random core
-    # configuration, where most simplices are hit, and points of unequal
-    # scales.  Planar counts ask for witnesses, so they enumerate too.
+    # through small-integer lattice input, the origin among the points of a
+    # random core configuration, where most simplices are hit, and points of
+    # unequal scales.  Planar counts ask for witnesses, so they enumerate too.
     rng = Random(50 + d)
     for trial in range({1: 36, 2: 36, 3: 60, 4: 24}[d]):
         if trial % 3 == 1:
@@ -718,7 +717,7 @@ def test_block_counts_match_per_tuple_loop(d):
             S, p = [*core.classes[0], *core.classes[1][:3]], origin(d)
             cfg = config(d, *(cls[:2] for cls in core.classes))
         else:
-            lattice = trial % 3 == 0 and d > 1
+            lattice = trial % 3 == 0
             S, p = (degenerate_lattice_case if lattice else mixed_scale_case)(rng, d, d + 4)
             r = d + 1 + trial % 4 // 2
             cfg = config(d, *(S[c::r] or [p] for c in range(r)))
