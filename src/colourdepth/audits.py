@@ -36,7 +36,7 @@ from .depth import (
     min_core_depth_estimate,
     monochrome_depth,
 )
-from .exact import InputError, in_convex_hull, in_general_position, origin
+from .exact import InputError, in_general_position, origin
 from .sampling import DEFAULT_BOUND, random_point, random_points
 
 __all__ = [
@@ -161,7 +161,10 @@ def _monochrome_trial(rng: Random, d: int, n: int):
         S = random_points(rng, n, d, DEFAULT_BOUND)
         p = random_point(rng, d, DEFAULT_BOUND)
         if in_general_position(S + [p]):
-            return monochrome_depth(S, p, "open"), lambda: in_convex_hull(p, S, strict=True)
+            # In general position p is interior to conv(S) exactly when it
+            # lies in an open simplex of S: when its open depth is positive.
+            rep = monochrome_depth(S, p, "open")
+            return rep, lambda: rep.count > 0
     raise AuditViolation("could not draw a general-position monochrome trial")
 
 

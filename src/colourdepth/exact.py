@@ -20,11 +20,12 @@ is no floating-point code path.
 Strict hull membership asks for p in the interior of the hull.  When the
 set has d+1 distinct points its hull is a simplex, and p is interior exactly
 when the origin is in the open simplex of the points translated to p: the
-d+1 cofactors of those integer vectors decide it, with no rank and no facet
-normal.  Larger sets take the facet loop.  The same cofactors, taken over
-the d homogeneous rows of a facet, are the normal N of the hyperplane
-through its d points: the (d+1)-determinant of the facet and any point q is
-the dot product N . (q, 1).  The loop computes each facet normal once and
+d+1 minors of those integer vectors must be nonzero and alternate in sign,
+and the test stops at the first that does not (`_open_simplex`), with no
+rank and no facet normal.  Larger sets take the facet loop.  The cofactors
+(signed minors), taken over the d homogeneous rows of a facet, are the
+normal N of the hyperplane through its d points: the (d+1)-determinant of
+the facet and any point q is the dot product N . (q, 1).  The loop computes each facet normal once and
 then decides every point against it with a dot product; a zero normal means
 the facet spans no hyperplane, which is all that query-side general
 position asks of the normal.
@@ -45,7 +46,13 @@ q, r lie on one hyperplane with P exactly when their images in the plane
 R^(d+1) / span(P) are parallel.  Fraction-free elimination of P gives those
 plane vectors, one per d-subset, and hashing their directions decides every
 (d+1)-subset of a pencil at once: C(n, d) plane vectors instead of
-C(n, d+1) determinants.
+C(n, d+1) determinants.  The same pencil, `_pencil`, run on the points
+translated to a query point p, finds no d of them linearly dependent for
+almost every p, which certifies query-side general position from
+C(n, d-1) plane vectors; only when it finds a dependent d-subset, which
+may span no hyperplane, are the d-subsets enumerated.  Above the plane,
+both pencils and that enumeration are refused with more than `MAX_TUPLES`
+subsets, as the hull searches are.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -277,10 +284,13 @@ def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple
 
 
 MAX_TUPLES = 10_000_000
-"""The most vertex tuples one count or hull search enumerates.  A counted
-tuple of random rationals costs about 2.5 us at d = 3 and 4.5 us at d = 4
-(Python 3.11 on a 2-vCPU Xeon), so that is about 25 s and 45 s.  A larger
-input raises `InputError` with the tuple count instead of running for hours."""
+"""The most vertex tuples one count or hull search enumerates.  Above the
+plane it also bounds general position: the d-subsets of a set's pencil, and
+on the query side the (d-1)-subsets of the pencil and the d-subsets of the
+enumeration that follows a dependency.  A counted tuple of random rationals
+costs about 2.5 us at d = 3 and 4.5 us at d = 4 (Python 3.11 on a 2-vCPU
+Xeon), so that is about 25 s and 45 s.  A larger input raises `InputError`
+with the tuple count instead of running for hours."""
 
 
 def _check_budget(sizes: Sequence[int], k: int) -> None:
@@ -400,6 +410,26 @@ def _origin_status(t: Sequence[int], det: int | None = None) -> tuple[bool, bool
     return 0 not in t, True, False
 
 
+def _open_simplex(cols: Sequence[Sequence[int]]) -> bool:
+    """True iff the origin lies in the open simplex of the d+1 integer
+    vectors in dimension d: `_origin_status(_cofactors(cols))[0]`.
+
+    The cofactors alternate the signs of the d x d minors, so the origin is
+    in the open simplex exactly when the minors are nonzero and alternate
+    in sign.  The test stops at the first zero minor or repeated sign.  A
+    repeated vector makes a minor zero.  Each minor leaves out one vector
+    and scales with the others, so scaling each vector by its own positive
+    factor changes no sign, and no answer.
+    """
+    last = 0
+    for i in range(len(cols)):
+        s = _sign(_det_int(cols[:i] + cols[i + 1:]))
+        if s == 0 or s == last:
+            return False
+        last = s
+    return True
+
+
 def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
     """True iff the origin lies in the closed convex hull of the integer vectors.
 
@@ -420,6 +450,65 @@ def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
         return True  # every vector is the origin
     flat = [tuple(r[c] for c in pivots[:-1]) for r in rows]
     return any(_origin_status(_cofactors(sub))[1] for sub in combinations(flat, k + 1))
+
+
+def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
+    """True iff no k of the n integer vectors in Z^k, held as their k
+    columns, are linearly dependent.  At k = 1 that is: every vector is
+    nonzero.
+
+    Pencil certificate.  In the order of the vectors, a k-subset is a prefix
+    P of k-2 vectors followed by two later vectors q, r, and
+    det(P; q; r) = q . C_P r for the antisymmetric k x k matrix C_P of
+    signed (k-2)-minors of P.  C_P is zero when P is linearly dependent;
+    otherwise it has rank 2 and kernel span(P), and for any C_P[a][b] != 0
+    the plane vector pi(q) = (C_P[a] . q, C_P[b] . q) has
+    cross(pi(q), pi(r)) = C_P[a][b] * det(P; q; r).  So no k vectors are
+    dependent exactly when every prefix with two or more later vectors is
+    independent and the plane vectors of its later vectors are nonzero and
+    pairwise non-parallel: reduced by gcd and sign, they go into one set per
+    prefix.  That is C(n, k-1) plane vectors instead of C(n, k)
+    determinants.  Geometrically, the hyperplanes through span(P) form a
+    pencil, and hashing directions decides every k-subset of it at once.
+
+    The plane vectors come from fraction-free (Bareiss) elimination.  Each
+    vector added to a prefix is one elimination step on the vectors after
+    it, so a prefix reuses the work of its own prefix and every division is
+    exact.  Once the k-2 vectors of P are eliminated, q keeps two entries:
+    the (k-1) x (k-1) minors of (P; q) on the pivot columns plus one other
+    column, that is +-C_P[b] . q and +-C_P[a] . q for the two columns a, b
+    without a pivot.  A step is one pass per column.  In a recursive call,
+    cols holds the vectors after a prefix, eliminated by it, as k minus the
+    prefix length columns, and prev is the prefix's last pivot.
+    """
+    if len(cols) == 1:
+        return all(cols[0])
+    if len(cols) == 2:
+        lines = set()
+        for x, y in zip(*cols):
+            g = gcd(x, y)
+            if g == 0:
+                return False  # in the span of the prefix
+            if x < 0 or (x == 0 and y < 0):
+                g = -g
+            lines.add((x // g, y // g))
+        return len(lines) == len(cols[0])
+    # The next prefix vector must leave len(cols) - 1 vectors after it.
+    for i in range(len(cols[0]) + 1 - len(cols)):
+        for j, col in enumerate(cols):
+            if col[i]:
+                break
+        else:
+            return False  # vector i is in the span of the prefix
+        pivot = cols[j][i]
+        below = cols[j][i + 1:]
+        nxt = [
+            [(pivot * x - col[i] * y) // prev for x, y in zip(col[i + 1:], below)]
+            for k, col in enumerate(cols) if k != j
+        ]
+        if not _pencil(nxt, pivot):
+            return False
+    return True
 
 
 def _cross(a: Sequence, b: Sequence):
@@ -561,7 +650,7 @@ def _strict_hull_contains(rows: Sequence[tuple[int, ...]], p_row: tuple[int, ...
         # the vertices translated to p as s_p*Q - s_q*P.
         *P, sp = p_row
         cols = [tuple([sp * a - q[-1] * b for a, b in zip(q, P)]) for q in rows]
-        return _origin_status(_cofactors(cols))[0]
+        return _open_simplex(cols)
     if len(_pivots(rows)) <= d:
         return False  # lower-dimensional hull has empty interior
     for facet in combinations(rows, d):
@@ -611,76 +700,49 @@ def in_general_position(points: Sequence[Point]) -> bool:
     For n >= d+1 points this is equivalent to: no k-dimensional affine flat
     contains k+2 of the points, for any k < d.
 
-    Pencil certificate.  In the order of the homogeneous integer rows, a
-    (d+1)-subset is a prefix P of d-1 rows followed by two later rows q, r,
-    and det(P; q; r) = q . C_P r for the antisymmetric (d+1) x (d+1) matrix
-    C_P of signed (d-1)-minors of P.  C_P is zero when P is affinely
-    dependent; otherwise it has rank 2 and kernel span(P), and for any
-    C_P[a][b] != 0 the plane vector pi(q) = (C_P[a] . q, C_P[b] . q) has
-    cross(pi(q), pi(r)) = C_P[a][b] * det(P; q; r).  So the points are in
-    general position exactly when every prefix with two or more later rows
-    is independent and the plane vectors of its later rows are nonzero and
-    pairwise non-parallel: reduced by gcd and sign, they go into one set per
-    prefix.  That is C(n, d) plane vectors instead of C(n, d+1) determinants.
-
-    The plane vectors come from fraction-free (Bareiss) elimination.  Each
-    row added to a prefix is one elimination step on the rows after it, so
-    a prefix reuses the work of its own prefix and every division is exact.
-    Once the d-1 rows of P are eliminated, q keeps two entries: the d x d
-    minors of (P; q) on the pivot columns plus one other column, that is
-    +-C_P[b] . q and +-C_P[a] . q for the two columns a, b without a pivot.
-    The rows are held column by column, so a step is one pass per column.
+    That is, no d+1 of the homogeneous integer rows are linearly dependent,
+    which the pencil certificate `_pencil` decides from C(n, d) plane
+    vectors instead of C(n, d+1) determinants.  Above the plane, a set with
+    more than `MAX_TUPLES` d-subsets is refused with an `InputError`.
     """
     d = _check_dims(points)
-    rows = [p.row for p in points]
-
-    def extend(cols, prev: int) -> bool:
-        # cols: the rows after a prefix of k rows, eliminated by it, as
-        # d+1-k columns; prev: the prefix's last pivot.
-        if len(cols) == 2:
-            lines = set()
-            for x, y in zip(*cols):
-                g = gcd(x, y)
-                if g == 0:
-                    return False  # in the span of the prefix
-                if x < 0 or (x == 0 and y < 0):
-                    g = -g
-                lines.add((x // g, y // g))
-            return len(lines) == len(cols[0])
-        # The next prefix row must leave len(cols) - 1 rows after it.
-        for i in range(len(cols[0]) + 1 - len(cols)):
-            for j, col in enumerate(cols):
-                if col[i]:
-                    break
-            else:
-                return False  # row i is in the span of the prefix
-            pivot = cols[j][i]
-            below = cols[j][i + 1:]
-            nxt = [
-                [(pivot * x - col[i] * y) // prev for x, y in zip(col[i + 1:], below)]
-                for k, col in enumerate(cols) if k != j
-            ]
-            if not extend(nxt, pivot):
-                return False
-        return True
-
-    return extend([list(col) for col in zip(*rows)], 1)
+    if d > 2:
+        _check_budget([1] * len(points), d)
+    return _pencil([list(col) for col in zip(*[p.row for p in points])])
 
 
 def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     """True iff p avoids every hyperplane spanned by d of the given points.
 
     Subsets of d points that are themselves affinely dependent span no
-    hyperplane (their normal is zero) and are ignored; the normal is computed
-    only for subsets that are affinely dependent together with p.  This is
-    the query-side general position needed for open and closed containment
+    hyperplane (their normal is zero) and are ignored.  This is the
+    query-side general position needed for open and closed containment
     counts to coincide at p.
+
+    Certify, then enumerate.  Subtracting (p, 1) from the other rows of
+    det(base + (p, 1)) leaves the d x d determinant of the vectors q - p,
+    each scaled to integers.  When no d of those vectors are linearly
+    dependent, which the pencil `_pencil` decides from C(n, d-1) plane
+    vectors, p is on no spanned hyperplane.  Otherwise the dependent subset
+    may be one that spans no hyperplane, such as a repeated point, so the
+    d-subsets are enumerated, and the normal is computed only for those
+    whose determinant with p is zero.  Above the plane, the pencil is
+    refused with an `InputError` when there are more than `MAX_TUPLES`
+    (d-1)-subsets, and the enumeration when there are more than
+    `MAX_TUPLES` d-subsets.
     """
     d = _check_dims(list(points) + [p])
-    # Subtracting (p, 1) from the other rows of det(base + (p, 1)) leaves
-    # the d x d determinant of the vectors q - p, each scaled to integers.
+    n = len(points)
+    if n < d:
+        return True
     vecs = [w for _, w in _translated_rows(points, p)]
-    for base in combinations(range(len(points)), d):
+    if d > 2:
+        _check_budget([1] * n, d - 1)
+    if _pencil([list(col) for col in zip(*vecs)]):
+        return True
+    if d > 2:
+        _check_budget([1] * n, d)
+    for base in combinations(range(n), d):
         if _det_int([vecs[i] for i in base]) == 0 and any(
             _cofactors(list(zip(*(points[i].row for i in base))))
         ):

@@ -8,17 +8,23 @@ zero, which makes the per-point distribution centrally symmetric.
 A point is drawn as integer (numerator, denominator) pairs, one per
 coordinate, and drawn again while every numerator is zero, and becomes a
 `Point` through the pair constructor `Point._from_pairs`, with no parsing.
-The core sampler tests each candidate class on the homogeneous integer rows
-of those pairs, made by `exact._scaled_pairs` as `Point` makes its own, and
-builds points only for the class it accepts, handing each its row; most
-candidate classes are rejected.
+Most candidate classes of the core sampler are rejected, so it builds rows
+and points only for the class it accepts.  A class of d+1 points surrounds
+the origin exactly when it is an open simplex around it, a test on the
+signs of d+1 minors that no positive scaling of a point changes.  So each
+draw is tested on its numerators times the product of its own denominators,
+with no lcm, gcd or row, by `exact._open_simplex`.  A larger class is
+tested on the homogeneous integer rows of its pairs, made by
+`exact._scaled_pairs` as `Point` makes its own, which the accepted points
+are then handed.
 """
 
 from __future__ import annotations
 
+from math import prod
 from random import Random
 
-from .exact import InputError, Point, _scaled_pairs, _strict_hull_contains
+from .exact import InputError, Point, _open_simplex, _scaled_pairs, _strict_hull_contains
 
 __all__ = [
     "SamplingError",
@@ -44,6 +50,13 @@ def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
             return pairs
 
 
+def _cleared(pairs: list[tuple[int, int]]) -> list[int]:
+    """The point of the (numerator, denominator) pairs times the product of
+    its denominators: a positive multiple, in integers."""
+    den = prod([q for _, q in pairs])
+    return [n * (den // q) for n, q in pairs]
+
+
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:
     return Point._from_pairs(_draw(rng, dim, bound))
 
@@ -65,9 +78,13 @@ def random_core_class(
     zero_row = (0,) * dim + (1,)
     for _ in range(max_tries):
         draws = [_draw(rng, dim, bound) for _ in range(size)]
-        rows = [_scaled_pairs(pairs) for pairs in draws]
-        if _strict_hull_contains(rows, zero_row):
-            return [Point._from_pairs(pairs, row) for pairs, row in zip(draws, rows)]
+        if size == dim + 1:
+            if _open_simplex([_cleared(pairs) for pairs in draws]):
+                return [Point._from_pairs(pairs) for pairs in draws]
+        else:
+            rows = [_scaled_pairs(pairs) for pairs in draws]
+            if _strict_hull_contains(rows, zero_row):
+                return [Point._from_pairs(pairs, row) for pairs, row in zip(draws, rows)]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"
     )

@@ -2,6 +2,7 @@
 
 import json
 from functools import partial
+from random import Random
 
 import pytest
 
@@ -17,7 +18,9 @@ from colourdepth.audits import (
     parity_audit,
     write_csv,
 )
-from colourdepth.exact import InputError
+from colourdepth import audits
+from colourdepth.depth import monochrome_depth
+from colourdepth.exact import InputError, in_convex_hull
 
 
 def test_parity_monochrome_small_run():
@@ -45,6 +48,29 @@ def test_parity_hypothesis_validation():
         parity_audit("colourful_even_sizes", 2, trials=5, seed=0, sizes=(2, 3, 2))
     with pytest.raises(InputError):
         parity_audit("bogus", 2, trials=5, seed=0)
+
+
+def test_monochrome_core_flag_is_strict_hull_membership(monkeypatch):
+    # A monochrome trial draws S and p in general position, where p is
+    # interior to conv(S) exactly when its open depth is positive; the flag
+    # it reports must be the strict hull test.
+    drawn = []
+
+    def spy(S, p, mode):
+        drawn.append((S, p))
+        return monochrome_depth(S, p, mode)
+
+    monkeypatch.setattr(audits, "monochrome_depth", spy)
+    flags = set()
+    for d in (1, 2, 3, 4):
+        for n in (d + 1, d + 2, d + 4):
+            for seed in range(15):
+                _, core = audits._monochrome_trial(Random(seed), d, n)
+                S, p = drawn[-1]
+                flag = core()
+                assert flag == in_convex_hull(p, S, strict=True), (S, p)
+                flags.add(flag)
+    assert flags == {False, True}
 
 
 def test_parity_deterministic_and_partition_invariant():

@@ -340,6 +340,18 @@ def test_gen_random_refuses_an_oversized_enumeration_before_sampling(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_gen_random_refuses_general_position_above_budget(tmp_path):
+    # At d = 6 the 49 sampled points and the origin have C(50, 6) d-subsets
+    # for the general-position pencil: refused once the classes are drawn.
+    proc = cli_process(["gen", "random", "--dim", "6", "--out", str(tmp_path / "r.json")],
+                       timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: 15890700 vertex tuples to enumerate, more than the limit of 10000000"
+    ]
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "random", "--dim", "0"],
     ["audit", "parity", "--dim", "0", "--trials", "2"],

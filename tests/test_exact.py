@@ -30,6 +30,9 @@ from colourdepth.exact import (
     _cofactors,
     _det_int,
     _hull_contains,
+    _open_simplex,
+    _origin_status,
+    _pencil,
     _strict_hull_contains,
     _translated_rows,
     InputError,
@@ -700,6 +703,79 @@ def test_pencil_finds_the_planted_tuple():
         picks = rng.sample(range(n), d + 1)
         S[picks[-1]] = _affine_combination(rng, [S[x] for x in picks[:-1]], big=trial % 2)
         assert not in_general_position(S), (d, picks)
+
+
+def _spanned_hyperplane_case(rng: Random, d: int):
+    """d to d+4 random rationals, half the time with one point repeated, and
+    a query point that is generic or on the hyperplane spanned by d of them
+    (at d = 1, one of the points)."""
+    S = [rand_point(rng, d, 50) for _ in range(rng.randint(d, d + 4))]
+    if rng.randrange(2):
+        S.insert(rng.randrange(len(S) + 1), rng.choice(S))
+    if rng.randrange(3):
+        return S, _affine_combination(rng, rng.sample(S, d), big=False)
+    return S, rand_point(rng, d, 50)
+
+
+def test_query_side_pencil_matches_subset_oracle():
+    # in_general_position_with certifies with the pencil on the points
+    # translated to p, and enumerates d-subsets only after the pencil finds
+    # a dependent one, which may span no hyperplane (a repeated point).  All
+    # three outcomes occur: certified; dependent and on a spanned
+    # hyperplane; dependent and on none.
+    assert _pencil([[3, -1, 2]]) and not _pencil([[3, 0, 2]])  # k = 1
+    rng = Random(46)
+    seen = set()
+    for trial in range(800):
+        d = 1 + trial % 4
+        if trial % 8 < 4:
+            S, p = _spanned_hyperplane_case(rng, d)
+        else:
+            S, p = degenerate_lattice_case(rng, d, d + 3)
+        certified = _pencil([list(c) for c in zip(*(w for _, w in _translated_rows(S, p)))])
+        got = in_general_position_with(S, p)
+        assert got == general_position_with_by_subsets(S, p), (S, p)
+        assert got or not certified, (S, p)
+        seen.add((certified, got))
+    assert seen == {(True, True), (False, False), (False, True)}
+
+
+def test_general_position_above_budget_is_refused(monkeypatch):
+    # Above the plane the pencils and the query-side enumeration are held to
+    # MAX_TUPLES subsets; the plane is never refused.
+    monkeypatch.setattr(exact, "MAX_TUPLES", 30)
+    rng = Random(48)
+    S3 = [rand_point(rng, 3, 10**6) for _ in range(8)]  # C(8, 2) = 28, C(8, 3) = 56
+    with pytest.raises(InputError, match="56 vertex tuples"):
+        in_general_position(S3)
+    assert in_general_position_with(S3, rand_point(rng, 3, 10**6))  # certified
+    with pytest.raises(InputError, match="56 vertex tuples"):
+        in_general_position_with(S3, _affine_combination(rng, S3[:3], big=False))
+    S2 = [rand_point(rng, 2, 10**6) for _ in range(12)]  # C(12, 2) = 66
+    assert in_general_position(S2)
+    assert not in_general_position_with(S2, _affine_combination(rng, S2[:2], big=False))
+
+
+def test_open_simplex_matches_the_cofactor_status():
+    # The sign-only test against the full cofactor status, on random and
+    # lattice simplices (zero minors, repeated vectors), unchanged when each
+    # vector is scaled by its own positive factor.
+    rng = Random(47)
+    seen = set()
+    for trial in range(1200):
+        d = 1 + trial % 4
+        r = 10**6 if trial % 3 == 0 else 2
+        cols = [tuple(rng.randint(-r, r) for _ in range(d)) for _ in range(d + 1)]
+        if trial % 5 == 0:
+            cols[rng.randrange(d + 1)] = rng.choice(cols)
+        t = _cofactors(cols)
+        want = _origin_status(t)[0]
+        assert _open_simplex(cols) == want, cols
+        scales = rng.choices(range(1, 50), k=d + 1)
+        scaled = [tuple(x * k for x in c) for c, k in zip(cols, scales)]
+        assert _open_simplex(scaled) == want, (cols, scaled)
+        seen.add((want, 0 in t))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_translated_rows_scale_the_rational_difference():
