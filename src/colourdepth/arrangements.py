@@ -104,7 +104,7 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
         raise InputError("cell arrangements are two-dimensional")
     # Each of the |X|+|Y| cells is recounted over all |X| |Y| generator pairs.
     sizes = (len(X), len(Y))
-    _check_budget((*sizes, sum(sizes)), 3)
+    _check_budget((*sizes, sum(sizes)), 3, "recount tuples")
     zero = origin(2)
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")

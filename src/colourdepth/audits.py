@@ -231,8 +231,9 @@ def parity_audit(
 
 
 def _bound_trials(d: int, trials: int, seed: int, planted, measure):
-    """Run measure(config, s), a depth or None, on planted(d, seed=seed) and
-    then on gen_random_core_config(d, d+1, s) for trial t with s = seed + t.
+    """Run measure(config, s), a depth or None, on planted(d) and then on
+    gen_random_core_config(d, d+1, s) for trial t with s = seed + t.  The
+    planted build is deterministic; its record and its measure take s = seed.
 
     Returns the records of the measured configurations and the number of
     failures: a construction error or a measure of None.
@@ -247,7 +248,7 @@ def _bound_trials(d: int, trials: int, seed: int, planted, measure):
         s = seed + max(trial, 0)  # the planted configuration takes the audit's seed
         try:
             if trial == PLANTED_TRIAL:
-                vc = planted(d, seed=s)  # best-effort dimensions may fail to construct
+                vc = planted(d)  # best-effort dimensions may fail to construct
             else:
                 vc = gen_random_core_config(d, d + 1, s)
         except ConstructionError:

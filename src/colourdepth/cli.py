@@ -69,7 +69,7 @@ def _cmd_gen(args) -> int:
     if args.kind == "ngon":
         if args.n is None:
             raise InputError("gen ngon requires --n")
-        pts = gen_regular_ngon(args.n, seed=args.seed)
+        pts = gen_regular_ngon(args.n)
         config = ColourfulConfiguration(2, (tuple(pts),))
         depth = monochrome_depth(pts, origin(2), "open").count
     elif args.kind == "random":
@@ -87,7 +87,6 @@ def _cmd_gen(args) -> int:
             kind=args.kind,
             dim=args.dim,
             epsilon=parse_fraction(args.epsilon) if args.epsilon else None,
-            seed=args.seed,
         )
         vc = generate(spec)
         config, depth = vc.config, vc.claimed_depth_at_origin
@@ -198,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=["identical", "sminus", "sprime", "splus", "ngon", "random"])
     gen.add_argument("--dim", type=int)
     gen.add_argument("--epsilon", type=str, default=None, help="rational, e.g. 1/200")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0,
+                     help="seed of gen random; the other kinds are deterministic and ignore it")
     gen.add_argument("--n", type=int, default=None, help="vertex count for ngon")
     gen.add_argument("--points-per-colour", type=int, default=None)
     gen.add_argument("--out", type=str, default=None, help="write configuration JSON here")

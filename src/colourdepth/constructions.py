@@ -17,10 +17,10 @@ enumeration of the colourful simplices at the origin gives both the depth and
 the count of every point of the last colour (`colour_decomposition`).  Snapping
 gets a tiny deterministic per-point twist (breaking the exact meridian-plane
 and mirror coincidences of the symmetric ideal) plus an exact magnitude
-stagger (breaking affine coplanarities for free).  If any exact check still
-fails, the generator retries with more digits and a seeded jitter; running
-out of retries is an error carrying the achieved count, never a silently
-wrong configuration.
+stagger (breaking affine coplanarities for free).  Each configuration is
+built once and verified once: if any exact check fails, the generator raises
+`ConstructionError` carrying the achieved count, never a silently wrong
+configuration.
 
 Every generator of a claimed depth, the identical-class one and the planar
 straddle `gen_splus(1)` included, ends in the same exact check `_verify`.
@@ -56,8 +56,6 @@ __all__ = [
 ]
 
 BASE_DIGITS = 12
-MAX_DIGITS = 15
-MAX_RETRIES = 8
 RANDOM_CORE_TRIES = 50
 
 # The low ring sits at latitude -LOW_RING_FACTOR*eps, below the high ring at +eps.
@@ -93,7 +91,8 @@ class _Spec(NamedTuple):
 
 
 class ConstructionSpec(_Spec):
-    """Parameters for `generate`; epsilon defaults to 1/(100*dim)."""
+    """Parameters for `generate`; epsilon defaults to 1/(100*dim), and only
+    `random_core` reads the seed."""
 
     __slots__ = ()
 
@@ -139,23 +138,22 @@ def _perp_basis(u: list[float]) -> list[list[float]]:
     return out
 
 
+def _snap(x: float) -> Fraction:
+    """The nearest rational with denominator 10**BASE_DIGITS."""
+    return Fraction(round(x * 10**BASE_DIGITS), 10**BASE_DIGITS)
+
+
 class _Snapper:
-    """Snap float direction targets to rational points.
+    """Snap float direction targets to rational points, once per build.
 
     Applies a deterministic per-point twist (scale eps^2/2000, far below every
-    count margin but far above the snap resolution), an optional seeded jitter
-    for retries, and an exact rational magnitude stagger.
+    count margin but far above the snap resolution) and an exact rational
+    magnitude stagger; the same targets always give the same points.
     """
 
-    def __init__(self, eps: float, digits: int, rng: Random | None, jitter: float):
+    def __init__(self, eps: float):
         self.i = 0
         self.tw = eps * eps / 2000.0
-        self.digits = digits
-        self.rng = rng
-        self.jitter = jitter
-
-    def snap(self, x: float) -> Fraction:
-        return Fraction(round(x * 10**self.digits), 10**self.digits)
 
     def make(self, hor: list[float], lat) -> Point:
         i = self.i
@@ -164,10 +162,8 @@ class _Snapper:
         for t in range(len(hor)):
             w = _TWIST_WEIGHTS[t % len(_TWIST_WEIGHTS)]
             hor[t] += self.tw * (i + 1) * w * (1 if (i + t) % 2 == 0 else -1)
-            if self.jitter:
-                hor[t] += self.rng.uniform(-self.jitter, self.jitter)
-        coords = [self.snap(x) for x in hor]
-        coords.append(lat if isinstance(lat, Fraction) else self.snap(lat))
+        coords = [_snap(x) for x in hor]
+        coords.append(lat if isinstance(lat, Fraction) else _snap(lat))
         scale = 1 + Fraction(i + 1, 89)
         return Point(c * scale for c in coords)
 
@@ -257,25 +253,19 @@ def _verify(
     return VerifiedConfiguration(config, claimed, True, 0, counts)
 
 
-def _retry_build(
-    build, d: int, eps_f: Fraction, expected: list[int], seed: int, what: str
+def _build(
+    build, d: int, eps_f: Fraction, expected: list[int], what: str
 ) -> VerifiedConfiguration:
-    """Run build(d, eps_f, snapper), which returns the colour classes, until
-    its configuration passes `_verify` with the expected last-colour counts."""
-    for attempt in range(MAX_RETRIES + 1):
-        digits = min(BASE_DIGITS + attempt, MAX_DIGITS)
-        rng = Random(f"{what}(d={d}):{seed}:{attempt}")
-        jitter = 0.0 if attempt == 0 else 10.0 ** (-(digits - 3))
-        classes = build(d, eps_f, _Snapper(float(eps_f), digits, rng, jitter))
-        config = ColourfulConfiguration(d, tuple(tuple(x) for x in classes))
-        try:
-            return _verify(config, expected)._replace(retries=attempt)
-        except ConstructionError as failure:
-            last_failure = failure
-    raise ConstructionError(
-        f"{what}(d={d}): verification failed after {MAX_RETRIES} retries: {last_failure}",
-        achieved=last_failure.achieved,
-    )
+    """Run build(d, eps_f, snapper), which returns the colour classes, once,
+    and check its configuration with `_verify` against the expected
+    last-colour counts.  A failed check is raised again as what(d=...): ...,
+    with the achieved depth."""
+    classes = build(d, eps_f, _Snapper(float(eps_f)))
+    config = ColourfulConfiguration(d, tuple(tuple(x) for x in classes))
+    try:
+        return _verify(config, expected)
+    except ConstructionError as failure:
+        raise ConstructionError(f"{what}(d={d}): {failure}", failure.achieved) from None
 
 
 # ------------------------------------------------------------------- generators
@@ -365,13 +355,15 @@ def gen_sminus(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
     simplices (its antipode sits in a deep cell just above the high ring);
     the remaining d points account for one each (their antipodes sit in the
     unique sparse cell below the low ring).  Guaranteed for d in {2, 3};
-    larger d is attempted and verified, with failure reported as an error.
+    larger d is built once and verified, with failure reported as an error.
+    The keyword-only seed has no effect; it goes once the benchmark stops
+    passing it.
     """
     if d < 2:
         raise InputError("the minimum construction needs dimension at least 2")
     eps_f = _resolve_eps(d, epsilon)
     expected = [1 + d * (d - 1)] + [1] * d
-    return _retry_build(_sminus_classes, d, eps_f, expected, seed, "sminus")
+    return _build(_sminus_classes, d, eps_f, expected, "sminus")
 
 
 def _sprime_classes(d: int, eps_f: Fraction, mk: _Snapper) -> list[list[Point]]:
@@ -390,12 +382,13 @@ def gen_sprime(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
     Each of the first d points of the last colour has its antipode moved out
     of the sparse cell through a single boundary facet, ending just above the
     equator, so each generates exactly d origin-containing simplices; the
-    final point (the north pole) generates exactly one.
+    final point (the north pole) generates exactly one.  The keyword-only
+    seed has no effect; it goes once the benchmark stops passing it.
     """
     if d < 2:
         raise InputError("the alternative minimum construction needs dimension at least 2")
     eps_f = _resolve_eps(d, epsilon)
-    return _retry_build(_sprime_classes, d, eps_f, [d] * d + [1], seed, "sprime")
+    return _build(_sprime_classes, d, eps_f, [d] * d + [1], "sprime")
 
 
 def _splus_classes(d: int, eps_f: Fraction, mk: _Snapper) -> list[list[Point]]:
@@ -420,6 +413,8 @@ def gen_splus(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
     covered by all d^d colourful cones picking from high ring and polar
     cluster.  Antipodes of d points of the last colour go in that cell (d^d
     simplices each); the final antipode sits at the south pole (one simplex).
+    The keyword-only seed has no effect; it goes once the benchmark stops
+    passing it.
     """
     if d < 1:
         raise InputError("dimension must be at least 1")
@@ -427,17 +422,18 @@ def gen_splus(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
         straddle = ColourfulConfiguration.from_lists(1, [[(-1,), (2,)], [(-2,), (1,)]])
         return _verify(straddle, [1, 1])
     eps_f = _resolve_eps(d, epsilon)
-    return _retry_build(_splus_classes, d, eps_f, [d**d] * d + [1], seed, "splus")
+    return _build(_splus_classes, d, eps_f, [d**d] * d + [1], "splus")
 
 
-def gen_regular_ngon(n: int, *, seed: int = 0) -> list[Point]:
+def gen_regular_ngon(n: int) -> list[Point]:
     """Rational points approximating the directions of a regular n-gon (d=2).
 
     Each vertex is produced from a snapped tangent half-angle, so the points
-    lie exactly on the unit circle; no three of them can be collinear, and the
-    generator retries until no two are parallel through the origin either, so
-    the points plus the origin are in general position.  Odd n only: with
-    even n the centre sits on diagonals.
+    lie exactly on the unit circle and no three of them can be collinear.
+    The points are built once; if two coincide or two are parallel through
+    the origin, so that the points plus the origin are not in general
+    position, `ConstructionError` is raised.  Odd n only: with even n the
+    centre sits on diagonals.
     """
     if n < 3:
         raise InputError("need at least 3 vertices")
@@ -446,22 +442,17 @@ def gen_regular_ngon(n: int, *, seed: int = 0) -> list[Point]:
             "even n is rejected: the centre lies on the long diagonals of a "
             "regular even-gon, violating general position"
         )
-    for attempt in range(MAX_RETRIES + 1):
-        rng = Random(f"ngon:{n}:{seed}:{attempt}")
-        jitter = 0.0 if attempt == 0 else 10.0 ** (-(BASE_DIGITS - 3))
-        pts = []
-        for k in range(n):
-            theta = 2 * math.pi * k / n
-            if theta > math.pi:
-                theta -= 2 * math.pi
-            t = math.tan(theta / 2) + (rng.uniform(-jitter, jitter) if jitter else 0.0)
-            tf = Fraction(round(t * 10**BASE_DIGITS), 10**BASE_DIGITS)
-            denom = 1 + tf * tf
-            pts.append(Point(((1 - tf * tf) / denom, 2 * tf / denom)))
-        ok = in_general_position(pts + [origin(2)])
-        if ok and len(set(pts)) == n:
-            return pts
-    raise ConstructionError(f"could not place a {n}-gon in general position")
+    pts = []
+    for k in range(n):
+        theta = 2 * math.pi * k / n
+        if theta > math.pi:
+            theta -= 2 * math.pi
+        tf = _snap(math.tan(theta / 2))
+        denom = 1 + tf * tf
+        pts.append(Point(((1 - tf * tf) / denom, 2 * tf / denom)))
+    if not in_general_position(pts + [origin(2)]) or len(set(pts)) != n:
+        raise ConstructionError(f"could not place a {n}-gon in general position")
+    return pts
 
 
 def gen_random_core_config(d: int, points_per_colour: int, seed: int) -> VerifiedConfiguration:
@@ -472,7 +463,7 @@ def gen_random_core_config(d: int, points_per_colour: int, seed: int) -> Verifie
     if points_per_colour < d + 1:
         raise InputError(f"need at least {d + 1} points per colour")
     # Refuse an oversized colourful enumeration before sampling any class.
-    _check_budget([points_per_colour] * (d + 1), d + 1)
+    _check_budget([points_per_colour] * (d + 1), d + 1, "vertex tuples")
     rng = Random(seed)
     for attempt in range(RANDOM_CORE_TRIES):
         try:
@@ -494,16 +485,17 @@ def gen_random_core_config(d: int, points_per_colour: int, seed: int) -> Verifie
 
 _KINDS = {
     "identical": lambda spec: gen_identical(spec.dim),
-    "sminus": lambda spec: gen_sminus(spec.dim, spec.epsilon, seed=spec.seed),
-    "sprime": lambda spec: gen_sprime(spec.dim, spec.epsilon, seed=spec.seed),
-    "splus": lambda spec: gen_splus(spec.dim, spec.epsilon, seed=spec.seed),
+    "sminus": lambda spec: gen_sminus(spec.dim, spec.epsilon),
+    "sprime": lambda spec: gen_sprime(spec.dim, spec.epsilon),
+    "splus": lambda spec: gen_splus(spec.dim, spec.epsilon),
+    "random_core": lambda spec: gen_random_core_config(spec.dim, spec.dim + 1, spec.seed),
 }
 
 
 def generate(spec: ConstructionSpec) -> VerifiedConfiguration:
-    """Dispatch on spec.kind; `random_core` uses dim+1 points per colour."""
-    if spec.kind in _KINDS:
-        return _KINDS[spec.kind](spec)
-    if spec.kind == "random_core":
-        return gen_random_core_config(spec.dim, spec.dim + 1, spec.seed)
-    raise InputError(f"unknown construction kind {spec.kind!r}")
+    """Dispatch on spec.kind; `random_core` uses dim+1 points per colour and
+    is the only kind that reads spec.seed."""
+    build = _KINDS.get(spec.kind)
+    if build is None:
+        raise InputError(f"unknown construction kind {spec.kind!r}")
+    return build(spec)

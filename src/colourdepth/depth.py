@@ -390,7 +390,7 @@ def monochrome_depth(
         swept = _sweep_depth([q.row for q in S], [w for _, w in scaled])
         if swept is not None:
             return DepthReport(mode, swept)
-    _check_budget([1] * len(S), d + 1)
+    _check_budget([1] * len(S), d + 1, "vertex tuples")
     n = len(S)
     blocks = ((P, range(P[-1] + 1, n)) for P in combinations(range(n - 1), d))
     count, degenerate, boundary, wit = _count_blocks(
@@ -433,7 +433,7 @@ def colourful_depth(
 def _count_colourful(config, scaled, mode: Mode, want_witnesses: bool, tally=None):
     """`_count_blocks` over the colourful tuples of config, whose points
     have the (scale, vector) pairs scaled."""
-    _check_budget(config.class_sizes(), config.dim + 1)
+    _check_budget(config.class_sizes(), config.dim + 1, "vertex tuples")
     keys, ends = _class_keys(config.class_sizes())
     blocks = _colourful_blocks(keys, combinations(range(config.num_classes), config.dim + 1))
     return _count_blocks(blocks, *zip(*scaled), ends, mode, want_witnesses, tally)
@@ -466,7 +466,7 @@ def zero_containing_count(
         raise InputError(f"point index {point} out of range")
     _check_query(r - 1, d, mode)
     others = [c for c in range(r) if c != colour]
-    _check_budget([len(config.classes[c]) for c in others], d)
+    _check_budget([len(config.classes[c]) for c in others], d, "vertex tuples")
     scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
     keys, ends = _class_keys(config.class_sizes())
     # The fixed key is a class of its own, first; the face ending on it keeps a row of all keys.
@@ -518,7 +518,7 @@ def antipodal_cone_count(
         raise InputError("v must be nonzero")
     _check_query(r - 1, d)
     others = [c for c in range(r) if c != colour]
-    _check_budget([len(config.classes[c]) for c in others], d)
+    _check_budget([len(config.classes[c]) for c in others], d, "vertex tuples")
     cols = [q.row[:-1] for q in config.points() + [v]]
     counts, degenerate = _antipodal_count([*config.class_sizes(), 1], combinations(others, d), cols)
     return ConeCount(counts[0], degenerate)

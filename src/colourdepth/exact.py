@@ -293,18 +293,19 @@ Xeon), so that is about 25 s and 45 s.  A larger input raises `InputError`
 with the tuple count instead of running for hours."""
 
 
-def _check_budget(sizes: Sequence[int], k: int) -> None:
+def _check_budget(sizes: Sequence[int], k: int, what: str) -> None:
     """Refuse to enumerate more than MAX_TUPLES tuples.  The tuples pick one
     point from each of k of the classes of the given sizes, so there are
     e_k(sizes) of them, the elementary symmetric polynomial; a monochrome
-    count has n classes of one point, and C(n, k) tuples."""
+    count has n classes of one point, and C(n, k) tuples.  The refusal names
+    them by `what`, the caller's noun for what it enumerates."""
     e = [1] + [0] * k
     for size in sizes:
         for j in range(k, 0, -1):
             e[j] += size * e[j - 1]
     if e[k] > MAX_TUPLES:
         raise InputError(
-            f"{e[k]} vertex tuples to enumerate, more than the limit of {MAX_TUPLES}"
+            f"{e[k]} {what} to enumerate, more than the limit of {MAX_TUPLES}"
         )
 
 
@@ -688,7 +689,7 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     d = _check_dims(S, p.dim)
     if d == 2:
         return _plane_hull_contains([w for _, w in _translated_rows(S, p)], strict)
-    _check_budget([1] * len(set(S)), d + 1)
+    _check_budget([1] * len(set(S)), d + 1, "subsets")
     if not strict:
         return _hull_contains([w for _, w in _translated_rows(S, p)])
     return _strict_hull_contains([q.row for q in S], p.row)
@@ -707,7 +708,7 @@ def in_general_position(points: Sequence[Point]) -> bool:
     """
     d = _check_dims(points)
     if d > 2:
-        _check_budget([1] * len(points), d)
+        _check_budget([1] * len(points), d, "pencil subsets")
     return _pencil([list(col) for col in zip(*[p.row for p in points])])
 
 
@@ -737,11 +738,11 @@ def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
         return True
     vecs = [w for _, w in _translated_rows(points, p)]
     if d > 2:
-        _check_budget([1] * n, d - 1)
+        _check_budget([1] * n, d - 1, "pencil subsets")
     if _pencil([list(col) for col in zip(*vecs)]):
         return True
     if d > 2:
-        _check_budget([1] * n, d)
+        _check_budget([1] * n, d, "subsets")
     for base in combinations(range(n), d):
         if _det_int([vecs[i] for i in base]) == 0 and any(
             _cofactors(list(zip(*(points[i].row for i in base))))

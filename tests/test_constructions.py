@@ -14,7 +14,7 @@ from colourdepth.constructions import (
     gen_splus,
     gen_sprime,
     generate,
-    _retry_build,
+    _build,
     _sprime_classes,
 )
 from colourdepth.depth import (
@@ -99,9 +99,12 @@ def test_sminus_rejects_d1():
 
 
 def test_sminus_deterministic():
-    a = gen_sminus(2, seed=5)
-    b = gen_sminus(2, seed=5)
-    assert a.config == b.config
+    # Each band generator builds once, so the ignored seed cannot change it.
+    for gen in (gen_sminus, gen_sprime, gen_splus):
+        for d in (2, 3):
+            a = gen(d)
+            for seed in (0, 5, 7):
+                assert gen(d, seed=seed) == a, (gen.__name__, d, seed)
 
 
 # ------------------------------------------------------------------ alternative
@@ -119,11 +122,25 @@ def test_sprime_counts_match_single_facet_story():
     assert list(vc.last_colour_counts) == [3, 3, 3, 1]
 
 
-def test_retry_exhaustion_reports_the_achieved_depth():
+def test_failed_build_reports_the_achieved_depth():
     # A real build that cannot meet its claim: sprime(2) has depth 5, not 6.
-    with pytest.raises(ConstructionError, match="after 8 retries") as info:
-        _retry_build(_sprime_classes, 2, Fraction(1, 200), [2, 2, 2], 0, "sprime")
+    with pytest.raises(ConstructionError) as info:
+        _build(_sprime_classes, 2, Fraction(1, 200), [2, 2, 2], "sprime")
+    assert str(info.value) == "sprime(d=2): open depth at origin is 5, wanted 6"
     assert info.value.achieved == 5
+
+
+def test_known_failures_at_d4_are_pinned():
+    # Neither band construction meets its claim at d = 4 yet: S- lands in a
+    # cell of the wrong coverage, and S+ has the right depth but flat classes.
+    with pytest.raises(ConstructionError) as info:
+        gen_sminus(4)
+    assert str(info.value) == "sminus(d=4): open depth at origin is 22, wanted 17"
+    assert info.value.achieved == 22
+    with pytest.raises(ConstructionError) as info:
+        gen_splus(4)
+    assert str(info.value) == "splus(d=4): origin is not strictly inside every colour hull"
+    assert info.value.achieved == 1025
 
 
 def test_sprime_has_unique_simplex_point():
@@ -220,6 +237,8 @@ def test_generate_dispatch():
     assert vc.claimed_depth_at_origin == 5
     with pytest.raises(InputError):
         generate(ConstructionSpec(kind="nope", dim=2))
+    vc = generate(ConstructionSpec(kind="random_core", dim=2, seed=4))
+    assert vc == gen_random_core_config(2, 3, seed=4)
 
 
 def test_spec_validation():
