@@ -23,9 +23,11 @@ is read from the sweep itself: no vector is zero, no two neighbours in the
 angular order share a ray, and no half-turn count stops on an opposite ray.
 The points' side, that no two coincide and no three are collinear, is an
 O(n^2) pass hashing the line through every pair, on the points' own integer
-rows.  On clean input no tuple is degenerate and the query point is on no
-simplex boundary, so the open and closed counts agree and both counters are
-zero.
+rows.  It does not depend on the query point, so it is computed once per
+point set in a process: `_clean_plane` is memoized on the tuple of the
+points' lowest-terms rows and holds at most 128 sets.  On clean input no
+tuple is degenerate and the query point is on no simplex boundary, so the
+open and closed counts agree and both counters are zero.
 
 Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
@@ -53,6 +55,7 @@ across workers and summed without changing results.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import comb, gcd, lcm
 from operator import mul
@@ -266,9 +269,15 @@ def _colourful_blocks(keys: Sequence[range], subsets: Iterable[tuple[int, ...]])
     return ((P, keys[c[-1]]) for c in subsets for P in product(*[keys[i] for i in c[:-1]]))
 
 
-def _clean_plane(rows: Sequence[tuple[int, int, int]]) -> bool:
+@lru_cache
+def _clean_plane(rows: tuple[tuple[int, int, int], ...]) -> bool:
     """True iff the points of the homogeneous rows (s * x, s * y, s), s > 0,
     are pairwise distinct and no three of them lie on one line.
+
+    The answer depends on the points alone, so it is memoized on the rows,
+    the 128 most recent sets: a point set asked at many query points is
+    certified once in a process.  Every `Point` keeps its row in lowest
+    terms, so one point set has one key however its coordinates are spelled.
 
     The difference of points j and i times s_i * s_j is s_i * X_j - s_j * X_i;
     reduced by its gcd and sign it names the line through the two, and a
@@ -345,7 +354,10 @@ def _sweep_depth(
     that the points are pairwise distinct with no three on one line
     (`_clean_plane`), and that the query point is none of them and on no
     line through two of them: no vector is zero and no two are parallel,
-    which `_half_turns` reports from the angular order.
+    which `_half_turns` reports from the angular order.  The query side is
+    read first, so a query on such a line never asks for the points' side;
+    that one is computed once per point set in a process, memoized on the
+    rows, for at most 128 sets.
 
     A triple misses the origin exactly when its other two vectors lie in the
     open half-turn after its first one.  Without colours the count is over
@@ -357,7 +369,7 @@ def _sweep_depth(
     n = len(vecs)
     r = 1 if colours is None else max(colours) + 1
     turns = _half_turns(vecs, colours or [0] * n, r)
-    if turns is None or not _clean_plane(rows):
+    if turns is None or not _clean_plane(tuple(rows)):
         return None
     if colours is None:
         return comb(n, 3) - sum(comb(h[0], 2) for _, _, h in turns)
@@ -387,7 +399,7 @@ def monochrome_depth(
     _check_query(len(S), d + 1, mode)
     scaled = _translated_rows(S, p)
     if d == 2 and not want_witnesses:
-        swept = _sweep_depth([q.row for q in S], [w for _, w in scaled])
+        swept = _sweep_depth(tuple(q.row for q in S), [w for _, w in scaled])
         if swept is not None:
             return DepthReport(mode, swept)
     _check_budget([1] * len(S), d + 1, "vertex tuples")
@@ -420,7 +432,7 @@ def colourful_depth(
     scaled = _translated_rows(points, p)
     labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
     if d == 2 and not want_witnesses:
-        swept = _sweep_depth([q.row for q in points], [w for _, w in scaled],
+        swept = _sweep_depth(tuple(q.row for q in points), [w for _, w in scaled],
                              [ci for ci, _ in labels])
         if swept is not None:
             return DepthReport(mode, swept)

@@ -480,8 +480,12 @@ def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
     column, that is +-C_P[b] . q and +-C_P[a] . q for the two columns a, b
     without a pivot.  A step is one pass per column.  In a recursive call,
     cols holds the vectors after a prefix, eliminated by it, as k minus the
-    prefix length columns, and prev is the prefix's last pivot.
+    prefix length columns, and prev is the prefix's last pivot.  Fewer than
+    k vectors have no k-subset, so they pass; a recursive call always has k
+    or more.
     """
+    if len(cols[0]) < len(cols):
+        return True
     if len(cols) == 1:
         return all(cols[0])
     if len(cols) == 2:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import parse_by_fraction_strings
 from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
-from colourdepth.depth import ColourfulConfiguration
+from colourdepth.depth import ColourfulConfiguration, _clean_plane
 from colourdepth.exact import pt
 from colourdepth.sampling import random_core_class
 
@@ -611,3 +611,28 @@ def test_cli_fuzz_exits_zero_or_two(call):
     event(f"{argv[0]} exit {code}")
     assert code in (0, 2), (argv, payload, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_repeated_planar_queries_reuse_the_points_certificate(tmp_path):
+    # The points' side of the sweep's certificate is memoized per point set:
+    # in one process, the second and third query on one file reuse it and
+    # print the bytes of the first, which are those of a fresh process.
+    path = tmp_path / "pts.json"
+    rng = Random(9)
+    path.write_text(json.dumps(
+        {"points": [[rng.randint(-10**3, 10**3) for _ in range(2)] for _ in range(40)]}
+    ))
+    argv = ["depth", "--points", str(path), "--point", "1/3,-1/7"]
+    _clean_plane.cache_clear()
+    outs = []
+    for _ in range(3):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        outs.append(out.getvalue())
+    info = _clean_plane.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    proc = cli_process(argv)
+    assert proc.returncode == 0
+    assert outs == [proc.stdout] * 3
+    assert "degenerate: 0\n" in proc.stdout

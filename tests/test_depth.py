@@ -600,7 +600,7 @@ QUERY_ON_A_LINE = {
 def test_query_on_a_line_through_two_points_is_enumerated(name):
     S = QUERY_ON_A_LINE[name]
     assert in_general_position(S) and not in_general_position_with(S, origin(2))
-    assert depth._clean_plane([q.row for q in S])
+    assert depth._clean_plane(tuple(q.row for q in S))
     assert swept(S, origin(2)) is None
     cfg = config(2, S[0::3], S[1::3], S[2::3])
     assert swept_colourful(cfg, origin(2)) is None
@@ -614,7 +614,7 @@ def test_query_on_a_line_through_two_points_is_enumerated(name):
 def test_collinear_points_away_from_the_query_are_enumerated():
     S = [pt(1, 1), pt(2, 3), pt(3, 5), pt(-2, 1), pt(1, -4)]
     p = pt(-1, 0)
-    assert in_general_position_with(S, p) and not depth._clean_plane([q.row for q in S])
+    assert in_general_position_with(S, p) and not depth._clean_plane(tuple(q.row for q in S))
     assert swept(S, p) is None
     for mode in ("open", "closed"):
         rep = monochrome_depth(S, p, mode)
@@ -647,9 +647,57 @@ def test_clean_plane_is_the_planar_pencil():
         clean = swept(S, p) is not None
         assert clean == in_general_position(S + [p]), (S, p)
         if n > 2:
-            assert depth._clean_plane([q.row for q in S]) == in_general_position(S), S
+            assert depth._clean_plane(tuple(q.row for q in S)) == in_general_position(S), S
         kinds[clean] += 1
     assert min(kinds.values()) > 50
+
+
+# The points' certificate is memoized; each case is asked cold, then warm.
+MEMO_CASES = {
+    "clean": ([pt(3, 1), pt(-1, 3), pt(-2, -3), pt(5, -1), pt(1, 5), pt(-5, 2)], pt(1, 1)),
+    # a collinear triple away from the query: a cached False still enumerates
+    "collinear_away": ([pt(1, 1), pt(2, 3), pt(3, 5), pt(-2, 1), pt(1, -4)], pt(-1, 0)),
+    "query_on_a_line": (QUERY_ON_A_LINE["on_a_segment"], origin(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_memoized_certificate_gives_the_cold_reports(name):
+    S, p = MEMO_CASES[name]
+    cfg = config(2, S[0::3], S[1::3], S[2::3])
+    for counter, args in ((monochrome_depth, (S, p)), (colourful_depth, (cfg, p))):
+        for mode in ("open", "closed"):
+            depth._clean_plane.cache_clear()
+            cold = counter(*args, mode)
+            warm = counter(*args, mode)
+            assert warm == cold
+            assert fields(cold) == fields(enumerated(counter, *args, mode))
+            info = depth._clean_plane.cache_info()
+            if name == "query_on_a_line":  # the query side refuses first
+                assert (info.hits, info.misses) == (0, 0)
+            else:
+                assert (info.hits, info.misses) == (1, 1)
+            assert (cold.degenerate > 0) == (name == "collinear_away")
+
+
+def test_one_point_set_has_one_memo_key_however_spelled():
+    S = [pt(3, 1), pt(-1, 3), pt(-2, -3), pt(4, -1)]
+    respelled = [pt(Fraction(6, 2), "2/2"), pt("-3/3", "6/2"), pt("-4/2", -3), pt(4, "-3/3")]
+    depth._clean_plane.cache_clear()
+    assert monochrome_depth(S, origin(2)) == monochrome_depth(respelled, origin(2))
+    info = depth._clean_plane.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_memo_holds_at_most_its_bound_of_point_sets():
+    # An audit draws a fresh set per trial; the memo keeps the most recent.
+    depth._clean_plane.cache_clear()
+    rng = Random(31)
+    for _ in range(200):
+        S = random_points(rng, 5, 2, bound=1000)
+        monochrome_depth(S, random_points(rng, 1, 2, bound=1000)[0])
+    info = depth._clean_plane.cache_info()
+    assert info.misses == 200 and info.currsize == info.maxsize == 128
 
 
 def test_witnesses_never_take_the_sweep(monkeypatch):

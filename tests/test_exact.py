@@ -705,6 +705,23 @@ def test_pencil_finds_the_planted_tuple():
         assert not in_general_position(S), (d, picks)
 
 
+def test_pencil_matches_determinants_of_every_k_subset():
+    # _pencil on n small lattice vectors in Z^k against the Leibniz
+    # determinant of every k-subset, zero vectors included.  With n < k
+    # there is no k-subset, so nothing is dependent.
+    assert _pencil([[0], [0]]) and _pencil([[0, 0], [0, 0], [0, 0]])  # k = 2, 3
+    rng = Random(47)
+    seen = {True: 0, False: 0}
+    for trial in range(3000):
+        k = 1 + trial % 5
+        n = rng.randint(1, 9)
+        vecs = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        want = all(det_by_permutations([vecs[i] for i in c]) for c in combinations(range(n), k))
+        assert _pencil([list(col) for col in zip(*vecs)]) == want, (k, vecs)
+        seen[want] += 1
+    assert min(seen.values()) > 500
+
+
 def _spanned_hyperplane_case(rng: Random, d: int):
     """d to d+4 random rationals, half the time with one point repeated, and
     a query point that is generic or on the hyperplane spanned by d of them
