@@ -33,7 +33,6 @@ from .audits import (
 )
 from .constructions import (
     ConstructionError,
-    ConstructionSpec,
     VerifiedConfiguration,
     gen_identical,
     gen_random_core_config,
@@ -41,7 +40,6 @@ from .constructions import (
     gen_sminus,
     gen_splus,
     gen_sprime,
-    generate,
 )
 from .depth import (
     ColourfulConfiguration,

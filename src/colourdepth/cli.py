@@ -28,10 +28,12 @@ from .arrangements import (
 from .audits import AuditViolation, depth_stats, mu_audit, nu_audit, parity_audit, write_csv
 from .constructions import (
     ConstructionError,
-    ConstructionSpec,
+    gen_identical,
     gen_random_core_config,
     gen_regular_ngon,
-    generate,
+    gen_sminus,
+    gen_splus,
+    gen_sprime,
 )
 from .depth import (
     ColourfulConfiguration,
@@ -83,12 +85,16 @@ def _cmd_gen(args) -> int:
     else:
         if args.dim is None:
             raise InputError(f"gen {args.kind} requires --dim")
-        spec = ConstructionSpec(
-            kind=args.kind,
-            dim=args.dim,
-            epsilon=parse_fraction(args.epsilon) if args.epsilon else None,
-        )
-        vc = generate(spec)
+        epsilon = parse_fraction(args.epsilon) if args.epsilon else None
+        if args.dim < 1:
+            raise InputError("dimension must be at least 1")
+        if epsilon is not None and epsilon <= 0:
+            raise InputError("epsilon must be positive")
+        if args.kind == "identical":
+            vc = gen_identical(args.dim)
+        else:
+            build = {"sminus": gen_sminus, "sprime": gen_sprime, "splus": gen_splus}[args.kind]
+            vc = build(args.dim, epsilon)
         config, depth = vc.config, vc.claimed_depth_at_origin
     if args.out:
         save_config(config, args.out)

@@ -44,7 +44,6 @@ from .sampling import DEFAULT_BOUND, SamplingError, random_core_class
 
 __all__ = [
     "ConstructionError",
-    "ConstructionSpec",
     "VerifiedConfiguration",
     "gen_identical",
     "gen_sminus",
@@ -52,7 +51,6 @@ __all__ = [
     "gen_splus",
     "gen_regular_ngon",
     "gen_random_core_config",
-    "generate",
 ]
 
 BASE_DIGITS = 12
@@ -81,27 +79,6 @@ class VerifiedConfiguration(NamedTuple):
     verified: bool
     retries: int
     last_colour_counts: tuple[int, ...] = ()
-
-
-class _Spec(NamedTuple):
-    kind: str
-    dim: int
-    epsilon: Fraction | None = None
-    seed: int = 0
-
-
-class ConstructionSpec(_Spec):
-    """Parameters for `generate`; epsilon defaults to 1/(100*dim), and only
-    `random_core` reads the seed."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, dim: int, epsilon: Fraction | None = None, seed: int = 0):
-        if dim < 1:
-            raise InputError("dimension must be at least 1")
-        if epsilon is not None and epsilon <= 0:
-            raise InputError("epsilon must be positive")
-        return super().__new__(cls, kind, dim, epsilon, seed)
 
 
 # ----------------------------------------------------------- float scaffolding
@@ -450,7 +427,7 @@ def gen_regular_ngon(n: int) -> list[Point]:
         tf = _snap(math.tan(theta / 2))
         denom = 1 + tf * tf
         pts.append(Point(((1 - tf * tf) / denom, 2 * tf / denom)))
-    if not in_general_position(pts + [origin(2)]) or len(set(pts)) != n:
+    if not in_general_position(pts + [origin(2)]):
         raise ConstructionError(f"could not place a {n}-gon in general position")
     return pts
 
@@ -482,20 +459,3 @@ def gen_random_core_config(d: int, points_per_colour: int, seed: int) -> Verifie
         f"no general-position core configuration after {RANDOM_CORE_TRIES} attempts"
     )
 
-
-_KINDS = {
-    "identical": lambda spec: gen_identical(spec.dim),
-    "sminus": lambda spec: gen_sminus(spec.dim, spec.epsilon),
-    "sprime": lambda spec: gen_sprime(spec.dim, spec.epsilon),
-    "splus": lambda spec: gen_splus(spec.dim, spec.epsilon),
-    "random_core": lambda spec: gen_random_core_config(spec.dim, spec.dim + 1, spec.seed),
-}
-
-
-def generate(spec: ConstructionSpec) -> VerifiedConfiguration:
-    """Dispatch on spec.kind; `random_core` uses dim+1 points per colour and
-    is the only kind that reads spec.seed."""
-    build = _KINDS.get(spec.kind)
-    if build is None:
-        raise InputError(f"unknown construction kind {spec.kind!r}")
-    return build(spec)

@@ -212,11 +212,14 @@ def _cofactor_blocks(blocks, cols: Sequence[tuple[int, ...]], ends: Sequence[int
 
 def _count_blocks(blocks, scales, cols, ends, mode: Mode, want_witnesses: bool,
                   tally: list[int] | None = None):
-    """Shared counting core: `exact._origin_status` of each tuple of
-    `_cofactor_blocks`, skipping the determinant sum(scale_i * t_i) of an
-    open hit, whose cofactors of one strict sign cannot sum to zero.  cols[k]
-    is translated point k times its positive scale scales[k].  Witnesses are
-    key tuples; a tally gains one at each key of each counted simplex."""
+    """Shared counting core: a tuple of `_cofactor_blocks` with cofactors t
+    is degenerate when det = sum(scale_i * t_i), the scales' product times
+    the unscaled determinant, is zero, else a closed hit when no t_i has the
+    sign opposite to det, and an open one when no t_i is zero either.  An
+    open hit skips det: cofactors of one strict sign cannot sum to zero.
+    cols[k] is translated point k times its positive scale scales[k].
+    Witnesses are key tuples; a tally gains one at each key of each counted
+    simplex."""
     count = degenerate = boundary = 0
     closed, witnesses = mode == "closed", [] if want_witnesses else None
     for P, R, td, sl in _cofactor_blocks(blocks, cols, ends):

@@ -12,10 +12,11 @@ pair constructor `Point._from_pairs`.
 Predicates and counters read the rows and never rescale a point.  A point
 translated to a query point p is formed on those integer rows too, as
 s_p * Q - s_q * P, so no rational difference is ever built.  One
-integer kernel sits under all of them: a determinant (closed forms up to
-3x3, Bareiss above), a Bareiss echelon for ranks and pivot columns, and the
-cofactors that give the barycentric signs of the origin in a simplex.  There
-is no floating-point code path.
+integer kernel sits under all of them: one Bareiss echelon, `_echelon`,
+for ranks, pivot columns and determinants above 3x3 (closed forms below),
+and the cofactors that give the barycentric signs of the origin in a
+simplex.  Every hull test reads the points translated to the query point,
+which is then the origin.  There is no floating-point code path.
 
 Strict hull membership asks for p in the interior of the hull.  When the
 set has d+1 distinct points its hull is a simplex, and p is interior exactly
@@ -25,10 +26,12 @@ and the test stops at the first that does not (`_open_simplex`), with no
 rank and no facet normal.  Larger sets take the facet loop.  The cofactors
 (signed minors), taken over the d homogeneous rows of a facet, are the
 normal N of the hyperplane through its d points: the (d+1)-determinant of
-the facet and any point q is the dot product N . (q, 1).  The loop computes each facet normal once and
-then decides every point against it with a dot product; a zero normal means
-the facet spans no hyperplane, which is all that query-side general
-position asks of the normal.
+the facet and any point q is the dot product N . (q, 1).  The loop computes
+each facet normal once and then decides every point against it with a dot
+product; the query point, translated to the origin, is on the side of the
+sign of the last entry of N.  A zero normal means the facet spans no
+hyperplane, which is all that query-side general position asks of the
+normal.
 
 In the plane, hull membership needs neither search.  The points translated
 to p, sorted once by angle, leave a gap of more than a half-turn between
@@ -270,9 +273,9 @@ def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple
     the rows (Q, s_q) and (P, s_p) of the points as (s_p * s_q, s_p * Q - s_q * P).
 
     This is the translation to p in integers: no rational is formed, and the
-    scale is positive, which is all a containment decision or the
-    `_origin_status` degenerate test asks of it (it need not be the scale of
-    the row of q - p).
+    scale is positive, which is all a containment decision asks of it (it
+    need not be the scale of the row of q - p).  Each point has one pair, so
+    the distinct pairs are the distinct points.
     """
     *P, sp = p.row
     out = []
@@ -309,9 +312,46 @@ def _check_budget(sizes: Sequence[int], k: int, what: str) -> None:
         )
 
 
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """(pivot columns, determinant) of an integer matrix, by fraction-free
+    (Bareiss) row echelon elimination: every entry stays an integer minor of
+    the input and every division is exact.
+
+    The rank is the number of pivot columns.  A row swap flips the sign, so
+    for a square matrix of full rank the last pivot times that sign is the
+    determinant; any other shape or rank gives 0.
+    """
+    a = [list(row) for row in rows]
+    n, cols = len(a), len(a[0])
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if not a[r][c]:
+            for i in range(r + 1, n):
+                if a[i][c]:
+                    a[r], a[i] = a[i], a[r]
+                    sign = -sign
+                    break
+            else:
+                continue
+        top = a[r]
+        pivot = top[c]
+        for i in range(r + 1, n):
+            row = a[i]
+            x = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * pivot - x * top[j]) // prev
+        prev = pivot
+        pivots.append(c)
+        if r + 1 == n:
+            break
+    return pivots, sign * prev if n == cols == len(pivots) else 0
+
+
 def _det_int(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix: closed forms up to 3x3, the
-    fraction-free Bareiss elimination above."""
+    `_echelon` elimination above."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -321,51 +361,7 @@ def _det_int(m: Sequence[Sequence[int]]) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _pivots(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of the row echelon form of an integer matrix; the rank
-    is their number.
-
-    Fraction-free (Bareiss) elimination: every entry stays an integer minor
-    of the input and every division is exact.
-    """
-    a = [list(row) for row in rows]
-    cols = len(a[0])
-    pivots: list[int] = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        for i in range(r + 1, len(a)):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-        prev = a[r][c]
-        pivots.append(c)
-        if r + 1 == len(a):
-            break
-    return pivots
+    return _echelon(m)[1]
 
 
 def _sign(x) -> int:
@@ -392,28 +388,9 @@ def _cofactors(cols: Sequence[Sequence[int]]) -> list[int]:
     return [m if (n - 1 + i) % 2 == 0 else -m for i, m in enumerate(minors)]
 
 
-def _origin_status(t: Sequence[int], det: int | None = None) -> tuple[bool, bool, bool]:
-    """(open_hit, closed_hit, degenerate) for the origin and the simplex on
-    d+1 integer vectors in dimension d, given their `_cofactors` t.
-
-    det defaults to sum(t), the determinant.  When each vector is the one it
-    stands for times its own positive scale, pass sum(scale_i * t_i), which
-    is the product of the scales times the unscaled determinant: degenerate
-    then means the unscaled vectors are affinely dependent.  The hits do not
-    depend on the scales.
-    """
-    if det is None:
-        det = sum(t)
-    if det == 0:
-        return False, False, True
-    if det > 0 and min(t) < 0 or det < 0 and max(t) > 0:
-        return False, False, False
-    return 0 not in t, True, False
-
-
 def _open_simplex(cols: Sequence[Sequence[int]]) -> bool:
     """True iff the origin lies in the open simplex of the d+1 integer
-    vectors in dimension d: `_origin_status(_cofactors(cols))[0]`.
+    vectors in dimension d: their `_cofactors` are nonzero and of one sign.
 
     The cofactors alternate the signs of the d x d minors, so the origin is
     in the open simplex exactly when the minors are nonzero and alternate
@@ -440,7 +417,7 @@ def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
     one-to-one onto R^k, so the search runs on projected (k+1)-subsets.
     """
     rows = list(dict.fromkeys(c + (1,) for c in cols))
-    pivots = _pivots(rows)
+    pivots = _echelon(rows)[0]
     d = len(rows[0]) - 1
     if pivots[-1] != d:
         # The ones column is a pivot exactly when the linear rank is k,
@@ -450,7 +427,10 @@ def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
     if k == 0:
         return True  # every vector is the origin
     flat = [tuple(r[c] for c in pivots[:-1]) for r in rows]
-    return any(_origin_status(_cofactors(sub))[1] for sub in combinations(flat, k + 1))
+    # The origin is in a closed simplex exactly when its cofactors are not
+    # all zero and none has the sign opposite to their sum.
+    return any(any(t) and (min(t) >= 0 or max(t) <= 0)
+               for t in map(_cofactors, combinations(flat, k + 1)))
 
 
 def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
@@ -620,10 +600,7 @@ def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     _check_simplex(p, vertices)
     cols = [w for _, w in _translated_rows(vertices, p)]
-    open_hit, closed_hit, degenerate = _origin_status(_cofactors(cols))
-    if degenerate:
-        return mode == "closed" and _hull_contains(cols)
-    return open_hit if mode == "open" else closed_hit
+    return _open_simplex(cols) if mode == "open" else _hull_contains(cols)
 
 
 def cone_contains(generators: Sequence[Point], v: Point) -> bool:
@@ -640,23 +617,22 @@ def cone_contains(generators: Sequence[Point], v: Point) -> bool:
     return all(x * t[-1] >= 0 for x in t)
 
 
-def _strict_hull_contains(rows: Sequence[tuple[int, ...]], p_row: tuple[int, ...]) -> bool:
-    """`in_convex_hull(p, S, strict=True)` on the homogeneous integer rows
-    (s * x, s), s > 0, of the points of S and of p.
+def _strict_hull_contains(pairs: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
+    """`in_convex_hull(p, S, strict=True)` on the `_translated_rows` pairs
+    (s, w), s > 0, of S: the origin, p translated, is interior to the hull.
 
-    Each point must have one row whichever way its coordinates are written,
-    as `_scaled_pairs` makes them, so that the distinct rows are the distinct
-    points.
+    Each point must have one pair, as `_translated_rows` makes them, so that
+    the distinct pairs are the distinct points.  The facet loop reads the
+    homogeneous rows (w, s); the origin's side of a facet is the sign of the
+    last entry of its normal.
     """
-    rows = list(dict.fromkeys(rows))
-    d = len(p_row) - 1
-    if len(rows) == d + 1:
-        # A simplex: p is interior iff it is in the open simplex, decided on
-        # the vertices translated to p as s_p*Q - s_q*P.
-        *P, sp = p_row
-        cols = [tuple([sp * a - q[-1] * b for a, b in zip(q, P)]) for q in rows]
-        return _open_simplex(cols)
-    if len(_pivots(rows)) <= d:
+    pairs = list(dict.fromkeys(pairs))
+    d = len(pairs[0][1])
+    if len(pairs) == d + 1:
+        # A simplex: the origin is interior iff it is in the open simplex.
+        return _open_simplex([w for _, w in pairs])
+    rows = [(*w, s) for s, w in pairs]
+    if len(_echelon(rows)[0]) <= d:
         return False  # lower-dimensional hull has empty interior
     for facet in combinations(rows, d):
         normal = _cofactors(list(zip(*facet)))
@@ -669,21 +645,22 @@ def _strict_hull_contains(rows: Sequence[tuple[int, ...]], p_row: tuple[int, ...
                 break
         if pos == neg:
             continue  # cuts through S, or spans no hyperplane
-        if _sign(sum(map(mul, normal, p_row))) != (1 if pos else -1):
+        if _sign(normal[-1]) != (1 if pos else -1):
             return False
     return True
 
 
 def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
-    """Exact convex hull membership.
+    """Exact convex hull membership, decided on the points of S translated
+    to p, so that p is the origin.
 
     In the plane every query, closed or strict, reads the angular order of
-    the points translated to p (`_plane_hull_contains`), in O(n log n).
+    the translated points (`_plane_hull_contains`), in O(n log n).
     Above the plane, non-strict containment is a Caratheodory search for a
     closed simplex of points of S around p, and strict containment asks for
     p in the interior of conv(S).  When S has d+1 distinct points, conv(S)
     is a simplex, and p is interior exactly when it is in the open simplex:
-    the signs of d+1 cofactors of the points translated to p, with no rank
+    the signs of d+1 cofactors of the translated points, with no rank
     and no facet normal.  Larger sets must have a full-dimensional hull, and
     p must lie strictly on the inner side of every supporting hyperplane
     spanned by d points of S.  Both searches are refused with an
@@ -691,12 +668,14 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     distinct points.
     """
     d = _check_dims(S, p.dim)
+    if d != 2:
+        _check_budget([1] * len(set(S)), d + 1, "subsets")
+    pairs = _translated_rows(S, p)
     if d == 2:
-        return _plane_hull_contains([w for _, w in _translated_rows(S, p)], strict)
-    _check_budget([1] * len(set(S)), d + 1, "subsets")
-    if not strict:
-        return _hull_contains([w for _, w in _translated_rows(S, p)])
-    return _strict_hull_contains([q.row for q in S], p.row)
+        return _plane_hull_contains([w for _, w in pairs], strict)
+    if strict:
+        return _strict_hull_contains(pairs)
+    return _hull_contains([w for _, w in pairs])
 
 
 def in_general_position(points: Sequence[Point]) -> bool:

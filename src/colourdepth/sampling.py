@@ -15,8 +15,8 @@ signs of d+1 minors that no positive scaling of a point changes.  So each
 draw is tested on its numerators times the product of its own denominators,
 with no lcm, gcd or row, by `exact._open_simplex`.  A larger class is
 tested on the homogeneous integer rows of its pairs, made by
-`exact._scaled_pairs` as `Point` makes its own, which the accepted points
-are then handed.
+`exact._scaled_pairs` as `Point` makes its own and read as points already
+translated to the origin, which the accepted points are then handed.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def random_core_class(
     """Draw `size` random points whose convex hull strictly contains 0."""
     if size < dim + 1:
         raise InputError(f"need at least {dim + 1} points to surround the origin")
-    zero_row = (0,) * dim + (1,)
     for _ in range(max_tries):
         draws = [_draw(rng, dim, bound) for _ in range(size)]
         if size == dim + 1:
@@ -83,7 +82,7 @@ def random_core_class(
                 return [Point._from_pairs(pairs) for pairs in draws]
         else:
             rows = [_scaled_pairs(pairs) for pairs in draws]
-            if _strict_hull_contains(rows, zero_row):
+            if _strict_hull_contains([(row[-1], row[:-1]) for row in rows]):
                 return [Point._from_pairs(pairs, row) for pairs, row in zip(draws, rows)]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"

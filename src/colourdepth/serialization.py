@@ -38,10 +38,13 @@ def fraction_to_json(f: Fraction):
 
 
 def parse_point(text: str, dim: int | None = None) -> Point:
-    """Parse a comma-separated list of rationals, e.g. '1/2,-3'."""
-    parts = [s for s in text.split(",") if s.strip()]
-    if not parts:
+    """Parse a comma-separated list of rationals, e.g. '1/2,-3'; an empty
+    coordinate, as in '1,,2' or '1,2,', is an `InputError`."""
+    if not text.strip():
         raise InputError("empty point")
+    parts = text.split(",")
+    if not all(s.strip() for s in parts):
+        raise InputError(f"empty coordinate in point {text!r}")
     p = Point(parts)
     if dim is not None and p.dim != dim:
         raise InputError(f"point has dimension {p.dim}, expected {dim}")

@@ -360,6 +360,7 @@ def test_gen_random_refuses_general_position_above_budget(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["gen", "random", "--dim", "0"],
+    ["gen", "sminus", "--dim", "0"],
     ["audit", "parity", "--dim", "0", "--trials", "2"],
     ["audit", "stats", "--dim", "0", "--trials", "2"],
     ["audit", "mu", "--dim", "0", "--trials", "2"],

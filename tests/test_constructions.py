@@ -6,14 +6,12 @@ import pytest
 
 from colourdepth.constructions import (
     ConstructionError,
-    ConstructionSpec,
     gen_identical,
     gen_random_core_config,
     gen_regular_ngon,
     gen_sminus,
     gen_splus,
     gen_sprime,
-    generate,
     _build,
     _sprime_classes,
 )
@@ -227,25 +225,6 @@ def test_random_core_config_2d_depth_at_least_five():
 def test_random_core_config_size_check():
     with pytest.raises(InputError):
         gen_random_core_config(2, 2, seed=0)
-
-
-# ---------------------------------------------------------------------- spec API
-
-
-def test_generate_dispatch():
-    vc = generate(ConstructionSpec(kind="sminus", dim=2))
-    assert vc.claimed_depth_at_origin == 5
-    with pytest.raises(InputError):
-        generate(ConstructionSpec(kind="nope", dim=2))
-    vc = generate(ConstructionSpec(kind="random_core", dim=2, seed=4))
-    assert vc == gen_random_core_config(2, 3, seed=4)
-
-
-def test_spec_validation():
-    with pytest.raises(InputError):
-        ConstructionSpec(kind="sminus", dim=0)
-    with pytest.raises(InputError):
-        ConstructionSpec(kind="sminus", dim=2, epsilon=Fraction(-1, 100))
 
 
 def test_custom_epsilon_still_verifies():

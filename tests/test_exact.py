@@ -23,15 +23,16 @@ from conftest import (
     homogeneous,
     parse_by_fraction_strings,
     rand_point,
+    rank_by_elimination,
     strictly_inside_by_facets,
 )
 from colourdepth.exact import (
     DegenerateConeError,
     _cofactors,
     _det_int,
+    _echelon,
     _hull_contains,
     _open_simplex,
-    _origin_status,
     _pencil,
     _strict_hull_contains,
     _translated_rows,
@@ -391,7 +392,7 @@ def _hull_answers(p, S):
     assert closed == _hull_contains([w for _, w in _translated_rows(S, p)]), (S, p)
     assert closed == feasible_by_basis_enumeration(p, S), (S, p)
     assert strict == strictly_inside_by_facets(p, S), (S, p)
-    assert strict == _strict_hull_contains([q.row for q in S], p.row), (S, p)
+    assert strict == _strict_hull_contains(_translated_rows(S, p)), (S, p)
     return closed, strict
 
 
@@ -527,7 +528,7 @@ def _singular(rng: Random, m: list) -> list:
 def test_det_int_matches_leibniz():
     rng = Random(41)
     for trial in range(1200):
-        n = 1 + trial % 5
+        n = 1 + trial % 6
         bound = rng.choice([3, 10**6, 10**30])
         m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if trial % 3 == 0:
@@ -537,6 +538,25 @@ def test_det_int_matches_leibniz():
         assert _det_int([tuple(r) for r in m]) == want, m
         if trial % 3 == 0:
             assert want == 0
+
+
+def test_echelon_pivots_match_fraction_elimination():
+    # Column c is a pivot exactly when it raises the rank of the columns
+    # before it, on lattice matrices with repeated and zero rows; a square
+    # matrix gets its determinant, any other shape 0.
+    rng = Random(48)
+    for trial in range(600):
+        n, m = 1 + trial % 6, 1 + trial // 6 % 5
+        r = rng.choice([1, 3, 10**6])
+        rows = [[rng.randint(-r, r) for _ in range(m)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:
+            rows[rng.randrange(n)] = list(rng.choice(rows))
+        if trial % 4 == 0:
+            rows[rng.randrange(n)] = [0] * m
+        pivots, det = _echelon(rows)
+        ranks = [rank_by_elimination([row[:c] for row in rows]) for c in range(m + 1)]
+        assert pivots == [c for c in range(m) if ranks[c + 1] > ranks[c]], rows
+        assert det == (det_by_permutations(rows) if n == m else 0), rows
 
 
 def test_facet_normal_dot_product_is_determinant():
@@ -607,11 +627,13 @@ def _simplex_case(rng: Random, d: int, shape: str):
 @pytest.mark.parametrize("shape", ["generic", "repeated", "dependent"])
 def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
     # Sets with d+1 distinct points, listed once or with one of them twice,
-    # are decided by the cofactors of the simplex and never reach the rank
-    # and facet loop of larger sets.
-    pivots = exact._pivots
+    # are decided by the minors of the simplex and never reach the facet
+    # loop of larger sets, the one caller of `_cofactors` on this path.
+    cofactors = exact._cofactors
     facet_loop = []
-    monkeypatch.setattr(exact, "_pivots", lambda rows: facet_loop.append(rows) or pivots(rows))
+    monkeypatch.setattr(
+        exact, "_cofactors", lambda cols: facet_loop.append(cols) or cofactors(cols)
+    )
     rng = Random(67)
     hits = 0
     for trial in range(240):
@@ -778,9 +800,10 @@ def test_general_position_above_budget_is_refused(monkeypatch):
 
 
 def test_open_simplex_matches_the_cofactor_status():
-    # The sign-only test against the full cofactor status, on random and
-    # lattice simplices (zero minors, repeated vectors), unchanged when each
-    # vector is scaled by its own positive factor.
+    # The sign-only test against barycentric coordinates of the origin solved
+    # over Fractions, all positive, on random and lattice simplices (zero
+    # minors, repeated vectors), unchanged when each vector is scaled by its
+    # own positive factor.
     rng = Random(47)
     seen = set()
     for trial in range(1200):
@@ -790,7 +813,8 @@ def test_open_simplex_matches_the_cofactor_status():
         if trial % 5 == 0:
             cols[rng.randrange(d + 1)] = rng.choice(cols)
         t = _cofactors(cols)
-        want = _origin_status(t)[0]
+        weights = barycentric_by_elimination(origin(d), [Point(c) for c in cols])
+        want = weights is not None and min(weights) > 0
         assert _open_simplex(cols) == want, cols
         scales = rng.choices(range(1, 50), k=d + 1)
         scaled = [tuple(x * k for x in c) for c, k in zip(cols, scales)]

@@ -42,6 +42,9 @@ def test_parse_point():
         parse_point("1/2", dim=2)
     with pytest.raises(InputError):
         parse_point("")
+    for text in ("1,,2", ",1", "1,2,"):
+        with pytest.raises(InputError, match="empty coordinate"):
+            parse_point(text)
 
 
 def test_config_roundtrip_exact(tmp_path):
