@@ -85,7 +85,8 @@ def _cmd_gen(args) -> int:
     else:
         if args.dim is None:
             raise InputError(f"gen {args.kind} requires --dim")
-        epsilon = parse_fraction(args.epsilon) if args.epsilon else None
+        read = args.epsilon and args.kind != "identical"
+        epsilon = parse_fraction(args.epsilon) if read else None
         if args.dim < 1:
             raise InputError("dimension must be at least 1")
         if epsilon is not None and epsilon <= 0:
@@ -202,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a configuration and verify its depth")
     gen.add_argument("kind", choices=["identical", "sminus", "sprime", "splus", "ngon", "random"])
     gen.add_argument("--dim", type=int)
-    gen.add_argument("--epsilon", type=str, default=None, help="rational, e.g. 1/200")
+    gen.add_argument("--epsilon", type=str, default=None,
+                     help="rational, e.g. 1/200; read by sminus, sprime and splus")
     gen.add_argument("--seed", type=int, default=0,
                      help="seed of gen random; the other kinds are deterministic and ignore it")
     gen.add_argument("--n", type=int, default=None, help="vertex count for ngon")

@@ -32,8 +32,9 @@ open and closed counts agree and both counters are zero.
 Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
 decided by the integer kernel of `exact`: cofactor signs for a simplex, and
-the Caratheodory hull search for degenerate tuples in closed mode.  A
-cofactor is a d x d minor on the tuple's other d points.  Tuples come in
+hull membership (`exact._hull_contains`: the angular order in the plane,
+the integer simplex method above it) for degenerate tuples in closed mode.
+A cofactor is a d x d minor on the tuple's other d points.  Tuples come in
 blocks of d points and a run of last points; each face of d-1 points keeps
 one row of its minors with later points, and a block slices d rows.  So a
 call computes C(n, d) minors for a monochrome count rather than

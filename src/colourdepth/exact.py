@@ -18,32 +18,23 @@ and the cofactors that give the barycentric signs of the origin in a
 simplex.  Every hull test reads the points translated to the query point,
 which is then the origin.  There is no floating-point code path.
 
-Strict hull membership asks for p in the interior of the hull.  When the
-set has d+1 distinct points its hull is a simplex, and p is interior exactly
-when the origin is in the open simplex of the points translated to p: the
-d+1 minors of those integer vectors must be nonzero and alternate in sign,
-and the test stops at the first that does not (`_open_simplex`), with no
-rank and no facet normal.  Larger sets take the facet loop.  The cofactors
-(signed minors), taken over the d homogeneous rows of a facet, are the
-normal N of the hyperplane through its d points: the (d+1)-determinant of
-the facet and any point q is the dot product N . (q, 1).  The loop computes
-each facet normal once and then decides every point against it with a dot
-product; the query point, translated to the origin, is on the side of the
-sign of the last entry of N.  A zero normal means the facet spans no
-hyperplane, which is all that query-side general position asks of the
-normal.
+Hull membership, closed or strict, is one integer linear program on the
+points translated to p (`_hull_contains`): phase 1 of the simplex method,
+`_feasible`, on an integer tableau with fraction-free pivots and Bland's
+rule.  When the set has d+1 distinct points its hull is a simplex, and p is
+interior exactly when the origin is in the open simplex of the translated
+vectors: their d+1 minors must be nonzero and alternate in sign, and the
+test stops at the first that does not (`_open_simplex`).
 
-In the plane, hull membership needs neither search.  The points translated
+In the plane, hull membership needs no linear program.  The points translated
 to p, sorted once by angle, leave a gap of more than a half-turn between
 neighbouring directions exactly when p is outside their closed hull, and of
 a half-turn or more exactly when p is outside its interior: O(n log n).
 That angular order, `_angular_order`, is the package's one sort of plane
-vectors; the planar depth sweep and the circle cells read it too.  In
-higher dimensions, both hull searches, the Caratheodory subset search of
-closed membership and the facet loop of strict membership, refuse a set
-with more than `MAX_TUPLES` (d+1)-subsets of distinct points up front.
+vectors; the planar depth sweep and the circle cells read it too.  No hull
+test is refused for its size.
 
-General position needs no normal at all.  Facets that share their first
+General position needs no hyperplane normal.  Facets that share their first
 d-1 points P form a pencil of hyperplanes through span(P), and two points
 q, r lie on one hyperplane with P exactly when their images in the plane
 R^(d+1) / span(P) are parallel.  Fraction-free elimination of P gives those
@@ -55,7 +46,7 @@ almost every p, which certifies query-side general position from
 C(n, d-1) plane vectors; only when it finds a dependent d-subset, which
 may span no hyperplane, are the d-subsets enumerated.  Above the plane,
 both pencils and that enumeration are refused with more than `MAX_TUPLES`
-subsets, as the hull searches are.
+subsets.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -274,8 +265,7 @@ def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple
 
     This is the translation to p in integers: no rational is formed, and the
     scale is positive, which is all a containment decision asks of it (it
-    need not be the scale of the row of q - p).  Each point has one pair, so
-    the distinct pairs are the distinct points.
+    need not be the scale of the row of q - p).
     """
     *P, sp = p.row
     out = []
@@ -287,10 +277,10 @@ def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple
 
 
 MAX_TUPLES = 10_000_000
-"""The most vertex tuples one count or hull search enumerates.  Above the
-plane it also bounds general position: the d-subsets of a set's pencil, and
-on the query side the (d-1)-subsets of the pencil and the d-subsets of the
-enumeration that follows a dependency.  A counted tuple of random rationals
+"""The most vertex tuples one count enumerates.  Above the plane it also
+bounds general position: the d-subsets of a set's pencil, and on the query
+side the (d-1)-subsets of the pencil and the d-subsets of the enumeration
+that follows a dependency.  A counted tuple of random rationals
 costs about 2.5 us at d = 3 and 4.5 us at d = 4 (Python 3.11 on a 2-vCPU
 Xeon), so that is about 25 s and 45 s.  A larger input raises `InputError`
 with the tuple count instead of running for hours."""
@@ -408,29 +398,71 @@ def _open_simplex(cols: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _hull_contains(cols: Sequence[tuple[int, ...]]) -> bool:
-    """True iff the origin lies in the closed convex hull of the integer vectors.
+def _feasible(A: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
+    """True iff A x = b has a solution x >= 0, for an integer matrix A and
+    integer vector b, by phase 1 of the simplex method: minimise the sum of
+    one artificial variable per row, after negating the rows with b_i < 0.
 
-    The vectors span a k-flat.  By Caratheodory the origin is in their hull
-    exactly when it is in the closed simplex of some k+1 affinely independent
-    ones.  Keeping only the pivot coordinates maps a flat through the origin
-    one-to-one onto R^k, so the search runs on projected (k+1)-subsets.
+    The tableau stays in integers by fraction-free (Bareiss) pivots, as in
+    `_echelon`: each entry is its true value times the last pivot D > 0,
+    and every division is exact.  The last row holds the reduced costs and
+    the sum of the artificials, times D.  An artificial that leaves the
+    basis never re-enters, so only the columns of A are kept.  Bland's rule
+    (Math. Oper. Res. 1977) enters the first improving column and, among
+    the rows tied in the ratio test, pivots on the one whose basic variable
+    has the smallest index, so degenerate pivots cannot cycle.
     """
-    rows = list(dict.fromkeys(c + (1,) for c in cols))
-    pivots = _echelon(rows)[0]
-    d = len(rows[0]) - 1
-    if pivots[-1] != d:
-        # The ones column is a pivot exactly when the linear rank is k,
-        # that is, when the flat holds the origin.
-        return False
-    k = len(pivots) - 1
-    if k == 0:
-        return True  # every vector is the origin
-    flat = [tuple(r[c] for c in pivots[:-1]) for r in rows]
-    # The origin is in a closed simplex exactly when its cofactors are not
-    # all zero and none has the sign opposite to their sum.
-    return any(any(t) and (min(t) >= 0 or max(t) <= 0)
-               for t in map(_cofactors, combinations(flat, k + 1)))
+    n = len(A[0])
+    rows = [[*row, x] if x >= 0 else [-v for v in (*row, x)] for row, x in zip(A, b)]
+    z = [sum(col) for col in zip(*rows)]
+    basis = list(range(n, n + len(rows)))  # artificial i is variable n + i
+    D = 1
+    while z[-1]:
+        for j in range(n):
+            if z[j] > 0:
+                break
+        else:
+            return False  # optimal with a positive sum of artificials
+        r = -1
+        for i, row in enumerate(rows):
+            if row[j] > 0:
+                if r < 0:
+                    r = i
+                    continue
+                c = row[-1] * rows[r][j] - rows[r][-1] * row[j]  # cross-multiplied ratios
+                if c < 0 or c == 0 and basis[i] < basis[r]:
+                    r = i
+        top, p = rows[r], rows[r][j]
+        for row in (*rows, z):
+            if row is not top:
+                x = row[j]
+                row[:] = [(v * p - x * t) // D for v, t in zip(row, top)]
+        D, basis[r] = p, j
+    return True
+
+
+def _hull_contains(cols: Sequence[tuple[int, ...]], strict: bool = False) -> bool:
+    """True iff the origin lies in the closed convex hull of the integer
+    vectors, or with strict, in its interior; scaling a vector by a positive
+    factor changes neither answer.  The plane reads the angular order.
+    Above it, the origin is in the closed hull when sum(l_i c_i) = 0 for
+    some l >= 0 with sum(l) = 1.  It is interior when the vectors span R^d
+    and sum(m_i c_i) = 0 for some m with every m_i > 0, or, scaling m, for
+    m = 1 + x with x >= 0: sum(x_i c_i) = -sum(c_i).  `_feasible` decides
+    both; `_open_simplex` decides strict for d+1 distinct vectors, a simplex.
+    """
+    d = len(cols[0])
+    if d == 2:
+        return _plane_hull_contains(cols, strict)
+    if not strict:
+        return _feasible([*zip(*cols), (1,) * len(cols)], (0,) * d + (1,))
+    cols = list(dict.fromkeys(cols))
+    if len(cols) == d + 1:
+        return _open_simplex(cols)
+    if len(_echelon(cols)[0]) < d:
+        return False  # a hull in a proper subspace has no interior
+    A = list(zip(*cols))
+    return _feasible(A, [-sum(row) for row in A])
 
 
 def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
@@ -617,65 +649,14 @@ def cone_contains(generators: Sequence[Point], v: Point) -> bool:
     return all(x * t[-1] >= 0 for x in t)
 
 
-def _strict_hull_contains(pairs: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
-    """`in_convex_hull(p, S, strict=True)` on the `_translated_rows` pairs
-    (s, w), s > 0, of S: the origin, p translated, is interior to the hull.
-
-    Each point must have one pair, as `_translated_rows` makes them, so that
-    the distinct pairs are the distinct points.  The facet loop reads the
-    homogeneous rows (w, s); the origin's side of a facet is the sign of the
-    last entry of its normal.
-    """
-    pairs = list(dict.fromkeys(pairs))
-    d = len(pairs[0][1])
-    if len(pairs) == d + 1:
-        # A simplex: the origin is interior iff it is in the open simplex.
-        return _open_simplex([w for _, w in pairs])
-    rows = [(*w, s) for s, w in pairs]
-    if len(_echelon(rows)[0]) <= d:
-        return False  # lower-dimensional hull has empty interior
-    for facet in combinations(rows, d):
-        normal = _cofactors(list(zip(*facet)))
-        pos = neg = False
-        for q in rows:
-            s = sum(map(mul, normal, q))
-            pos = pos or s > 0
-            neg = neg or s < 0
-            if pos and neg:
-                break
-        if pos == neg:
-            continue  # cuts through S, or spans no hyperplane
-        if _sign(normal[-1]) != (1 if pos else -1):
-            return False
-    return True
-
-
 def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
-    """Exact convex hull membership, decided on the points of S translated
-    to p, so that p is the origin.
-
-    In the plane every query, closed or strict, reads the angular order of
-    the translated points (`_plane_hull_contains`), in O(n log n).
-    Above the plane, non-strict containment is a Caratheodory search for a
-    closed simplex of points of S around p, and strict containment asks for
-    p in the interior of conv(S).  When S has d+1 distinct points, conv(S)
-    is a simplex, and p is interior exactly when it is in the open simplex:
-    the signs of d+1 cofactors of the translated points, with no rank
-    and no facet normal.  Larger sets must have a full-dimensional hull, and
-    p must lie strictly on the inner side of every supporting hyperplane
-    spanned by d points of S.  Both searches are refused with an
-    `InputError` when S has more than `MAX_TUPLES` (d+1)-subsets of
-    distinct points.
+    """Exact membership of p in conv(S), or with strict, in its interior:
+    `_hull_contains` on the points of S translated to p, so that p is the
+    origin.  The plane reads their angular order, in O(n log n); above it,
+    both modes are one integer linear program, `_feasible`.
     """
-    d = _check_dims(S, p.dim)
-    if d != 2:
-        _check_budget([1] * len(set(S)), d + 1, "subsets")
-    pairs = _translated_rows(S, p)
-    if d == 2:
-        return _plane_hull_contains([w for _, w in pairs], strict)
-    if strict:
-        return _strict_hull_contains(pairs)
-    return _hull_contains([w for _, w in pairs])
+    _check_dims(S, p.dim)
+    return _hull_contains([w for _, w in _translated_rows(S, p)], strict)
 
 
 def in_general_position(points: Sequence[Point]) -> bool:

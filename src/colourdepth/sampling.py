@@ -14,9 +14,9 @@ the origin exactly when it is an open simplex around it, a test on the
 signs of d+1 minors that no positive scaling of a point changes.  So each
 draw is tested on its numerators times the product of its own denominators,
 with no lcm, gcd or row, by `exact._open_simplex`.  A larger class is
-tested on the homogeneous integer rows of its pairs, made by
-`exact._scaled_pairs` as `Point` makes its own and read as points already
-translated to the origin, which the accepted points are then handed.
+tested by `exact._hull_contains` on the scaled vectors of the integer rows
+that `exact._scaled_pairs` makes as `Point` makes its own, and the accepted
+points are then handed those rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import prod
 from random import Random
 
-from .exact import InputError, Point, _open_simplex, _scaled_pairs, _strict_hull_contains
+from .exact import InputError, Point, _hull_contains, _open_simplex, _scaled_pairs
 
 __all__ = [
     "SamplingError",
@@ -82,7 +82,7 @@ def random_core_class(
                 return [Point._from_pairs(pairs) for pairs in draws]
         else:
             rows = [_scaled_pairs(pairs) for pairs in draws]
-            if _strict_hull_contains([(row[-1], row[:-1]) for row in rows]):
+            if _hull_contains([row[:-1] for row in rows], strict=True):
                 return [Point._from_pairs(pairs, row) for pairs, row in zip(draws, rows)]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"

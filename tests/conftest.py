@@ -22,7 +22,7 @@ def feasible_by_basis_enumeration(p: Point, S) -> bool:
     l >= 0, by Gaussian elimination over homogeneous columns.
 
     Deliberately independent of colourdepth internals: this is the oracle the
-    library's Caratheodory-style hull search is checked against.
+    library's closed hull test is checked against.
     """
     d = p.dim
     for k in range(1, d + 2):

@@ -177,22 +177,24 @@ def test_cells2d_refuses_an_oversized_recount_up_front(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("argv", [["core"], ["cdepth", "--require-core"]])
-def test_hull_search_above_budget_is_refused_up_front(tmp_path, argv):
-    # One class of 200 points at d = 3 has C(200, 4) = 64,684,950 subsets
-    # for the closed search and the strict facet loop: refused at once, not
-    # searched for minutes.
+@pytest.mark.parametrize("argv, classes, point, code, out, err", [
+    (["core"], 1, "0,0,0", 0, ["member: true", "strict_member: true"], []),
+    (["cdepth", "--require-core"], 4, "3000000,0,0", 1, [],
+     ["query point is not strictly inside every colour hull"]),
+], ids=["core", "cdepth-require-core"])
+def test_hull_of_200_points_at_d3_is_decided(tmp_path, argv, classes, point, code, out, err):
+    # Classes of 200 points at d = 3 have C(200, 4) = 64,684,950 subsets, but
+    # hull membership is one integer simplex method in both modes, so each
+    # command answers at once.
     rng = Random(3)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dimension": 3, "colours": [
         [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(200)]
+        for _ in range(classes)
     ]}))
-    proc = cli_process([*argv, "--config", str(path), "--point", "0,0,0"], timeout=5)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert proc.stderr.splitlines() == [
-        "error: 64684950 subsets to enumerate, more than the limit of 10000000"
-    ]
+    proc = cli_process([*argv, "--config", str(path), "--point", point], timeout=5)
+    assert proc.returncode == code
+    assert (proc.stdout.splitlines(), proc.stderr.splitlines()) == (out, err)
 
 
 def test_planar_hull_of_3000_points_is_decided(tmp_path):
@@ -380,6 +382,19 @@ def test_negative_epsilon_reaches_the_positivity_check(epsilon):
     proc = cli_process(["gen", "sminus", "--dim", "2", *epsilon])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: epsilon must be positive\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "identical", "--dim", "2"], ["--epsilon", "abc"]),
+    (["gen", "ngon", "--n", "5"], ["--epsilon", "abc"]),
+    (["gen", "random", "--dim", "2"], ["--epsilon=-5"]),
+])
+def test_kinds_without_epsilon_ignore_it(capsys, argv, flag):
+    # Only sminus, sprime and splus read --epsilon; the other kinds ignore
+    # any value, as kinds ignore --n and --points-per-colour.
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv)
 
 
 @pytest.mark.parametrize("payload, kind", [([1, 2], "list"), ("abc", "str"), (7, "int")])

@@ -31,10 +31,10 @@ from colourdepth.exact import (
     _cofactors,
     _det_int,
     _echelon,
+    _feasible,
     _hull_contains,
     _open_simplex,
     _pencil,
-    _strict_hull_contains,
     _translated_rows,
     InputError,
     Point,
@@ -386,13 +386,14 @@ PLANAR_HULLS = {
 
 
 def _hull_answers(p, S):
-    """(closed, strict) from `in_convex_hull`, checked against the subset
-    search, the facet loop and the conftest oracles."""
+    """(closed, strict) from `in_convex_hull`, checked against
+    `_hull_contains` on the translated vectors and the conftest oracles."""
     closed, strict = in_convex_hull(p, S), in_convex_hull(p, S, strict=True)
-    assert closed == _hull_contains([w for _, w in _translated_rows(S, p)]), (S, p)
+    vecs = [w for _, w in _translated_rows(S, p)]
+    assert closed == _hull_contains(vecs), (S, p)
+    assert strict == _hull_contains(vecs, strict=True), (S, p)
     assert closed == feasible_by_basis_enumeration(p, S), (S, p)
     assert strict == strictly_inside_by_facets(p, S), (S, p)
-    assert strict == _strict_hull_contains(_translated_rows(S, p)), (S, p)
     return closed, strict
 
 
@@ -430,6 +431,94 @@ def test_planar_hull_of_3000_points_is_decided_in_both_modes():
         got = in_convex_hull(p, S), in_convex_hull(p, S, strict=True)
         assert perf_counter() - start < 1
         assert got == want
+
+
+# ------------------------------------------------- integer simplex method
+
+
+def _feasible_by_bases(A, b) -> bool:
+    """A x = b has a solution x >= 0 exactly when it has a basic one: for
+    some set B of linearly independent columns, A_B y = b is solved by
+    Gauss-Jordan elimination over Fractions with y >= 0."""
+    m, n = len(A), len(A[0])
+    for k in range(min(m, n) + 1):
+        for B in combinations(range(n), k):
+            mat = [[Fraction(A[i][j]) for j in B] + [Fraction(b[i])] for i in range(m)]
+            for c in range(k):
+                sel = next((i for i in range(c, m) if mat[i][c]), None)
+                if sel is None:
+                    break  # the columns of B are dependent
+                mat[c], mat[sel] = mat[sel], mat[c]
+                mat[c] = [x / mat[c][c] for x in mat[c]]
+                for i in range(m):
+                    if i != c and mat[i][c]:
+                        f = mat[i][c]
+                        mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+            else:
+                if not any(row[-1] for row in mat[k:]) and all(row[-1] >= 0 for row in mat[:k]):
+                    return True
+    return False
+
+
+def test_feasible_matches_basic_solution_enumeration():
+    # Random integer systems with right-hand sides of both signs, and with
+    # zero entries, which make phase-1 pivots degenerate: the case Bland's
+    # rule keeps from cycling.  An all-zero right-hand side is feasible at
+    # x = 0.
+    rng = Random(71)
+    seen = set()
+    for trial in range(900):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        if trial % 3 == 1:
+            b = [x if rng.randrange(2) else 0 for x in b]
+        elif trial % 3 == 2:
+            b = [0] * m
+        want = _feasible_by_bases(A, b)
+        assert _feasible(A, b) == want, (A, b)
+        seen.add((trial % 3, want))
+    assert seen == {(0, False), (0, True), (1, False), (1, True), (2, True)}
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_hull_matches_the_oracles_above_the_plane(d):
+    # Both modes of the simplex method against the conftest oracles, on
+    # degenerate lattice sets and on random points around a mixture of some
+    # of them, at the dimensions the other hull tests do not reach.
+    rng = Random(79 + d)
+    seen = set()
+    for trial in range(120 if d < 5 else 30):
+        if trial % 2:
+            S, p = degenerate_lattice_case(rng, d, d + 3)
+        else:
+            S = [rand_point(rng, d, 9) for _ in range(rng.randint(d + 1, d + 3))]
+            w = [rng.randint(0, 3) for _ in S]
+            p = Point(sum(wi * q[k] for wi, q in zip(w, S)) / (sum(w) or 1) for k in range(d))
+        seen.add(_hull_answers(p, S))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_hull_of_320_points_at_d3_is_decided_in_both_modes():
+    # C(320, 4) = 429,319,240 four-point subsets, too many to search one by
+    # one; the simplex method decides each mode in well under 1 s.  The
+    # answers are planted: a simplex around a query far along the x axis,
+    # the query at the point of largest x, a vertex, and the query beyond it.
+    rng = Random(5)
+    S = [Point(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(320)]
+    top = max(S, key=lambda q: q[0])
+    far = (3 * 10**6, 0, 0)
+    simplex = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
+    around = S[:-4] + [Point(f + 10**5 * c for f, c in zip(far, v)) for v in simplex]
+    for T, p, want in (
+        (around, Point(far), (True, True)),
+        (S, top, (True, False)),
+        (S, Point([top[0] + 1, 0, 0]), (False, False)),
+    ):
+        for strict, expected in zip((False, True), want):
+            start = perf_counter()
+            assert in_convex_hull(p, T, strict) == expected
+            assert perf_counter() - start < 1
 
 
 # ------------------------------------------------------------ general position
@@ -627,12 +716,12 @@ def _simplex_case(rng: Random, d: int, shape: str):
 @pytest.mark.parametrize("shape", ["generic", "repeated", "dependent"])
 def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
     # Sets with d+1 distinct points, listed once or with one of them twice,
-    # are decided by the minors of the simplex and never reach the facet
-    # loop of larger sets, the one caller of `_cofactors` on this path.
-    cofactors = exact._cofactors
-    facet_loop = []
+    # are decided by the minors of the simplex and never reach the simplex
+    # method of larger sets, `_feasible`.
+    feasible = exact._feasible
+    lp_calls = []
     monkeypatch.setattr(
-        exact, "_cofactors", lambda cols: facet_loop.append(cols) or cofactors(cols)
+        exact, "_feasible", lambda A, b: lp_calls.append(A) or feasible(A, b)
     )
     rng = Random(67)
     hits = 0
@@ -640,10 +729,10 @@ def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
         d = 1 + trial % 4
         S, p = _simplex_case(rng, d, shape)
         for T in (S, S + [rng.choice(S)]):
-            facet_loop.clear()
+            lp_calls.clear()
             strict = in_convex_hull(p, T, strict=True)
             assert strict == strictly_inside_by_facets(p, T), (T, p)
-            assert not facet_loop or len(set(T)) <= d, (T, p)
+            assert not lp_calls or len(set(T)) <= d, (T, p)
             hits += strict
     assert hits > 0 or shape != "generic"
 
