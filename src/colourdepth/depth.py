@@ -73,6 +73,7 @@ from .exact import (
     _cofactors,
     _cross,
     _hull_contains,
+    _scaled_pairs,
     _translated_rows,
     in_convex_hull,
     in_general_position_with,
@@ -530,7 +531,7 @@ def antipodal_cone_count(
     d = config.dim
     if not (0 <= colour < r):
         raise InputError(f"colour index {colour} out of range")
-    if all(c == 0 for c in v.coords):
+    if not any(v.row[:-1]):
         raise InputError("v must be nonzero")
     _check_query(r - 1, d)
     others = [c for c in range(r) if c != colour]
@@ -577,7 +578,7 @@ def core_depth_samples(
     over one integer denominator: the class's points share the lcm s of
     their scales, and sum(w_i * q_i) / sum(w) is
     sum(w_i * (s * q_i)) / (s * sum(w)).  So is the candidate, which becomes
-    a `Point` through the pair constructor at the end.
+    a `Point` at the end through the row `exact._scaled_pairs` makes of it.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -612,7 +613,7 @@ def core_depth_samples(
             num = [x * b + wi * y * den for x, y in zip(num, a)]
             den *= b
         den *= sum(cw)
-        consider(Point._from_pairs([(x, den) for x in num]))
+        consider(Point._from_row(_scaled_pairs([(x, den) for x in num])))
     return out
 
 

@@ -1,14 +1,13 @@
 """Exact rational predicates for affine and conic containment.
 
-Points carry `fractions.Fraction` coordinates, but every predicate is decided
-on integers.  A `Point` computes its homogeneous integer row (s * x, s) once,
-when it is made: s is the positive lcm of the denominators, and a positive
-scaling changes no determinant sign, rank, or origin-in-hull answer.  The row
-is in lowest terms, so it is canonical, and points compare and hash by it.
-It is built from (numerator, denominator) integer pairs, which the one
-rational parser `_parse_pair` reads from ints and "num/den" strings with
-`int()` alone, or which a caller that drew them as integers hands to the
-pair constructor `Point._from_pairs`.
+A `Point` is its homogeneous integer row (s * x, s), and every predicate is
+decided on it: s is the positive lcm of the denominators, and a positive
+scaling changes no determinant sign, rank, or origin-in-hull answer.  The
+row is in lowest terms, so it is canonical; points compare and hash by it,
+and derive their `fractions.Fraction` coordinates from it when read.
+`_scaled_pairs` builds it from (numerator, denominator) integer pairs, which
+the one rational parser `_parse_pair` reads from ints and "num/den" strings
+with `int()` alone; a caller that built a row hands it to `Point._from_row`.
 Predicates and counters read the rows and never rescale a point.  A point
 translated to a query point p is formed on those integer rows too, as
 s_p * Q - s_q * P, so no rational difference is ever built.  One
@@ -152,42 +151,40 @@ _set = object.__setattr__
 
 
 class Point:
-    """Immutable point with exact rational coordinates and its homogeneous
-    integer row ``row`` = (s * x, s), made once by `_scaled_pairs`: ``row[-1]``
+    """Immutable point with exact rational coordinates, held as its
+    homogeneous integer row ``row`` = (s * x, s) in lowest terms: ``row[-1]``
     is the scale s > 0 and ``row[:-1]`` the point times it.  Predicates read
-    the row, and points compare and hash by it."""
+    the row, points compare and hash by it, and ``coords`` derive from it."""
 
-    __slots__ = ("coords", "row")
+    __slots__ = ("row",)
 
     def __init__(self, coords: Iterable):
         pairs = [_parse_pair(c) for c in coords]
         if not pairs:
             raise InputError("a point needs at least one coordinate")
-        _set(self, "coords", tuple([Fraction(n, q) for n, q in pairs]))
         _set(self, "row", _scaled_pairs(pairs))
 
     @classmethod
-    def _from_pairs(
-        cls, pairs: Sequence[tuple[int, int]], row: tuple[int, ...] | None = None
-    ) -> "Point":
-        """The point of nonempty (numerator, denominator) integer pairs,
-        denominators positive, with no parsing.  row, when given, must be
-        `_scaled_pairs(pairs)`, built by a caller that needed it first."""
+    def _from_row(cls, row: tuple[int, ...]) -> "Point":
+        """The point of a lowest-terms row, as `_scaled_pairs` makes it, taken as is."""
         self = object.__new__(cls)
-        _set(self, "coords", tuple([Fraction(n, q) for n, q in pairs]))
-        _set(self, "row", _scaled_pairs(pairs) if row is None else row)
+        _set(self, "row", row)
         return self
 
     def __reduce__(self):
         # Slot state would be restored through __setattr__, which refuses it.
-        return Point._from_pairs, ([c.as_integer_ratio() for c in self.coords],)
+        return Point._from_row, (self.row,)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self.row[-1]) for x in self.row[:-1]])
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.row) - 1
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.row) - 1
 
     def __iter__(self):
         return iter(self.coords)
@@ -202,7 +199,7 @@ class Point:
         return hash(self.row)
 
     def __neg__(self) -> "Point":
-        return Point(-c for c in self.coords)
+        return Point._from_row(tuple([-x for x in self.row[:-1]]) + self.row[-1:])
 
     def __sub__(self, other: "Point") -> "Point":
         if self.dim != other.dim:
@@ -227,7 +224,9 @@ def pt(*coords) -> Point:
 
 
 def origin(dim: int) -> Point:
-    return Point([Fraction(0)] * dim)
+    if dim < 1:
+        raise InputError("a point needs at least one coordinate")
+    return Point._from_row((0,) * dim + (1,))
 
 
 def _check_dims(points: Sequence[Point], dim: int | None = None) -> int:

@@ -6,17 +6,16 @@ downstream computation stays exact.  Numerators are drawn symmetrically about
 zero, which makes the per-point distribution centrally symmetric.
 
 A point is drawn as integer (numerator, denominator) pairs, one per
-coordinate, and drawn again while every numerator is zero, and becomes a
-`Point` through the pair constructor `Point._from_pairs`, with no parsing.
-Most candidate classes of the core sampler are rejected, so it builds rows
-and points only for the class it accepts.  A class of d+1 points surrounds
+coordinate, and drawn again while every numerator is zero; it is the row
+`exact._scaled_pairs` makes of them, with no parsing.  Most candidate
+classes of the core sampler are rejected, so it builds rows and points
+only for the class it accepts.  A class of d+1 points surrounds
 the origin exactly when it is an open simplex around it, a test on the
 signs of d+1 minors that no positive scaling of a point changes.  So each
 draw is tested on its numerators times the product of its own denominators,
 with no lcm, gcd or row, by `exact._open_simplex`.  A larger class is
-tested by `exact._hull_contains` on the scaled vectors of the integer rows
-that `exact._scaled_pairs` makes as `Point` makes its own, and the accepted
-points are then handed those rows.
+tested by `exact._hull_contains` on the scaled vectors of its rows, and the
+accepted points are then made from those rows.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def _cleared(pairs: list[tuple[int, int]]) -> list[int]:
 
 
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:
-    return Point._from_pairs(_draw(rng, dim, bound))
+    return Point._from_row(_scaled_pairs(_draw(rng, dim, bound)))
 
 
 def random_points(rng: Random, n: int, dim: int, bound: int = DEFAULT_BOUND) -> list[Point]:
@@ -79,11 +78,11 @@ def random_core_class(
         draws = [_draw(rng, dim, bound) for _ in range(size)]
         if size == dim + 1:
             if _open_simplex([_cleared(pairs) for pairs in draws]):
-                return [Point._from_pairs(pairs) for pairs in draws]
+                return [Point._from_row(_scaled_pairs(pairs)) for pairs in draws]
         else:
             rows = [_scaled_pairs(pairs) for pairs in draws]
             if _hull_contains([row[:-1] for row in rows], strict=True):
-                return [Point._from_pairs(pairs, row) for pairs, row in zip(draws, rows)]
+                return [Point._from_row(row) for row in rows]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"
     )

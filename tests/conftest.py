@@ -25,9 +25,10 @@ def feasible_by_basis_enumeration(p: Point, S) -> bool:
     library's closed hull test is checked against.
     """
     d = p.dim
+    pc = p.coords
     for k in range(1, d + 2):
-        for sub in combinations(S, k):
-            rows = [[v[r] for v in sub] + [p[r]] for r in range(d)]
+        for sub in combinations([v.coords for v in S], k):
+            rows = [[v[r] for v in sub] + [pc[r]] for r in range(d)]
             rows.append([Fraction(1)] * k + [Fraction(1)])
             mat = [row[:] for row in rows]
             piv_cols = []
@@ -83,8 +84,9 @@ def det_by_permutations(m) -> int:
 def homogeneous(p: Point) -> list[int]:
     """(p, 1) times the lcm of the denominators of p: a positive row scaling,
     which changes no determinant sign and no rank."""
-    s = lcm(*(c.denominator for c in p.coords))
-    return [int(c * s) for c in p.coords] + [s]
+    coords = p.coords
+    s = lcm(*(c.denominator for c in coords))
+    return [int(c * s) for c in coords] + [s]
 
 
 def barycentric_by_elimination(p: Point, vertices):
@@ -92,7 +94,8 @@ def barycentric_by_elimination(p: Point, vertices):
     Gauss-Jordan elimination over Fractions; None when the system is
     singular (the vertices are affinely dependent)."""
     d = p.dim
-    mat = [[v[r] for v in vertices] + [p[r]] for r in range(d)]
+    cols = [v.coords for v in vertices] + [p.coords]
+    mat = [[c[r] for c in cols] for r in range(d)]
     mat.append([Fraction(1)] * (d + 2))
     for c in range(d + 1):
         sel = next((i for i in range(c, d + 1) if mat[i][c] != 0), None)
@@ -184,7 +187,7 @@ def degenerate_lattice_case(rng: Random, d: int, n_max: int):
     elif pick == 1:
         p = rng.choice(S)
     elif pick == 4:
-        p = Point(sum(q[k] for q in S) / len(S) for k in range(d))
+        p = Point(sum(col) / len(S) for col in zip(*[q.coords for q in S]))
     elif pick == 2:  # midpoint of two points of S
         a, b = rng.choice(S), rng.choice(S)
         p = Point((x + y) / 2 for x, y in zip(a.coords, b.coords))
@@ -192,7 +195,7 @@ def degenerate_lattice_case(rng: Random, d: int, n_max: int):
         sub = rng.sample(S, d)
         w = [Fraction(rng.randint(-2, 3), 2) for _ in range(d - 1)]
         w.append(1 - sum(w))
-        p = Point(sum(wi * q[k] for wi, q in zip(w, sub)) for k in range(d))
+        p = Point(sum(wi * c for wi, c in zip(w, col)) for col in zip(*[q.coords for q in sub]))
     return S, p
 
 
@@ -218,7 +221,8 @@ def core_candidates_by_fractions(config, samples: int, seed: int, bound: int = 1
         mixtures = []
         for cls in config.classes:
             w = _fraction_weights(rng, len(cls), bound)
-            mixtures.append(Point(sum(wi * q[r] for wi, q in zip(w, cls)) for r in range(d)))
+            coords = [q.coords for q in cls]
+            mixtures.append([sum(wi * c[r] for wi, c in zip(w, coords)) for r in range(d)])
         cw = _fraction_weights(rng, len(mixtures), bound)
         out.append(Point(sum(wi * m[r] for wi, m in zip(cw, mixtures)) for r in range(d)))
     return out

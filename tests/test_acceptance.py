@@ -136,7 +136,8 @@ def test_criterion_4_oracle_equivalences():
     rng = Random(777)
 
     def cross(a, b):
-        return a[0] * b[1] - a[1] * b[0]
+        (a0, a1), (b0, b1) = a, b
+        return a0 * b1 - a1 * b0
 
     pairs = 0
     while pairs < 500:
@@ -149,11 +150,12 @@ def test_criterion_4_oracle_equivalences():
             continue
         pairs += 1
         arr = cell_depth_sequence(X, Y)
+        Xc, Yc = [x.coords for x in X], [y.coords for y in Y]
         for k in range(6):
-            v = arr.boundaries[k].direction + arr.boundaries[(k + 1) % 6].direction
+            v = (arr.boundaries[k].direction + arr.boundaries[(k + 1) % 6].direction).coords
             brute = 0
-            for x in X:
-                for y in Y:
+            for x in Xc:
+                for y in Yc:
                     det = cross(x, y)
                     a, b = cross(v, y), cross(x, v)
                     if det < 0:
@@ -193,7 +195,8 @@ def test_criterion_5_cell_sequences():
     rng = Random(1234)
 
     def cross(a, b):
-        return a[0] * b[1] - a[1] * b[0]
+        (a0, a1), (b0, b1) = a, b
+        return a0 * b1 - a1 * b0
 
     families = set()
     pairs = 0

@@ -37,7 +37,8 @@ def rotated_triangles(offset_deg: float = 17.0):
 
 
 def cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+    (a0, a1), (b0, b1) = a, b
+    return a0 * b1 - a1 * b0
 
 
 def random_valid_pair(rng: Random, a: int = 3, b: int = 3):
@@ -50,6 +51,7 @@ def random_valid_pair(rng: Random, a: int = 3, b: int = 3):
 
 def cones_holding(X, Y, v) -> int:
     """Cones (x, y) holding v, by a Fraction cross-product test per cone."""
+    X, Y, v = [x.coords for x in X], [y.coords for y in Y], v.coords
     count = 0
     for x in X:
         for y in Y:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colourdepth import exact
+from colourdepth import depth, exact
 from conftest import (
     barycentric_by_elimination,
     degenerate_lattice_case,
@@ -48,7 +48,9 @@ from colourdepth.exact import (
     point_in_simplex,
     pt,
 )
-from colourdepth.depth import monochrome_depth
+from colourdepth.constructions import gen_random_core_config
+from colourdepth.depth import core_depth_samples, monochrome_depth
+from colourdepth.sampling import random_core_class, random_points
 
 fracs = st.fractions(
     min_value=-20, max_value=20, max_denominator=50
@@ -144,6 +146,46 @@ def test_points_pickle_and_copy(d):
             assert c.coords == q.coords and c.row == q.row
             assert c == q and hash(c) == hash(q)
             assert all(type(x) is Fraction for x in c.coords)
+
+
+def test_origin_refuses_a_dimension_below_one():
+    for d in (0, -1):
+        with pytest.raises(InputError, match="a point needs at least one coordinate"):
+            origin(d)
+    assert origin(2) == pt(0, 0) and origin(2).row == (0, 0, 1)
+
+
+def test_points_made_without_parsing_have_the_canonical_row(monkeypatch):
+    # Every point built from a row, not parsed, must hold the row its own
+    # coordinates parse to: small bounds give pairs like (2, 4) whose rows
+    # need their gcd divided out.
+    rng = Random(90)
+    made = []
+    for d in (1, 2, 3):
+        for bound in (2, 6, 10**4):
+            made += random_points(rng, 20, d, bound)
+            made += random_core_class(rng, d + 1, d, bound)
+            made += random_core_class(rng, d + 3, d, bound)
+        made.append(origin(d))
+    real, candidates = depth.core_membership, []
+
+    def spy(config, p, strict=False):
+        candidates.append(p)
+        return real(config, p, strict)
+
+    monkeypatch.setattr(depth, "core_membership", spy)
+    for d in (2, 3):
+        config = gen_random_core_config(d, d + 1, 4).config
+        for bound in (3, 10**4):
+            core_depth_samples(config, 15, seed=d, bound=bound)
+    assert len(candidates) == 4 * 16
+    made += candidates
+    made += [-q for q in made]
+    made += [pickle.loads(pickle.dumps(q)) for q in made] + [copy.deepcopy(q) for q in made]
+    for q in made:
+        parsed = Point(q.coords)
+        assert parsed.row == q.row, q.row
+        assert parsed == q and hash(parsed) == hash(q)
 
 
 # ---------------------------------------------------------------- orientation
