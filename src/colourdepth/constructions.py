@@ -72,7 +72,14 @@ class ConstructionError(RuntimeError):
 
 
 class VerifiedConfiguration(NamedTuple):
-    """A configuration together with its exactly re-checked origin depth."""
+    """A configuration together with its exactly re-checked origin depth.
+
+    verified is always True: a generator whose check fails raises
+    `ConstructionError` instead of returning.  retries is the number of
+    general-position redraws that `gen_random_core_config` made before its
+    configuration passed, and 0 for every other generator.
+    last_colour_counts are the origin-containing counts of the points of the
+    last colour, from the enumeration that gave the depth."""
 
     config: ColourfulConfiguration
     claimed_depth_at_origin: int

@@ -44,6 +44,15 @@ The same enumeration can tally, for every point, the counted simplices that
 pick it: `colour_decomposition` returns the depth of the origin together with
 these per-point counts, which for the points of any one colour sum to the
 depth when there are d+1 colours.
+Every colourful count that enumerates without witnesses tallies, through one
+memo, `_colourful_tally`: a `functools.lru_cache` keyed, as `_clean_plane`
+is, on lowest-terms rows (the points' class by class, then the query
+point's) and the mode, holding the 4 most recent results.
+`colour_decomposition` reads it at the origin and `colourful_depth` at its
+query point.  A random core trial counts its origin in
+`gen_random_core_config` and again as the first candidate of
+`core_depth_samples`, with no count between, so the second count is a hit;
+every other count of the audits and the CLI asks a fresh key and enumerates.
 Before enumerating, every count compares its number of tuples, C(n, d+1) or
 the elementary symmetric polynomial e_{d+1} of the class sizes, with
 `exact.MAX_TUPLES` and refuses a larger input with an `InputError`; the
@@ -73,12 +82,13 @@ from .exact import (
     _cofactors,
     _cross,
     _hull_contains,
-    _scaled_pairs,
+    _reduced_row,
     _translated_rows,
     in_convex_hull,
     in_general_position_with,
     origin,
 )
+from .sampling import _randints
 
 __all__ = [
     "ColourfulConfiguration",
@@ -240,6 +250,8 @@ def _count_blocks(blocks, scales, cols, ends, mode: Mode, want_witnesses: bool,
                 boundary += 1
                 if closed:
                     got.append(k)
+        if not got:
+            continue
         count += len(got)
         if witnesses is not None:
             witnesses += [P + (k,) for k in got]
@@ -402,9 +414,10 @@ def monochrome_depth(
     if len(S) < d + 1:
         raise InputError(f"need at least {d + 1} points, got {len(S)}")
     _check_query(len(S), d + 1, mode)
-    scaled = _translated_rows(S, p)
+    rows = tuple(q.row for q in S)
+    scaled = _translated_rows(rows, p.row)
     if d == 2 and not want_witnesses:
-        swept = _sweep_depth(tuple(q.row for q in S), [w for _, w in scaled])
+        swept = _sweep_depth(rows, [w for _, w in scaled])
         if swept is not None:
             return DepthReport(mode, swept)
     _check_budget([1] * len(S), d + 1, "vertex tuples")
@@ -431,29 +444,64 @@ def colourful_depth(
     colours) containing p."""
     _check_config_point(config, p)
     d = config.dim
-    r = config.num_classes
-    _check_query(r, d + 1, mode)
-    points = config.points()
-    scaled = _translated_rows(points, p)
-    labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
-    if d == 2 and not want_witnesses:
-        swept = _sweep_depth(tuple(q.row for q in points), [w for _, w in scaled],
-                             [ci for ci, _ in labels])
+    _check_query(config.num_classes, d + 1, mode)
+    if want_witnesses:
+        scaled = _translated_rows([q.row for q in config.points()], p.row)
+        count, degenerate, boundary, wit = _count_colourful(
+            config.class_sizes(), scaled, mode, True)
+        labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
+        wit = tuple(tuple(labels[k] for k in keys) for keys in wit)
+        return DepthReport(mode, count, wit, degenerate, boundary)
+    if d == 2:
+        rows = tuple(q.row for q in config.points())
+        colours = [ci for ci, cls in enumerate(config.classes) for _ in cls]
+        swept = _sweep_depth(rows, [w for _, w in _translated_rows(rows, p.row)], colours)
         if swept is not None:
             return DepthReport(mode, swept)
-    count, degenerate, boundary, wit = _count_colourful(config, scaled, mode, want_witnesses)
-    if wit is not None:
-        wit = tuple(tuple(labels[k] for k in keys) for keys in wit)
-    return DepthReport(mode, count, wit, degenerate, boundary)
+    count, degenerate, boundary, _ = _colourful_tally(_class_rows(config), p.row, mode)
+    return DepthReport(mode, count, None, degenerate, boundary)
 
 
-def _count_colourful(config, scaled, mode: Mode, want_witnesses: bool, tally=None):
-    """`_count_blocks` over the colourful tuples of config, whose points
-    have the (scale, vector) pairs scaled."""
-    _check_budget(config.class_sizes(), config.dim + 1, "vertex tuples")
-    keys, ends = _class_keys(config.class_sizes())
-    blocks = _colourful_blocks(keys, combinations(range(config.num_classes), config.dim + 1))
+def _count_colourful(sizes: Sequence[int], scaled, mode: Mode, want_witnesses: bool,
+                     tally: list[int] | None = None):
+    """`_count_blocks` over the colourful tuples of classes of the given
+    sizes, whose points, in class order, have the (scale, vector) pairs
+    scaled."""
+    k = len(scaled[0][1]) + 1
+    _check_budget(sizes, k, "vertex tuples")
+    keys, ends = _class_keys(sizes)
+    blocks = _colourful_blocks(keys, combinations(range(len(sizes)), k))
     return _count_blocks(blocks, *zip(*scaled), ends, mode, want_witnesses, tally)
+
+
+def _class_rows(config: ColourfulConfiguration) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The rows of the points of config, class by class: its key in
+    `_colourful_tally`."""
+    return tuple(tuple(q.row for q in cls) for cls in config.classes)
+
+
+@lru_cache(maxsize=4)
+def _colourful_tally(
+    classes: tuple[tuple[tuple[int, ...], ...], ...], p: tuple[int, ...], mode: Mode
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """The enumeration of the colourful tuples of the classes of point rows
+    at the query row p: (count, degenerate, boundary, tally), where the
+    tally holds, for every point in class order, the counted simplices that
+    pick it.
+
+    Memoized on its arguments, the lowest-terms rows, for the 4 most recent
+    queries.  The reuse it serves is at distance one: a random core trial
+    counts the origin of its configuration in `colour_decomposition` and
+    then again as the first candidate of `core_depth_samples`, with no count
+    between.  Every other count in the audits and the CLI is a fresh key, so
+    a larger bound would only keep more configurations alive; the few spare
+    entries serve a caller that alternates between configurations or modes.
+    The result is immutable, so every caller may keep it."""
+    scaled = _translated_rows([q for cls in classes for q in cls], p)
+    tally = [0] * len(scaled)
+    count, degenerate, boundary, _ = _count_colourful(
+        [len(cls) for cls in classes], scaled, mode, False, tally)
+    return count, degenerate, boundary, tuple(tally)
 
 
 def core_membership(config: ColourfulConfiguration, p: Point, strict: bool = False) -> bool:
@@ -508,9 +556,8 @@ def colour_decomposition(
     no witnesses.
     """
     _check_query(config.num_classes, config.dim + 1, mode)
-    scaled = [(q.row[-1], q.row[:-1]) for q in config.points()]
-    tally = [0] * len(scaled)
-    count, degenerate, boundary, _ = _count_colourful(config, scaled, mode, False, tally)
+    count, degenerate, boundary, tally = _colourful_tally(
+        _class_rows(config), origin(config.dim).row, mode)
     counts = tuple(tuple(tally[k] for k in ks) for ks in _class_keys(config.class_sizes())[0])
     return DepthReport(mode, count, None, degenerate, boundary), counts
 
@@ -578,7 +625,8 @@ def core_depth_samples(
     over one integer denominator: the class's points share the lcm s of
     their scales, and sum(w_i * q_i) / sum(w) is
     sum(w_i * (s * q_i)) / (s * sum(w)).  So is the candidate, which becomes
-    a `Point` at the end through the row `exact._scaled_pairs` makes of it.
+    a `Point` at the end through the row `exact._reduced_row` makes of it.
+    Every weight comes from `sampling._randints`, the stream of `randint`.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -605,15 +653,15 @@ def core_depth_samples(
     for _ in range(samples):
         mixtures = []
         for s, cols in classes:
-            w = [rng.randint(1, bound) for _ in range(len(cols[0]))]
+            w = _randints(rng, [(1, bound)] * len(cols[0]))
             mixtures.append((s * sum(w), [sum(map(mul, w, col)) for col in cols]))
-        cw = [rng.randint(1, bound) for _ in mixtures]
+        cw = _randints(rng, [(1, bound)] * len(mixtures))
         num, den = [0] * d, 1
         for wi, (b, a) in zip(cw, mixtures):
             num = [x * b + wi * y * den for x, y in zip(num, a)]
             den *= b
         den *= sum(cw)
-        consider(Point._from_row(_scaled_pairs([(x, den) for x in num])))
+        consider(Point._from_row(_reduced_row(num + [den])))
     return out
 
 

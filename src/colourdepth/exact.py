@@ -7,7 +7,9 @@ row is in lowest terms, so it is canonical; points compare and hash by it,
 and derive their `fractions.Fraction` coordinates from it when read.
 `_scaled_pairs` builds it from (numerator, denominator) integer pairs, which
 the one rational parser `_parse_pair` reads from ints and "num/den" strings
-with `int()` alone; a caller that built a row hands it to `Point._from_row`.
+with `int()` alone; a caller that built a row hands it to `Point._from_row`,
+after `_reduced_row`, the gcd step of `_scaled_pairs`, when it may not be in
+lowest terms.  Sums and differences of points are formed so, on the rows.
 Predicates and counters read the rows and never rescale a point.  A point
 translated to a query point p is formed on those integer rows too, as
 s_p * Q - s_q * P, so no rational difference is ever built.  One
@@ -204,12 +206,16 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         if self.dim != other.dim:
             raise InputError("dimension mismatch in point subtraction")
-        return Point(a - b for a, b in zip(self.coords, other.coords))
+        return self + -other
 
     def __add__(self, other: "Point") -> "Point":
+        """The sum on the rows: A / s_a + B / s_b is (s_b * A + s_a * B) / (s_a * s_b),
+        a row with a positive scale, put in lowest terms by `_reduced_row`."""
         if self.dim != other.dim:
             raise InputError("dimension mismatch in point addition")
-        return Point(a + b for a, b in zip(self.coords, other.coords))
+        *A, sa = self.row
+        *B, sb = other.row
+        return Point._from_row(_reduced_row([sb * a + sa * b for a, b in zip(A, B)] + [sa * sb]))
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("Point is immutable")
@@ -249,27 +255,36 @@ def _scaled_pairs(pairs) -> tuple[int, ...]:
     s is the lcm of the denominators, and the row is divided by the gcd of
     its entries, so it is the same for every way of writing the point.  A
     positive scaling changes no determinant sign, rank, or origin-in-hull
-    answer.  This is the package's one row builder.
+    answer.  This is the package's one row builder from pairs; its last
+    step, `_reduced_row`, also reduces rows that callers form in integers.
     """
     s = lcm(*[q for _, q in pairs])
     row = [n * (s // q) for n, q in pairs]
     row.append(s)
+    return _reduced_row(row)
+
+
+def _reduced_row(row: list[int]) -> tuple[int, ...]:
+    """A homogeneous row (s * x, s), s > 0, divided by the gcd of its
+    entries: the lowest-terms row of x, whatever positive s it came with."""
     g = gcd(*row)
     return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
-def _translated_rows(points: Sequence[Point], p: Point) -> list[tuple[int, tuple[int, ...]]]:
-    """(s, s * (q - p)) for each point q, with s = s_p * s_q > 0, computed on
-    the rows (Q, s_q) and (P, s_p) of the points as (s_p * s_q, s_p * Q - s_q * P).
+def _translated_rows(
+    rows: Iterable[tuple[int, ...]], p: tuple[int, ...]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(s, s * (q - p)) for the row (Q, s_q) of each point q, with
+    s = s_p * s_q > 0, computed from the row (P, s_p) of the point p as
+    (s_p * s_q, s_p * Q - s_q * P).
 
     This is the translation to p in integers: no rational is formed, and the
     scale is positive, which is all a containment decision asks of it (it
     need not be the scale of the row of q - p).
     """
-    *P, sp = p.row
+    *P, sp = p
     out = []
-    for q in points:
-        Q = q.row
+    for Q in rows:
         sq = Q[-1]
         out.append((sp * sq, tuple([sp * a - sq * b for a, b in zip(Q, P)])))
     return out
@@ -612,7 +627,7 @@ def barycentric_coordinates(
     l_i = s_i * t_i / sum(s_j * t_j); the sum is zero exactly when degenerate.
     """
     _check_simplex(p, vertices)
-    scales, cols = zip(*_translated_rows(vertices, p))
+    scales, cols = zip(*_translated_rows([v.row for v in vertices], p.row))
     weighted = list(map(mul, scales, _cofactors(cols)))
     det = sum(weighted)
     if det == 0:
@@ -630,7 +645,7 @@ def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
     if mode not in ("open", "closed"):
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     _check_simplex(p, vertices)
-    cols = [w for _, w in _translated_rows(vertices, p)]
+    cols = [w for _, w in _translated_rows([v.row for v in vertices], p.row)]
     return _open_simplex(cols) if mode == "open" else _hull_contains(cols)
 
 
@@ -655,7 +670,8 @@ def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     both modes are one integer linear program, `_feasible`.
     """
     _check_dims(S, p.dim)
-    return _hull_contains([w for _, w in _translated_rows(S, p)], strict)
+    vecs = [w for _, w in _translated_rows([q.row for q in S], p.row)]
+    return _hull_contains(vecs, strict)
 
 
 def in_general_position(points: Sequence[Point]) -> bool:
@@ -699,7 +715,7 @@ def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     n = len(points)
     if n < d:
         return True
-    vecs = [w for _, w in _translated_rows(points, p)]
+    vecs = [w for _, w in _translated_rows([q.row for q in points], p.row)]
     if d > 2:
         _check_budget([1] * n, d - 1, "pencil subsets")
     if _pencil([list(col) for col in zip(*vecs)]):

@@ -5,6 +5,14 @@ denominators (default magnitude bound 10^4), never as rounded reals, so every
 downstream computation stays exact.  Numerators are drawn symmetrically about
 zero, which makes the per-point distribution centrally symmetric.
 
+Every integer drawn here, and every weight of `depth.core_depth_samples`,
+comes from the draw helper `_randints`.  It returns one integer per (lo, hi)
+span, in order, equal to successive `Random.randint(lo, hi)` calls on the
+same generator: it draws `getrandbits(width.bit_length())` and draws again
+while the result is at least the width, as CPython's `randint` does through
+`_randbelow`, without the three calls and the type checks around it.  So a
+seed gives the same stream, the same points and the same accepted classes.
+
 A point is drawn as integer (numerator, denominator) pairs, one per
 coordinate, and drawn again while every numerator is zero; it is the row
 `exact._scaled_pairs` makes of them, with no parsing.  Most candidate
@@ -39,14 +47,34 @@ class SamplingError(RuntimeError):
     """A rejection-sampling budget was exhausted."""
 
 
+def _randints(rng: Random, spans) -> list[int]:
+    """One integer per (lo, hi) span, lo <= hi, in order: the values and
+    the generator state of successive `rng.randint(lo, hi)` calls on a
+    `random.Random`.  A span of one value still draws its bits; an empty
+    span, hi < lo, is a `ValueError`, as it is for `randint`."""
+    bits = rng.getrandbits
+    out = []
+    for lo, hi in spans:
+        width = hi - lo + 1
+        if width < 1:
+            raise ValueError(f"empty range ({lo}, {hi})")
+        k = width.bit_length()
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
 def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
     """The coordinates of one nonzero random point as (numerator,
     denominator) pairs; each coordinate draws its numerator, then its
     denominator."""
+    spans = [(-bound, bound), (1, bound)] * dim
     while True:
-        pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim)]
-        if any(n for n, _ in pairs):
-            return pairs
+        drawn = _randints(rng, spans)
+        if any(drawn[::2]):
+            return list(zip(drawn[::2], drawn[1::2]))
 
 
 def _cleared(pairs: list[tuple[int, int]]) -> list[int]:

@@ -147,15 +147,17 @@ def strictly_inside_by_facets(p, S) -> bool:
     every hyperplane through d points of S that has no point of S on its
     other side."""
     d = p.dim
-    if rank_by_elimination([homogeneous(q) for q in S]) <= d:
+    points = [homogeneous(q) for q in S]
+    if rank_by_elimination(points) <= d:
         return False
-    for facet in combinations(S, d):
-        rows = [homogeneous(q) for q in facet]
-        dets = [det_by_permutations(rows + [homogeneous(q)]) for q in S]
+    query = homogeneous(p)
+    for facet in combinations(points, d):
+        rows = list(facet)
+        dets = [det_by_permutations(rows + [q]) for q in points]
         pos, neg = any(x > 0 for x in dets), any(x < 0 for x in dets)
         if pos == neg:
             continue
-        det_p = det_by_permutations(rows + [homogeneous(p)])
+        det_p = det_by_permutations(rows + [query])
         if not (det_p > 0 if pos else det_p < 0):
             return False
     return True

@@ -17,10 +17,17 @@ from conftest import (
     rand_point,
 )
 from colourdepth import depth
-from colourdepth.constructions import gen_identical, gen_regular_ngon, gen_sminus, gen_splus
+from colourdepth.constructions import (
+    gen_identical,
+    gen_random_core_config,
+    gen_regular_ngon,
+    gen_sminus,
+    gen_splus,
+)
 from colourdepth.depth import (
     ColourfulConfiguration,
     CoreSampleError,
+    DepthReport,
     _sweep_depth,
     antipodal_cone_count,
     colour_decomposition,
@@ -262,6 +269,74 @@ def test_colour_decomposition_of_identical_classes():
             rep, counts = colour_decomposition(cfg, mode)
             assert rep.count == factorial(d + 1)
             assert set(counts) == {(factorial(d),) * (d + 1)}
+
+
+def _tally_memo_cases(rng):
+    """(configuration, query point, modes) for the enumeration memo: random
+    rational configurations at d = 3 and 4 at a random point and at the
+    origin, classes dealt from `degenerate_lattice_case` sets at their query
+    point, and the first of those again with its classes as lists."""
+    for d, sizes in ((3, (4, 4, 4, 4)), (3, (2, 3, 1, 2, 3)), (4, (2, 3, 2, 2, 3))):
+        for _ in range(2):
+            cfg = ColourfulConfiguration(
+                d, tuple(tuple(rand_point(rng, d) for _ in range(k)) for k in sizes))
+            yield cfg, rand_point(rng, d), ("open",)
+            yield cfg, origin(d), ("open",)
+    lattice = []
+    for d in (1, 2, 3):
+        for _ in range(6):
+            S, p = degenerate_lattice_case(rng, d, d + 4)
+            classes = tuple(tuple(rng.choices(S, k=rng.randint(1, 3))) for _ in range(d + 1))
+            lattice.append((ColourfulConfiguration(d, classes), p, ("open", "closed")))
+    yield from lattice
+    cfg, p, modes = lattice[-1]
+    yield ColourfulConfiguration(cfg.dim, [list(cls) for cls in cfg.classes]), p, modes
+
+
+def test_tally_memo_gives_the_uncached_enumeration():
+    # A cold call and a warm one must both equal `_count_colourful` run
+    # without the memo, with the per-point tally it fills in place.
+    rng = Random(47)
+    kinds = set()
+    for cfg, p, modes in _tally_memo_cases(rng):
+        key = depth._class_rows(cfg)
+        for mode in modes:
+            tally = [0] * len(cfg.points())
+            scaled = depth._translated_rows([q.row for q in cfg.points()], p.row)
+            count, degenerate, boundary, _ = depth._count_colourful(
+                cfg.class_sizes(), scaled, mode, False, tally)
+            want = (count, degenerate, boundary, tuple(tally))
+            report = DepthReport(mode, count, None, degenerate, boundary)
+            depth._colourful_tally.cache_clear()
+            assert depth._colourful_tally(key, p.row, mode) == want, (cfg, p, mode)
+            assert depth._colourful_tally(key, p.row, mode) == want, (cfg, p, mode)
+            info = depth._colourful_tally.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+            if cfg.dim != 2:  # the plane may take the sweep, which skips the memo
+                assert colourful_depth(cfg, p, mode) == report
+            kinds.add((mode, degenerate > 0, boundary > 0))
+            if not any(p.row[:-1]):
+                rep, counts = colour_decomposition(cfg, mode)
+                assert rep == report
+                assert counts == tuple(
+                    tuple(zero_containing_count(cfg, c, k, mode) for k in range(len(cls)))
+                    for c, cls in enumerate(cfg.classes))
+    assert {("open", False, False), ("open", True, False), ("closed", True, False)} <= kinds
+
+
+def test_tally_memo_serves_a_core_trial_and_keeps_its_bound():
+    # The origin count of `gen_random_core_config` is read again by the first
+    # candidate of `core_depth_samples`; the memo keeps the latest queries.
+    depth._colourful_tally.cache_clear()
+    vc = gen_random_core_config(3, 4, 0)
+    found = core_depth_samples(vc.config, 6, 0)
+    assert found[0] == (vc.claimed_depth_at_origin, origin(3))
+    assert depth._colourful_tally.cache_info().hits == 1
+    rng = Random(48)
+    for _ in range(10):
+        colourful_depth(vc.config, rand_point(rng, 3))
+    info = depth._colourful_tally.cache_info()
+    assert info.currsize == info.maxsize == 4
 
 
 def test_colour_decomposition_input_errors():

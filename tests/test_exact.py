@@ -49,7 +49,7 @@ from colourdepth.exact import (
     pt,
 )
 from colourdepth.constructions import gen_random_core_config
-from colourdepth.depth import core_depth_samples, monochrome_depth
+from colourdepth.depth import ColourfulConfiguration, core_depth_samples, monochrome_depth
 from colourdepth.sampling import random_core_class, random_points
 
 fracs = st.fractions(
@@ -186,6 +186,34 @@ def test_points_made_without_parsing_have_the_canonical_row(monkeypatch):
         parsed = Point(q.coords)
         assert parsed.row == q.row, q.row
         assert parsed == q and hash(parsed) == hash(q)
+
+
+def test_point_sums_and_differences_match_fraction_arithmetic():
+    # Sums and differences are formed on the integer rows; the Fraction sums
+    # of the coordinates, parsed to a point, are the reference, row for row,
+    # so the rows must come out in lowest terms.
+    rng = Random(17)
+    for trial in range(400):
+        d = 1 + trial % 4
+        if trial % 2:
+            S, p = degenerate_lattice_case(rng, d, d + 3)
+        else:
+            S, p = [rand_point(rng, d) for _ in range(3)], rand_point(rng, d)
+        for q in S + [p, -p, origin(d)]:
+            for got, op in ((q + p, lambda a, b: a + b), (q - p, lambda a, b: a - b)):
+                want = Point(op(a, b) for a, b in zip(q.coords, p.coords))
+                assert got.row == want.row, (q, p)
+        assert (p - p).row == origin(d).row
+        cfg = ColourfulConfiguration(d, (tuple(S), (p, -p)))
+        assert cfg.translated(p).classes == tuple(
+            tuple(Point(a + b for a, b in zip(q.coords, p.coords)) for q in cls)
+            for cls in cfg.classes
+        )
+    for a, b in ((pt(1, 2), pt(1)), (pt(1), pt(1, 2))):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            a + b
+        with pytest.raises(InputError, match="dimension mismatch"):
+            a - b
 
 
 # ---------------------------------------------------------------- orientation
@@ -431,7 +459,7 @@ def _hull_answers(p, S):
     """(closed, strict) from `in_convex_hull`, checked against
     `_hull_contains` on the translated vectors and the conftest oracles."""
     closed, strict = in_convex_hull(p, S), in_convex_hull(p, S, strict=True)
-    vecs = [w for _, w in _translated_rows(S, p)]
+    vecs = [w for _, w in _translated_rows([q.row for q in S], p.row)]
     assert closed == _hull_contains(vecs), (S, p)
     assert strict == _hull_contains(vecs, strict=True), (S, p)
     assert closed == feasible_by_basis_enumeration(p, S), (S, p)
@@ -902,7 +930,8 @@ def test_query_side_pencil_matches_subset_oracle():
             S, p = _spanned_hyperplane_case(rng, d)
         else:
             S, p = degenerate_lattice_case(rng, d, d + 3)
-        certified = _pencil([list(c) for c in zip(*(w for _, w in _translated_rows(S, p)))])
+        vecs = [w for _, w in _translated_rows([q.row for q in S], p.row)]
+        certified = _pencil([list(c) for c in zip(*vecs)])
         got = in_general_position_with(S, p)
         assert got == general_position_with_by_subsets(S, p), (S, p)
         assert got or not certified, (S, p)
@@ -963,7 +992,7 @@ def test_translated_rows_scale_the_rational_difference():
             p = rand_point(rng, d) if rng.random() < 0.7 else Point(rng.randint(-2, 2) for _ in range(d))
             pts = [rand_point(rng, d) for _ in range(3)]
             pts += [Point(rng.randint(-2, 2) for _ in range(d)), p, -p]
-            for q, (s, w) in zip(pts, _translated_rows(pts, p)):
+            for q, (s, w) in zip(pts, _translated_rows([q.row for q in pts], p.row)):
                 assert s > 0
                 assert tuple(Fraction(x, s) for x in w) == (q - p).coords
                 *w0, s0 = (q - p).row

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import core_class_by_rejection
 from colourdepth.exact import Point, _scaled_pairs
-from colourdepth.sampling import SamplingError, _draw, random_core_class, random_point
+from colourdepth.sampling import SamplingError, _draw, _randints, random_core_class, random_point
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -45,3 +45,23 @@ def test_drawn_rows_are_the_rows_of_the_points():
         for _ in range(300):
             pairs = _draw(rng, d, 6)
             assert _scaled_pairs(pairs) == Point(Fraction(n, q) for n, q in pairs).row, pairs
+
+
+def test_randints_are_the_randint_stream():
+    # The helper reads getrandbits as CPython's randint does, so it must give
+    # the same integers and leave the generator in the same state: the
+    # random() after it agrees.  A span of one value still draws its bits.
+    spans = [(-10**4, 10**4), (1, 10**4), (1, 1), (5, 5)]
+    for seed in range(300):
+        rng, ref = Random(seed), Random(seed)
+        order = Random(-1 - seed).choices(spans, k=seed % 50)
+        assert _randints(rng, order) == [ref.randint(lo, hi) for lo, hi in order], seed
+        assert rng.random() == ref.random(), seed
+    rng = Random(0)
+    assert _randints(rng, [(5, 5)]) == [5]
+    assert rng.getstate() != Random(0).getstate()
+    for empty in ((1, 0), (5, 3)):
+        with pytest.raises(ValueError):
+            Random(0).randint(*empty)
+        with pytest.raises(ValueError, match="empty range"):
+            _randints(Random(0), [(1, 1), empty])
