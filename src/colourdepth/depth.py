@@ -47,7 +47,7 @@ depth when there are d+1 colours.
 Every colourful count that enumerates without witnesses tallies, through one
 memo, `_colourful_tally`: a `functools.lru_cache` keyed, as `_clean_plane`
 is, on lowest-terms rows (the points' class by class, then the query
-point's) and the mode, holding the 4 most recent results.
+point's) and the mode, holding the one latest result.
 `colour_decomposition` reads it at the origin and `colourful_depth` at its
 query point.  A random core trial counts its origin in
 `gen_random_core_config` and again as the first candidate of
@@ -480,7 +480,7 @@ def _class_rows(config: ColourfulConfiguration) -> tuple[tuple[tuple[int, ...], 
     return tuple(tuple(q.row for q in cls) for cls in config.classes)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _colourful_tally(
     classes: tuple[tuple[tuple[int, ...], ...], ...], p: tuple[int, ...], mode: Mode
 ) -> tuple[int, int, int, tuple[int, ...]]:
@@ -489,14 +489,13 @@ def _colourful_tally(
     tally holds, for every point in class order, the counted simplices that
     pick it.
 
-    Memoized on its arguments, the lowest-terms rows, for the 4 most recent
-    queries.  The reuse it serves is at distance one: a random core trial
-    counts the origin of its configuration in `colour_decomposition` and
-    then again as the first candidate of `core_depth_samples`, with no count
-    between.  Every other count in the audits and the CLI is a fresh key, so
-    a larger bound would only keep more configurations alive; the few spare
-    entries serve a caller that alternates between configurations or modes.
-    The result is immutable, so every caller may keep it."""
+    Memoized on its arguments, the lowest-terms rows, for the latest query
+    only.  The one reuse is at distance one: a random core trial counts the
+    origin of its configuration in `colour_decomposition` and then again as
+    the first candidate of `core_depth_samples`, with no count between.
+    Every other count in the audits and the CLI is a fresh key, so a larger
+    bound would only keep more configurations alive.  The result is
+    immutable, so every caller may keep it."""
     scaled = _translated_rows([q for cls in classes for q in cls], p)
     tally = [0] * len(scaled)
     count, degenerate, boundary, _ = _count_colourful(

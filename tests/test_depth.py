@@ -326,7 +326,7 @@ def test_tally_memo_gives_the_uncached_enumeration():
 
 def test_tally_memo_serves_a_core_trial_and_keeps_its_bound():
     # The origin count of `gen_random_core_config` is read again by the first
-    # candidate of `core_depth_samples`; the memo keeps the latest queries.
+    # candidate of `core_depth_samples`; the memo keeps the latest query only.
     depth._colourful_tally.cache_clear()
     vc = gen_random_core_config(3, 4, 0)
     found = core_depth_samples(vc.config, 6, 0)
@@ -336,7 +336,7 @@ def test_tally_memo_serves_a_core_trial_and_keeps_its_bound():
     for _ in range(10):
         colourful_depth(vc.config, rand_point(rng, 3))
     info = depth._colourful_tally.cache_info()
-    assert info.currsize == info.maxsize == 4
+    assert info.currsize == info.maxsize == 1
 
 
 def test_colour_decomposition_input_errors():
