@@ -67,6 +67,8 @@ class CircularArrangement(_Arrangement):
     def __new__(cls, boundaries: tuple[Ray, ...], cell_depths: tuple[int, ...]):
         if len(boundaries) != len(cell_depths):
             raise InputError("one cell per boundary ray required")
+        if not cell_depths:
+            raise InputError("an arrangement needs at least one cell")
         return super().__new__(cls, boundaries, cell_depths)
 
 
@@ -150,19 +152,18 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
 
 def verify_cell_depth_lemma(arr: CircularArrangement) -> CellReport:
     """Minimum cell depth is 1 or more; a depth-1 cell, if present, is unique
-    and every other cell has depth 2 or more."""
+    and every other cell has depth 2 or more.  Depths are integers, so with
+    the minimum at 1 or more a unique 1 leaves every other cell at 2 or
+    more."""
     seq = arr.cell_depths
     mn = min(seq)
-    n_min = seq.count(mn)
-    ones = seq.count(1)
-    ok = mn >= 1 and (ones == 0 or (ones == 1 and sorted(seq)[1] >= 2))
-    return CellReport(seq, mn, n_min, ok)
+    return CellReport(seq, mn, seq.count(mn), mn >= 1 and seq.count(1) <= 1)
 
 
 def canonical_rotation(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest rotation, for stable export of cyclic lists."""
     s = tuple(seq)
-    return min(tuple(s[k:] + s[:k]) for k in range(len(s)))
+    return min((s[k:] + s[:k] for k in range(len(s))), default=())
 
 
 def cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -179,10 +179,9 @@ def _band_classes(
         else:
             perp = _perp_basis(u)
             polar = []
-            for m in range(d - 1):
+            for m, w in enumerate(_simplex_dirs(d - 2)):
                 s = eps * (0.5 + 0.5 * (m + 1) / d) * (1 + (j + 1) / (10 * d))
                 if polar_style == "perp":
-                    w = _simplex_dirs(d - 2)[m] if d > 3 else ([1.0] if m == 0 else [-1.0])
                     vec = [
                         s * sum(w[k] * perp[k][t] for k in range(d - 2))
                         for t in range(d - 1)

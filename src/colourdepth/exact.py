@@ -19,21 +19,25 @@ and the cofactors that give the barycentric signs of the origin in a
 simplex.  Every hull test reads the points translated to the query point,
 which is then the origin.  There is no floating-point code path.
 
-Hull membership, closed or strict, is one integer linear program on the
-points translated to p (`_hull_contains`): phase 1 of the simplex method,
+Every containment question, open simplex, open hull or closed hull, is
+answered by one function, `_hull_contains`, on the points translated to p.
+A strict test of exactly d+1 points, in any dimension, is a simplex test: p
+is interior exactly when the origin is in the open simplex of the
+translated vectors, so their d+1 minors must be nonzero and alternate in
+sign, and the test stops at the first that does not (`_open_simplex`).  A
+repeated point makes a minor zero; a larger set is deduplicated first, so
+d+1 distinct points listed with repeats take the same test.  Otherwise hull
+membership is one integer linear program: phase 1 of the simplex method,
 `_feasible`, on an integer tableau with fraction-free pivots and Bland's
-rule.  When the set has d+1 distinct points its hull is a simplex, and p is
-interior exactly when the origin is in the open simplex of the translated
-vectors: their d+1 minors must be nonzero and alternate in sign, and the
-test stops at the first that does not (`_open_simplex`).
+rule.
 
-In the plane, hull membership needs no linear program.  The points translated
-to p, sorted once by angle, leave a gap of more than a half-turn between
-neighbouring directions exactly when p is outside their closed hull, and of
-a half-turn or more exactly when p is outside its interior: O(n log n).
-That angular order, `_angular_order`, is the package's one sort of plane
-vectors; the planar depth sweep and the circle cells read it too.  No hull
-test is refused for its size.
+In the plane, the other hull tests need no linear program.  The points
+translated to p, sorted once by angle, leave a gap of more than a half-turn
+between neighbouring directions exactly when p is outside their closed hull,
+and of a half-turn or more exactly when p is outside its interior:
+O(n log n).  That angular order, `_angular_order`, is the package's one sort
+of plane vectors; the planar depth sweep and the circle cells read it too.
+No hull test is refused for its size.
 
 General position needs no hyperplane normal.  Facets that share their first
 d-1 points P form a pencil of hyperplanes through span(P), and two points
@@ -458,21 +462,29 @@ def _feasible(A: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
 def _hull_contains(cols: Sequence[tuple[int, ...]], strict: bool = False) -> bool:
     """True iff the origin lies in the closed convex hull of the integer
     vectors, or with strict, in its interior; scaling a vector by a positive
-    factor changes neither answer.  The plane reads the angular order.
-    Above it, the origin is in the closed hull when sum(l_i c_i) = 0 for
-    some l >= 0 with sum(l) = 1.  It is interior when the vectors span R^d
-    and sum(m_i c_i) = 0 for some m with every m_i > 0, or, scaling m, for
-    m = 1 + x with x >= 0: sum(x_i c_i) = -sum(c_i).  `_feasible` decides
-    both; `_open_simplex` decides strict for d+1 distinct vectors, a simplex.
+    factor changes neither answer.  This is the package's one containment
+    test: open simplex, open hull and closed hull.
+
+    Strict first: exactly d+1 vectors, in every dimension, are a simplex,
+    and `_open_simplex` reads its d+1 minors; a repeated or zero vector
+    makes one of them zero.  More vectors are deduplicated first, so a set
+    of d+1 distinct ones listed with repeats is a simplex too.  Otherwise
+    the plane reads the angular order.  Above it, the origin is in the
+    closed hull when sum(l_i c_i) = 0 for some l >= 0 with sum(l) = 1.  It
+    is interior when the vectors span R^d and sum(m_i c_i) = 0 for some m
+    with every m_i > 0, or, scaling m, for m = 1 + x with x >= 0:
+    sum(x_i c_i) = -sum(c_i).  `_feasible` decides both.
     """
     d = len(cols[0])
+    if strict:
+        if len(cols) > d + 1:
+            cols = list(dict.fromkeys(cols))
+        if len(cols) == d + 1:
+            return _open_simplex(cols)
     if d == 2:
         return _plane_hull_contains(cols, strict)
     if not strict:
         return _feasible([*zip(*cols), (1,) * len(cols)], (0,) * d + (1,))
-    cols = list(dict.fromkeys(cols))
-    if len(cols) == d + 1:
-        return _open_simplex(cols)
     if len(_echelon(cols)[0]) < d:
         return False  # a hull in a proper subspace has no interior
     A = list(zip(*cols))
@@ -636,7 +648,8 @@ def barycentric_coordinates(
 
 
 def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
-    """Membership of p in the simplex spanned by d+1 vertices.
+    """Membership of p in the simplex spanned by d+1 vertices: strict or
+    closed `in_convex_hull`.
 
     open: all barycentric coordinates strictly positive (degenerate simplices
     contain nothing).  closed: exact hull membership, which also handles
@@ -645,8 +658,7 @@ def point_in_simplex(p: Point, vertices: Sequence[Point], mode: Mode) -> bool:
     if mode not in ("open", "closed"):
         raise InputError(f"mode must be 'open' or 'closed', got {mode!r}")
     _check_simplex(p, vertices)
-    cols = [w for _, w in _translated_rows([v.row for v in vertices], p.row)]
-    return _open_simplex(cols) if mode == "open" else _hull_contains(cols)
+    return in_convex_hull(p, vertices, strict=mode == "open")
 
 
 def cone_contains(generators: Sequence[Point], v: Point) -> bool:
@@ -666,7 +678,8 @@ def cone_contains(generators: Sequence[Point], v: Point) -> bool:
 def in_convex_hull(p: Point, S: Sequence[Point], strict: bool = False) -> bool:
     """Exact membership of p in conv(S), or with strict, in its interior:
     `_hull_contains` on the points of S translated to p, so that p is the
-    origin.  The plane reads their angular order, in O(n log n); above it,
+    origin.  A strict test of d+1 points reads the minors of their simplex.
+    Otherwise the plane reads their angular order, in O(n log n); above it,
     both modes are one integer linear program, `_feasible`.
     """
     _check_dims(S, p.dim)

@@ -17,13 +17,11 @@ A point is drawn as integer (numerator, denominator) pairs, one per
 coordinate, and drawn again while every numerator is zero; it is the row
 `exact._scaled_pairs` makes of them, with no parsing.  Most candidate
 classes of the core sampler are rejected, so it builds rows and points
-only for the class it accepts.  A class of d+1 points surrounds
-the origin exactly when it is an open simplex around it, a test on the
-signs of d+1 minors that no positive scaling of a point changes.  So each
-draw is tested on its numerators times the product of its own denominators,
-with no lcm, gcd or row, by `exact._open_simplex`.  A larger class is
-tested by `exact._hull_contains` on the scaled vectors of its rows, and the
-accepted points are then made from those rows.
+only for the class it accepts.  Whether a class surrounds the origin is
+a question no positive scaling of a point changes.  So every class, of any
+size, is tested by one `exact._hull_contains` call on its draws' numerators
+times the product of their own denominators, with no lcm, gcd or row: the
+minors of an open simplex for d+1 points, the hull test for more.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 from math import prod
 from random import Random
 
-from .exact import InputError, Point, _hull_contains, _open_simplex, _scaled_pairs
+from .exact import InputError, Point, _hull_contains, _scaled_pairs
 
 __all__ = [
     "SamplingError",
@@ -77,11 +75,12 @@ def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
             return list(zip(drawn[::2], drawn[1::2]))
 
 
-def _cleared(pairs: list[tuple[int, int]]) -> list[int]:
+def _cleared(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
     """The point of the (numerator, denominator) pairs times the product of
-    its denominators: a positive multiple, in integers."""
+    its denominators: a positive multiple, in integers, as a tuple, which
+    `exact._hull_contains` can hash when it drops repeated vectors."""
     den = prod([q for _, q in pairs])
-    return [n * (den // q) for n, q in pairs]
+    return tuple([n * (den // q) for n, q in pairs])
 
 
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:
@@ -104,13 +103,8 @@ def random_core_class(
         raise InputError(f"need at least {dim + 1} points to surround the origin")
     for _ in range(max_tries):
         draws = [_draw(rng, dim, bound) for _ in range(size)]
-        if size == dim + 1:
-            if _open_simplex([_cleared(pairs) for pairs in draws]):
-                return [Point._from_row(_scaled_pairs(pairs)) for pairs in draws]
-        else:
-            rows = [_scaled_pairs(pairs) for pairs in draws]
-            if _hull_contains([row[:-1] for row in rows], strict=True):
-                return [Point._from_row(row) for row in rows]
+        if _hull_contains([_cleared(pairs) for pairs in draws], strict=True):
+            return [Point._from_row(_scaled_pairs(pairs)) for pairs in draws]
     raise SamplingError(
         f"no {size}-point class with 0 strictly inside after {max_tries} draws"
     )

@@ -95,19 +95,26 @@ def config_from_dict(data: dict) -> ColourfulConfiguration:
     return ColourfulConfiguration(dim, tuple(classes))
 
 
-def save_config(config: ColourfulConfiguration, path) -> None:
+def _write_json(data: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=1)
+        json.dump(data, fh, indent=1)
         fh.write("\n")
 
 
-def load_config(path) -> ColourfulConfiguration:
+def _read_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except ValueError as e:  # a JSONDecodeError, or an over-long integer
             raise InputError(f"{path}: not valid JSON: {e}") from e
-    return config_from_dict(data)
+
+
+def save_config(config: ColourfulConfiguration, path) -> None:
+    _write_json(config_to_dict(config), path)
+
+
+def load_config(path) -> ColourfulConfiguration:
+    return config_from_dict(_read_json(path))
 
 
 def points_to_dict(points: Sequence[Point]) -> dict:
@@ -148,15 +155,8 @@ def points_from_dict(data: dict) -> list[Point]:
 
 
 def load_points(path) -> list[Point]:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as e:  # a JSONDecodeError, or an over-long integer
-            raise InputError(f"{path}: not valid JSON: {e}") from e
-    return points_from_dict(data)
+    return points_from_dict(_read_json(path))
 
 
 def save_points(points: Sequence[Point], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(points_to_dict(points), fh, indent=1)
-        fh.write("\n")
+    _write_json(points_to_dict(points), path)

@@ -180,6 +180,13 @@ def test_general_class_sizes_match_fraction_recount(sizes):
 # ------------------------------------------------------------------ the lemma
 
 
+def test_cells_refuse_points_off_the_plane():
+    X = [pt(1, 0, 0), pt(0, 1, 0), pt(-1, -1, 0)]
+    with pytest.raises(InputError) as info:
+        cell_depth_sequence(X, X)
+    assert str(info.value) == "cell arrangements are two-dimensional"
+
+
 def test_lemma_accepts_known_sequences():
     for seq in [(1, 2, 3, 4, 3, 2), (3, 2, 3, 2, 3, 2)]:
         rays = tuple(Ray(0, i, pt(1, i + 1)) for i in range(6))
@@ -195,12 +202,27 @@ def test_lemma_rejects_double_ones():
     assert rep.count_of_min_cells == 2
 
 
+def test_lemma_holds_for_one_cell_of_depth_one():
+    rep = verify_cell_depth_lemma(CircularArrangement((Ray(0, 0, pt(1, 1)),), (1,)))
+    assert rep == ((1,), 1, 1, True)
+
+
+def test_arrangement_without_cells_is_refused():
+    with pytest.raises(InputError, match="at least one cell"):
+        CircularArrangement((), ())
+
+
 # ------------------------------------------------------------------- rotations
 
 
 def test_canonical_rotation():
     assert canonical_rotation((3, 4, 3, 2, 1, 2)) == (1, 2, 3, 4, 3, 2)
     assert canonical_rotation((3, 2, 3, 2, 3, 2)) == (2, 3, 2, 3, 2, 3)
+
+
+def test_empty_sequence_rotates_to_itself():
+    assert canonical_rotation(()) == ()
+    assert cyclic_equal((), ())
 
 
 def test_cyclic_equal():

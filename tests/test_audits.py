@@ -110,6 +110,12 @@ def test_known_min_core_depth_is_d_squared_plus_one():
         assert known_min_core_depth(d) == d * d + 1
 
 
+def test_mu_audit_refuses_negative_trials():
+    with pytest.raises(InputError) as info:
+        mu_audit(2, trials=-1, core_samples=2, seed=0)
+    assert str(info.value) == "trials must be non-negative"
+
+
 def test_mu_audit_d1():
     rep = mu_audit(1, trials=6, core_samples=6, seed=2)
     assert rep.violations == 0

@@ -14,6 +14,7 @@ from colourdepth.constructions import (
     gen_sprime,
     _build,
     _sprime_classes,
+    _verify,
 )
 from colourdepth.depth import (
     colourful_depth,
@@ -126,6 +127,15 @@ def test_failed_build_reports_the_achieved_depth():
         _build(_sprime_classes, 2, Fraction(1, 200), [2, 2, 2], "sprime")
     assert str(info.value) == "sprime(d=2): open depth at origin is 5, wanted 6"
     assert info.value.achieved == 5
+
+
+def test_verify_refuses_degenerate_tuples_and_wrong_point_counts():
+    with pytest.raises(ConstructionError) as info:
+        _verify(gen_identical(2).config, [2, 2, 2])
+    assert str(info.value) == "21 degenerate / 0 boundary tuples at origin"
+    with pytest.raises(ConstructionError) as info:
+        _verify(gen_sminus(2).config, [1, 1, 3])
+    assert str(info.value) == "per-point counts [3, 1, 1] != expected [1, 1, 3]"
 
 
 def test_known_failures_at_d4_are_pinned():

@@ -365,6 +365,13 @@ def test_antipodal_cone_count_1d_example():
     assert antipodal_cone_count(cfg, 1, pt(2)).count == 1
 
 
+def test_antipodal_cone_count_refuses_a_missing_colour():
+    cfg = config(1, [pt(-1), pt(1)], [pt(-2), pt(2)])
+    with pytest.raises(InputError) as info:
+        antipodal_cone_count(cfg, 5, pt(2))
+    assert str(info.value) == "colour index 5 out of range"
+
+
 def test_zero_count_is_zero_when_antipode_uncovered():
     # the antipode of (1,) lies outside every cone of the other colour
     cfg = config(1, [pt(-1), pt(1)], [pt(1), pt(2)])

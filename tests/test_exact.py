@@ -374,6 +374,19 @@ def test_cone_degenerate_generators():
         cone_contains([pt(1, 1), pt(2, 2)], pt(1, 0))
 
 
+def test_simplex_and_cone_refuse_bad_arguments():
+    tri = [pt(1, 0), pt(0, 1), pt(-1, -1)]
+    with pytest.raises(InputError) as info:
+        point_in_simplex(pt(0, 0), tri, "middle")
+    assert str(info.value) == "mode must be 'open' or 'closed', got 'middle'"
+    with pytest.raises(InputError) as info:
+        point_in_simplex(pt(0, 0), tri[:2], "open")
+    assert str(info.value) == "need 3 vertices in dimension 2"
+    with pytest.raises(InputError) as info:
+        cone_contains([pt(1, 0)], pt(1, 1))
+    assert str(info.value) == "need exactly 2 generators in dimension 2"
+
+
 def test_cone_agrees_with_hull_antipode():
     # cone(gens, v) <=> 0 in conv(gens + [-v]), both directions, random data.
     rng = Random(17)
@@ -621,6 +634,12 @@ def test_gp_with_ignores_dependent_subsets():
     assert in_general_position_with(S, pt(5, 7))
 
 
+def test_gp_with_fewer_than_d_points_holds():
+    # two points in dimension 3 span no plane, so even a point of theirs avoids every one
+    S = [pt(1, 2, 3), pt(4, 5, 6)]
+    assert in_general_position_with(S, pt(1, 2, 3))
+
+
 def _lattice_case(rng: Random, d: int):
     """Small-integer points in d dimensions with duplicates, collinear runs
     or a lower-dimensional hull, and a query that is often on an edge."""
@@ -785,24 +804,36 @@ def _simplex_case(rng: Random, d: int, shape: str):
 
 @pytest.mark.parametrize("shape", ["generic", "repeated", "dependent"])
 def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
-    # Sets with d+1 distinct points, listed once or with one of them twice,
-    # are decided by the minors of the simplex and never reach the simplex
-    # method of larger sets, `_feasible`.
-    feasible = exact._feasible
-    lp_calls = []
+    # Sets of d+1 points, and sets with d+1 distinct points listed once or
+    # with one of them twice, are decided by the minors of the simplex in
+    # every dimension, the plane included: they never reach the simplex
+    # method of larger sets, `_feasible`, nor the planar angular sort.  The
+    # repeats are dropped from the vectors translated to p, and two distinct
+    # points on one ray from p can translate to one vector, so the count of
+    # distinct points is read on those vectors.
+    feasible, angular_order = exact._feasible, exact._angular_order
+    lp_calls, sort_calls = [], []
     monkeypatch.setattr(
         exact, "_feasible", lambda A, b: lp_calls.append(A) or feasible(A, b)
+    )
+    monkeypatch.setattr(
+        exact, "_angular_order", lambda vecs: sort_calls.append(vecs) or angular_order(vecs)
     )
     rng = Random(67)
     hits = 0
     for trial in range(240):
         d = 1 + trial % 4
         S, p = _simplex_case(rng, d, shape)
+        assert point_in_simplex(p, S, "open") == strictly_inside_by_facets(p, S), (S, p)
         for T in (S, S + [rng.choice(S)]):
             lp_calls.clear()
+            sort_calls.clear()
             strict = in_convex_hull(p, T, strict=True)
             assert strict == strictly_inside_by_facets(p, T), (T, p)
             assert not lp_calls or len(set(T)) <= d, (T, p)
+            vecs = {w for _, w in _translated_rows([q.row for q in T], p.row)}
+            if len(T) == d + 1 or len(vecs) == d + 1:
+                assert not lp_calls and not sort_calls, (T, p)
             hits += strict
     assert hits > 0 or shape != "generic"
 

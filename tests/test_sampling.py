@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from conftest import core_class_by_rejection
-from colourdepth.exact import Point, _scaled_pairs
+from colourdepth.exact import InputError, Point, _scaled_pairs
 from colourdepth.sampling import SamplingError, _draw, _randints, random_core_class, random_point
 
 
@@ -30,6 +30,12 @@ def test_core_class_matches_fraction_rejection_loop(d):
                 assert rng.getstate() == ref.getstate(), (size, bound, seed)
                 outcomes.add(expected is None)
     assert outcomes == {False, True}
+
+
+def test_core_class_below_d_plus_1_points_is_refused():
+    with pytest.raises(InputError) as info:
+        random_core_class(Random(0), 2, 2)
+    assert str(info.value) == "need at least 3 points to surround the origin"
 
 
 def test_random_point_is_never_the_origin():

@@ -16,6 +16,7 @@ from colourdepth.serialization import (
     load_points,
     parse_fraction,
     parse_point,
+    points_from_dict,
     save_config,
     save_points,
 )
@@ -75,6 +76,15 @@ def test_points_accepts_single_colour_config(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(config, path)
     assert load_points(path) == [pt(1, 0), pt(0, 1)]
+
+
+def test_point_set_refuses_several_colours_and_other_dimensions():
+    with pytest.raises(InputError) as info:
+        points_from_dict({"dimension": 2, "colours": [[[1, 0]], [[0, 1]]]})
+    assert str(info.value) == "point-set file expected; configuration has several colours"
+    with pytest.raises(InputError) as info:
+        points_from_dict({"dimension": 2, "points": [[1, 0], [1, 2, 3]]})
+    assert str(info.value) == "point of dimension 3 in a dimension-2 file"
 
 
 def test_mixed_int_and_string_coordinates():
