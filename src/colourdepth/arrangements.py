@@ -8,7 +8,9 @@ ends those whose other generator lies behind it, so the depth changes by
 (points of the other class ahead) - (behind) = 2 h - |other|, h being the
 other class's count in the open half-turn after the ray.  One pass of the
 angular sweep `depth._half_turns`, which planar depth counting shares, gives
-both the order of the rays and every h.
+the order of the rays and every h, and it is also the line check: it
+answers None when two rays lie on one line, so no pair of rays is compared
+on its own.
 
 The depth of every cell is also counted outright, at the sum u of its two
 bounding rays, by the counter under `depth.antipodal_cone_count`: the cones
@@ -22,11 +24,11 @@ the integer vector of its point's row; there is no trigonometry anywhere.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .depth import _antipodal_count, _half_turns
-from .exact import InputError, Point, _check_budget, _cross, in_convex_hull, origin
+from .exact import InputError, Point, _check_budget, in_convex_hull, origin
 
 __all__ = [
     "DegenerateArrangementError",
@@ -97,7 +99,9 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
 
     Requires at least three points in each class, 0 strictly inside each
     class hull, and all rays pairwise non-parallel (no equal and no
-    antipodal directions).
+    antipodal directions).  The hull checks run first; a parallel pair is
+    found by the sweep `_half_turns` and refused as "two rays span the same
+    line".
     """
     if len(X) < 3 or len(Y) < 3:
         raise InputError("each colour class needs at least three points")
@@ -111,29 +115,25 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
     vecs = [r.direction.row[:-1] for r in rays]
-    for i, j in combinations(range(len(rays)), 2):
-        if _cross(vecs[i], vecs[j]) == 0:
-            raise DegenerateArrangementError(
-                f"rays {(rays[i].colour, rays[i].index)} and "
-                f"{(rays[j].colour, rays[j].index)} span the same line"
-            )
+    turns = _half_turns(vecs, [r.colour for r in rays], 2)
+    if turns is None:
+        raise DegenerateArrangementError("two rays span the same line")
 
     order, deltas = [], []
-    for k, colour, h in _half_turns(vecs, [r.colour for r in rays], 2):
+    for k, colour, h in turns:
         order.append(k)
         deltas.append(2 * h[1 - colour] - sizes[1 - colour])
 
     # Cell k lies between rays order[k] and order[k+1].  The sum of their
-    # vectors is strictly inside it, because every consecutive gap is below
-    # a half-turn (each class alone has all gaps below it when 0 is interior
-    # to its hull).  The cones holding it are those holding 0 with its
-    # antipode, appended as one more column per cell.
+    # vectors is strictly inside it, because every consecutive gap is
+    # positive, no two rays being parallel, and below a half-turn: each
+    # class alone has all gaps below it when 0 is interior to its hull, and
+    # merging the classes only splits gaps.  The cones holding it are those
+    # holding 0 with its antipode, appended as one more column per cell.
     n = len(order)
     cols = list(vecs)
     for k in range(n):
         a, b = vecs[order[k]], vecs[order[(k + 1) % n]]
-        if _cross(a, b) <= 0:
-            raise DegenerateArrangementError("consecutive rays spread by half a turn")
         cols.append((-a[0] - b[0], -a[1] - b[1]))
     cones, _ = _antipodal_count((*sizes, n), [(0, 1)], cols)
 

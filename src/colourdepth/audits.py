@@ -4,10 +4,12 @@ heuristic.
 Every audit derives the random state of trial t from seed + t, so a report is
 independent of how trials are scheduled or partitioned across workers, and
 identical inputs produce identical reports byte for byte.  The parity audits
-and `depth_stats` share one trial loop, `_seeded_records`, and every audit
-reports through one builder, `_report`.  Extremal configurations from
-`constructions` are planted into the bound audits so that tightness is
-witnessed, not just bounded.
+and `depth_stats` share one trial loop, `_seeded_records`; the bound audits
+mu and nu share another, `_bound_audit`, which takes the min or the max of the
+sampled core depths of each configuration; and every audit reports through
+one builder, `_report`.  Extremal configurations from `constructions` are
+planted into the bound audits so that tightness is witnessed, not just
+bounded.
 
 Parity violations are never expected: the parity statements are theorems for
 valid trials, so a nonzero violation count signals an implementation bug.
@@ -29,11 +31,9 @@ from .constructions import (
 )
 from .depth import (
     ColourfulConfiguration,
-    CoreSampleError,
     colourful_depth,
     core_depth_samples,
     core_membership,
-    min_core_depth_estimate,
     monochrome_depth,
 )
 from .exact import InputError, in_general_position, origin
@@ -230,13 +230,17 @@ def parity_audit(
 # ---------------------------------------------------------------------- bounds
 
 
-def _bound_trials(d: int, trials: int, seed: int, planted, measure):
-    """Run measure(config, s), a depth or None, on planted(d) and then on
-    gen_random_core_config(d, d+1, s) for trial t with s = seed + t.  The
-    planted build is deterministic; its record and its measure take s = seed.
+def _bound_audit(kind: str, d: int, trials: int, seed: int, planted, samples: int,
+                 pick, target: int, extra: dict) -> AuditReport:
+    """The mu or nu audit: pick (min or max) of the depths of `samples` core
+    points of planted(d) and then of gen_random_core_config(d, d+1, s) for
+    trial t with s = seed + t, gated against target.  The planted build is
+    deterministic; its record and its samples take s = seed.
 
-    Returns the records of the measured configurations and the number of
-    failures: a construction error or a measure of None.
+    Every measured configuration has the origin strictly inside each colour
+    hull and in general position with the points (`_verify`, or the random
+    generator's own checks), so its core samples start with the origin and
+    are never empty.  A construction error is the one failure counted.
     """
     if trials < 0:
         raise InputError("trials must be non-negative")
@@ -254,56 +258,37 @@ def _bound_trials(d: int, trials: int, seed: int, planted, measure):
         except ConstructionError:
             failures += 1
             continue
-        depth = measure(vc.config, s)
-        if depth is None:
-            failures += 1
-        else:
-            records.append(TrialRecord(trial, s, depth, True, True))
-    return records, failures
+        depth = pick(e for e, _ in core_depth_samples(vc.config, samples, s))
+        records.append(TrialRecord(trial, s, depth, True, True))
+    if not records:
+        extreme = "minimum" if pick is min else "maximum"
+        raise AuditViolation(f"no usable trials in {extreme}-depth audit")
+    return _report(
+        kind, d, trials, seed, records,
+        # pick(depth, target) moves off the target only past it
+        violations=sum(pick(r.depth, target) != target for r in records),
+        reference_bounds=(target, target),
+        extra=extra,
+        generation_failures=failures,
+    )
 
 
 def mu_audit(d: int, trials: int, core_samples: int, seed: int) -> AuditReport:
-    """Minimum sampled core depth over random core configurations, with a
-    planted extremal configuration witnessing the proven minimum."""
-
-    def measure(config, s: int):
-        try:
-            return min_core_depth_estimate(config, core_samples, s)[0]
-        except CoreSampleError:
-            return None
-
-    planted = gen_splus if d == 1 else gen_sminus
-    records, failures = _bound_trials(d, trials, seed, planted, measure)
-    if not records:
-        raise AuditViolation("no usable trials in minimum-depth audit")
-    lower = known_min_core_depth(d)
-    return _report(
-        "mu", d, trials, seed, records,
-        violations=sum(r.depth < lower for r in records),
-        reference_bounds=(lower, lower),
-        extra={"core_samples": core_samples},
-        generation_failures=failures,
-    )
+    """Minimum sampled core depth over random core configurations, gated
+    below by the proven minimum d^2 + 1, with a planted S- (S+ at d = 1)
+    witnessing it."""
+    return _bound_audit("mu", d, trials, seed, gen_splus if d == 1 else gen_sminus,
+                        core_samples, min, known_min_core_depth(d),
+                        {"core_samples": core_samples})
 
 
 def nu_audit(d: int, trials: int, seed: int, *, samples: int = 4) -> AuditReport:
-    """Maximum depth over sampled strict-interior core points, with a planted
-    deep configuration attaining d^(d+1) + 1."""
-
-    def measure(config, s: int):
-        return max((e for e, _ in core_depth_samples(config, samples, s)), default=None)
-
-    records, failures = _bound_trials(d, trials, seed, gen_splus, measure)
-    if not records:
-        raise AuditViolation("no usable trials in maximum-depth audit")
+    """Maximum sampled core depth over random core configurations, gated
+    above by the proven maximum d^(d+1) + 1, with a planted S+ attaining
+    it."""
     target = known_max_core_depth(d)
-    return _report(
-        "nu", d, trials, seed, records,
-        violations=sum(r.depth > target for r in records),
-        reference_bounds=(target, target),
-        extra={"samples": samples, "proven_max": target},
-        generation_failures=failures,
-    )
+    return _bound_audit("nu", d, trials, seed, gen_splus, samples, max, target,
+                        {"samples": samples, "proven_max": target})
 
 
 # ------------------------------------------------------------------ statistics

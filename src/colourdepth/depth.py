@@ -327,12 +327,14 @@ def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int)
     """For each plane vector in angular order, its index in vecs, its colour
     and the numbers of vectors of each of the r colours in the open
     half-turn counter-clockwise after it; or None when two of the vectors lie
-    on one line through the origin.  The vectors must be nonzero.
+    on one line through the origin.  A zero vector lies on every such line:
+    among two or more vectors it gives None.
 
     The order is `exact._angular_order`.  Two vectors on one ray are
-    neighbours in it, with a zero cross product.  Two opposite ones are
-    found by the two-pointer pass: the pointer of a vector runs through its
-    open half-turn and stops on the first vector outside it, and when no two
+    neighbours in it, with a zero cross product, and a zero vector has a
+    zero cross product with either neighbour.  Two opposite ones are found
+    by the two-pointer pass: the pointer of a vector runs through its open
+    half-turn and stops on the first vector outside it, and when no two
     vectors share a ray, that is the opposite one if there is one.
     """
     n = len(vecs)
@@ -370,19 +372,18 @@ def _sweep_depth(
     translated to the query, as `_translated_rows` makes them.  Clean means
     that the points are pairwise distinct with no three on one line
     (`_clean_plane`), and that the query point is none of them and on no
-    line through two of them: no vector is zero and no two are parallel,
-    which `_half_turns` reports from the angular order.  The query side is
-    read first, so a query on such a line never asks for the points' side;
-    that one is computed once per point set in a process, memoized on the
-    rows, for at most 128 sets.
+    line through two of them: no vector is zero and no two are parallel.
+    `_half_turns` reports both from the angular order, in which a zero
+    vector is parallel to its neighbour.  The query side is read first, so
+    a query on such a line never asks for the points' side; that one is
+    computed once per point set in a process, memoized on the rows, for at
+    most 128 sets.
 
     A triple misses the origin exactly when its other two vectors lie in the
     open half-turn after its first one.  Without colours the count is over
     all triples; with a class index per vector it is over triples of three
     distinct colours.  On clean input the open and closed counts agree.
     """
-    if (0, 0) in vecs:
-        return None
     n = len(vecs)
     r = 1 if colours is None else max(colours) + 1
     turns = _half_turns(vecs, colours or [0] * n, r)

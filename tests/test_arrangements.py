@@ -228,3 +228,25 @@ def test_empty_sequence_rotates_to_itself():
 def test_cyclic_equal():
     assert cyclic_equal((1, 2, 3), (3, 1, 2))
     assert not cyclic_equal((1, 2, 3), (1, 3, 2))
+
+
+def test_arrangement_needs_one_cell_per_ray():
+    with pytest.raises(InputError) as info:
+        CircularArrangement((Ray(0, 0, pt(1, 0)),), (1, 2))
+    assert str(info.value) == "one cell per boundary ray required"
+
+
+@pytest.mark.parametrize("Y", [
+    [pt(2, 0), pt(-1, 2), pt(-1, -2)],  # (2, 0) on the ray of (1, 0)
+    [pt(-2, 0), pt(1, 2), pt(1, -2)],  # (-2, 0) opposite (1, 0)
+    [pt(0, 0), pt(1, 2), pt(1, -2), pt(-3, 1)],  # a point at the origin
+])
+def test_rays_on_one_line_are_refused_by_the_sweep(Y):
+    X = [pt(1, 0), pt(-1, 1), pt(-1, -1)]
+    with pytest.raises(DegenerateArrangementError) as info:
+        cell_depth_sequence(X, Y)
+    assert str(info.value) == "two rays span the same line"
+    # The hull checks come first: a class around no origin is refused as such.
+    with pytest.raises(DegenerateArrangementError) as info:
+        cell_depth_sequence(X, [*Y[:1], pt(1, 1), pt(1, 2)])
+    assert str(info.value) == "0 must lie strictly inside both class hulls"

@@ -10,6 +10,8 @@ from colourdepth.audits import (
     CSV_HEADER,
     PLANTED_TRIAL,
     AuditReport,
+    AuditViolation,
+    TrialRecord,
     depth_stats,
     known_max_core_depth,
     known_min_core_depth,
@@ -19,8 +21,9 @@ from colourdepth.audits import (
     write_csv,
 )
 from colourdepth import audits
-from colourdepth.depth import monochrome_depth
-from colourdepth.exact import InputError, in_convex_hull
+from colourdepth.constructions import gen_random_core_config, gen_sminus, gen_splus
+from colourdepth.depth import core_depth_samples, monochrome_depth
+from colourdepth.exact import InputError, in_convex_hull, origin
 
 
 def test_parity_monochrome_small_run():
@@ -210,3 +213,55 @@ def test_csv_requires_records():
     rep = depth_stats(1, trials=5, seed=0, keep_records=False)
     with pytest.raises(InputError):
         write_csv(rep, "/tmp/nope.csv")
+
+
+@pytest.mark.parametrize("audit, extreme", [
+    (lambda: mu_audit(4, trials=0, core_samples=1, seed=0), "minimum"),
+    (lambda: nu_audit(4, trials=0, seed=0), "maximum"),
+])
+def test_bound_audit_without_a_usable_trial_is_a_violation(audit, extreme):
+    # The planted configuration fails to construct at d = 4 and no random
+    # trial is asked for, so nothing is measured.
+    with pytest.raises(AuditViolation) as info:
+        audit()
+    assert str(info.value) == f"no usable trials in {extreme}-depth audit"
+
+
+def test_mu_audit_counts_a_failed_planted_build_and_keeps_the_trials():
+    rep = mu_audit(4, trials=1, core_samples=1, seed=0)
+    assert rep.generation_failures == 1
+    assert rep.records == (TrialRecord(0, 0, 209, True, True),)
+    assert rep.violations == 0
+    assert rep.min_observed == rep.max_observed == 209
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: gen_splus(1),
+    lambda s: gen_sminus(2),
+    lambda s: gen_sminus(3),
+    lambda s: gen_splus(2),
+    lambda s: gen_splus(3),
+    *[partial(lambda d, s: gen_random_core_config(d, d + 1, s), d) for d in (1, 2, 3)],
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_measured_configuration_samples_its_origin_first(build, seed):
+    # The bound audits measure only configurations whose origin is strictly
+    # inside every colour hull and in general position with the points, so
+    # the first core sample is the origin, at its verified depth, and a
+    # sample list is never empty.
+    vc = build(seed)
+    d = vc.config.dim
+    first = core_depth_samples(vc.config, 1, seed)
+    assert first[0] == (vc.claimed_depth_at_origin, origin(d))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parity_audit("monochrome", 3, 1, 0, n=1), "n too small"),
+    (lambda: parity_audit("colourful_even_sizes", 2, 1, 0, sizes=(2, 2)),
+     "need at least 3 colour classes"),
+    (lambda: depth_stats(2, 0, 0), "trials must be at least 1"),
+])
+def test_audit_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

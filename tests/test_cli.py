@@ -162,6 +162,28 @@ def test_cells2d_two_point_class_is_one_line_input_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
+def test_cells2d_refuses_a_configuration_off_the_plane(capsys, tmp_path):
+    path = tmp_path / "sp.json"
+    run(capsys, "gen", "splus", "--dim", "3", "--out", str(path))
+    code, out, err = run(capsys, "cells2d", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: cells2d needs a 2-dimensional configuration\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["gen", "ngon"], "error: gen ngon requires --n"),
+    (["gen", "random"], "error: gen random requires --dim"),
+])
+def test_gen_without_its_size_is_one_line_input_error(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_bound_audit_without_a_usable_trial_exits_as_a_violation(capsys):
+    # The planted S- fails to construct at d = 4, and no random trial runs.
+    code, out, err = run(capsys, "audit", "mu", "--dim", "4", "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["audit violation: no usable trials in minimum-depth audit"]
+
 def test_cells2d_refuses_an_oversized_recount_up_front(tmp_path):
     # Each of the 400 cells would be recounted over 200 * 200 generator
     # pairs: 16,000,000 tuples, refused before any hull or ray check.

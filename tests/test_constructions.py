@@ -240,3 +240,16 @@ def test_random_core_config_size_check():
 def test_custom_epsilon_still_verifies():
     vc = gen_sminus(2, Fraction(1, 300))
     assert vc.claimed_depth_at_origin == 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_identical(0), "dimension must be at least 1"),
+    (lambda: gen_splus(0), "dimension must be at least 1"),
+    (lambda: gen_random_core_config(0, 2, 0), "dimension must be at least 1"),
+    (lambda: gen_regular_ngon(2), "need at least 3 vertices"),
+    (lambda: gen_sminus(2, "1/10"), "epsilon must lie in (0, 1/50]"),
+])
+def test_generator_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -704,6 +704,45 @@ def test_collinear_points_away_from_the_query_are_enumerated():
         assert fields(rep) == fields(enumerated(monochrome_depth, S, p, mode))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_a_zero_vector_stops_the_sweep_at_every_position(n):
+    # A zero vector has a zero cross product with whichever vector is next
+    # to it in the angular order, so the sweep itself refuses it: a query
+    # equal to one of the points is never swept, wherever the point stands.
+    rng = Random(n)
+    others = [(q.row[0], q.row[1]) for q in random_points(rng, n - 1, 2, bound=50)]
+    for k in range(n):
+        vecs = others[:k] + [(0, 0)] + others[k:]
+        assert depth._half_turns(vecs, [0] * n, 1) is None
+        assert depth._half_turns(vecs, [i % 3 for i in range(n)], 3) is None
+        S = [Point(v) for v in vecs]
+        rows = [q.row for q in S]
+        assert _sweep_depth(rows, vecs) is None
+        assert _sweep_depth(rows, vecs, [i % 3 for i in range(n)]) is None
+        if n >= 3:
+            for mode in ("open", "closed"):
+                assert fields(monochrome_depth(S, origin(2), mode)) == fields(
+                    enumerated(monochrome_depth, S, origin(2), mode))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ColourfulConfiguration(2, ()), "need at least one colour class"),
+    (lambda: ColourfulConfiguration(2, ((pt(1, 0),), ())),
+     "every colour class needs at least one point"),
+    (lambda: ColourfulConfiguration(2, ((pt(1, 0, 0),),)), "point dimension 3 does not match dim 2"),
+    (lambda: monochrome_depth([], pt(0, 0)), "empty point set"),
+    (lambda: monochrome_depth([pt(1, 0), pt(0, 1), pt(1, 1, 1)], pt(0, 0)),
+     "dimension mismatch between S and p"),
+    (lambda: colourful_depth(gen_sminus(2).config, pt(0, 0, 0)),
+     "query point dimension does not match configuration"),
+    (lambda: core_depth_samples(gen_sminus(2).config, 0, 0), "samples must be at least 1"),
+])
+def test_depth_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_clean_plane_is_the_planar_pencil():
     # The sweep's certificate, `_clean_plane` on the points plus the query
     # side read from the angular order, is `in_general_position` at d = 2 of

@@ -17,6 +17,7 @@ from colourdepth.serialization import (
     parse_fraction,
     parse_point,
     points_from_dict,
+    points_to_dict,
     save_config,
     save_points,
 )
@@ -92,3 +93,13 @@ def test_mixed_int_and_string_coordinates():
     config = config_from_dict(data)
     assert config.classes[0][1] == Point([Fraction(1, 2)])
     assert config_to_dict(config) == {"dimension": 1, "colours": [[[1], ["1/2"]]]}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: points_to_dict([]),
+    lambda: points_from_dict({"points": []}),
+])
+def test_empty_point_set_is_refused_both_ways(call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == "empty point set"
