@@ -711,6 +711,7 @@ def test_a_zero_vector_stops_the_sweep_at_every_position(n):
     # equal to one of the points is never swept, wherever the point stands.
     rng = Random(n)
     others = [(q.row[0], q.row[1]) for q in random_points(rng, n - 1, 2, bound=50)]
+    assert depth._half_turns(others, [0] * (n - 1), 1) is not None
     for k in range(n):
         vecs = others[:k] + [(0, 0)] + others[k:]
         assert depth._half_turns(vecs, [0] * n, 1) is None
@@ -729,7 +730,8 @@ def test_a_zero_vector_stops_the_sweep_at_every_position(n):
     (lambda: ColourfulConfiguration(2, ()), "need at least one colour class"),
     (lambda: ColourfulConfiguration(2, ((pt(1, 0),), ())),
      "every colour class needs at least one point"),
-    (lambda: ColourfulConfiguration(2, ((pt(1, 0, 0),),)), "point dimension 3 does not match dim 2"),
+    (lambda: ColourfulConfiguration(2, ((pt(1, 0, 0),),)),
+     "point dimension 3 does not match dim 2"),
     (lambda: monochrome_depth([], pt(0, 0)), "empty point set"),
     (lambda: monochrome_depth([pt(1, 0), pt(0, 1), pt(1, 1, 1)], pt(0, 0)),
      "dimension mismatch between S and p"),
