@@ -8,9 +8,7 @@ ends those whose other generator lies behind it, so the depth changes by
 (points of the other class ahead) - (behind) = 2 h - |other|, h being the
 other class's count in the open half-turn after the ray.  One pass of the
 angular sweep `depth._half_turns`, which planar depth counting shares, gives
-the order of the rays and every h, and it is also the line check: it
-answers None when two rays lie on one line, so no pair of rays is compared
-on its own.
+the order of the rays and every h, and refuses two rays on one line.
 
 The depth of every cell is also counted outright, at the sum u of its two
 bounding rays, by the counter under `depth.antipodal_cone_count`: the cones
