@@ -11,6 +11,16 @@ one builder, `_report`.  Extremal configurations from `constructions` are
 planted into the bound audits so that tightness is witnessed, not just
 bounded.
 
+Every sampled query point is certified by the count that measures it.  A
+parity trial is valid when its open count reports no degenerate tuple and no
+boundary hit: then every counted tuple spans a simplex and the depth is
+constant near the query point, which is all the parity statements need.  A
+core sample is kept when its open colourful count reports no boundary hit
+(`depth.core_depth_samples`).  No second general-position pass is run on the
+query point; the generators keep their own certificate that the points of a
+configuration, with the origin, are in general position, the hypothesis of
+the bound theorems.
+
 Parity violations are never expected: the parity statements are theorems for
 valid trials, so a nonzero violation count signals an implementation bug.
 """
@@ -36,7 +46,7 @@ from .depth import (
     core_membership,
     monochrome_depth,
 )
-from .exact import InputError, in_general_position, origin
+from .exact import InputError, origin
 from .sampling import DEFAULT_BOUND, random_point, random_points
 
 __all__ = [
@@ -160,12 +170,14 @@ def _monochrome_trial(rng: Random, d: int, n: int):
     for _ in range(MAX_TRIAL_ATTEMPTS):
         S = random_points(rng, n, d, DEFAULT_BOUND)
         p = random_point(rng, d, DEFAULT_BOUND)
-        if in_general_position(S + [p]):
-            # In general position p is interior to conv(S) exactly when it
-            # lies in an open simplex of S: when its open depth is positive.
-            rep = monochrome_depth(S, p, "open")
+        rep = monochrome_depth(S, p, "open")
+        # Valid trial, as for the colourful kinds: S in general position and
+        # p on no simplex boundary.  Then p is interior to conv(S) exactly
+        # when it lies in an open simplex of S: when its open depth is
+        # positive.
+        if rep.degenerate == 0 and rep.boundary == 0:
             return rep, lambda: rep.count > 0
-    raise AuditViolation("could not draw a general-position monochrome trial")
+    raise AuditViolation("could not draw a clean monochrome trial")
 
 
 def _colourful_trial(rng: Random, d: int, sizes):
@@ -192,7 +204,8 @@ def parity_audit(
     sizes: tuple[int, ...] | None = None,
     keep_records: bool = True,
 ) -> AuditReport:
-    """Count parity violations over random general-position instances.
+    """Count parity violations over random valid instances: draws whose
+    open count has no degenerate tuple and no boundary hit.
 
     kinds: "monochrome" (depth of p is even when n - d is even),
     "colourful_odd_d" (d odd, d+1 points in each of d+1 colours),
@@ -239,13 +252,16 @@ def _bound_audit(kind: str, d: int, trials: int, seed: int, planted, samples: in
 
     Every measured configuration has the origin strictly inside each colour
     hull and in general position with the points (`_verify`, or the random
-    generator's own checks), so its core samples start with the origin and
-    are never empty.  A construction error is the one failure counted.
+    generator's own checks), so the origin is on no colourful simplex
+    boundary, its core samples start with it and are never empty.  A
+    construction error is the one failure counted.
     """
     if trials < 0:
         raise InputError("trials must be non-negative")
     if d < 1:
         raise InputError("dimension must be at least 1")
+    if samples < 1:
+        raise InputError("samples must be at least 1")
     records = []
     failures = 0
     for trial in (PLANTED_TRIAL, *range(trials)):

@@ -160,7 +160,9 @@ def _band_classes(
     polar_style "perp" spreads each colour's polar points across the
     directions orthogonal to its low-ring meridian; "toward_high" tucks them
     along the geodesic from the pole toward the colour's high-ring point,
-    which is what makes the polar cell deep.
+    which is what makes the polar cell deep, offset by a small multiple of
+    the same spread so that the class spans every direction and its hull
+    holds the origin.
     """
     eps = float(eps_f)
     us = _simplex_dirs(d - 1)
@@ -181,14 +183,12 @@ def _band_classes(
             polar = []
             for m, w in enumerate(_simplex_dirs(d - 2)):
                 s = eps * (0.5 + 0.5 * (m + 1) / d) * (1 + (j + 1) / (10 * d))
+                spread = [sum(w[k] * perp[k][t] for k in range(d - 2)) for t in range(d - 1)]
                 if polar_style == "perp":
-                    vec = [
-                        s * sum(w[k] * perp[k][t] for k in range(d - 2))
-                        for t in range(d - 1)
-                    ]
+                    vec = [s * y for y in spread]
                 else:
-                    tau = eps / (20 * (m + 2)) * (1 if m % 2 == 0 else -1)
-                    vec = [-s * x + tau * y for x, y in zip(u, perp[0])]
+                    tau = eps / (20 * (m + 2))
+                    vec = [-s * x + tau * y for x, y in zip(u, spread)]
                 polar.append(vec)
         for vec in polar:
             h = math.sqrt(1 - sum(x * x for x in vec))
@@ -242,7 +242,9 @@ def _build(
     """Run build(d, eps_f, snapper), which returns the colour classes, once,
     and check its configuration with `_verify` against the expected
     last-colour counts.  A failed check is raised again as what(d=...): ...,
-    with the achieved depth."""
+    with the achieved depth.  An oversized colourful enumeration is refused
+    before anything is built."""
+    _check_budget([d + 1] * (d + 1), d + 1, "vertex tuples")
     classes = build(d, eps_f, _Snapper(float(eps_f)))
     config = ColourfulConfiguration(d, tuple(tuple(x) for x in classes))
     try:
@@ -262,6 +264,7 @@ def gen_identical(d: int) -> VerifiedConfiguration:
     """
     if d < 1:
         raise InputError("dimension must be at least 1")
+    _check_budget([d + 1] * (d + 1), d + 1, "vertex tuples")
     verts = []
     for i in range(d):
         e = [0] * d

@@ -53,6 +53,9 @@ query point.  A random core trial counts its origin in
 `gen_random_core_config` and again as the first candidate of
 `core_depth_samples`, with no count between, so the second count is a hit;
 every other count of the audits and the CLI asks a fresh key and enumerates.
+That one count is also the sample's certificate: `core_depth_samples` keeps a
+strict-core candidate when the count reports no boundary hit, and runs no
+separate general-position test on it.
 Before enumerating, every count compares its number of tuples, C(n, d+1) or
 the elementary symmetric polynomial e_{d+1} of the class sizes, with
 `exact.MAX_TUPLES` and refuses a larger input with an `InputError`; the
@@ -85,7 +88,6 @@ from .exact import (
     _reduced_row,
     _translated_rows,
     in_convex_hull,
-    in_general_position_with,
     origin,
 )
 from .sampling import _randints
@@ -616,9 +618,14 @@ def core_depth_samples(
     """Open colourful depths at sampled strict-interior core points.
 
     Candidate points are the origin plus random convex combinations of
-    per-colour convex mixtures; candidates are kept only when they lie
-    strictly inside every colour hull and avoid every hyperplane spanned by
-    d configuration points.  Deterministic given the seed.
+    per-colour convex mixtures.  A candidate is kept when it lies strictly
+    inside every colour hull and its open count has no boundary hit: no
+    non-degenerate colourful simplex has it on its boundary.  Then the open
+    count is constant near the candidate, and so is strict core membership,
+    so the sample's depth is that of nearby core points in general position,
+    the points the bounds of `audits` are stated for.  Degenerate colourful
+    tuples belong to the configuration, not to the candidate, and do not
+    reject it.  Deterministic given the seed.
 
     The weights are integers in [1, bound], drawn class by class and point
     by point, then one per class.  A mixture is kept as an integer vector
@@ -631,16 +638,14 @@ def core_depth_samples(
     if samples < 1:
         raise InputError("samples must be at least 1")
     rng = Random(seed)
-    pts = config.points()
     d = config.dim
     out: list[tuple[int, Point]] = []
 
     def consider(candidate: Point):
-        if not core_membership(config, candidate, strict=True):
-            return
-        if not in_general_position_with(pts, candidate):
-            return
-        out.append((colourful_depth(config, candidate, "open").count, candidate))
+        if core_membership(config, candidate, strict=True):
+            rep = colourful_depth(config, candidate, "open")
+            if rep.boundary == 0:
+                out.append((rep.count, candidate))
 
     # Per class: the common scale s and the columns of the points times s.
     classes = []
@@ -679,6 +684,6 @@ def min_core_depth_estimate(
     found = core_depth_samples(config, samples, seed, bound)
     if not found:
         raise CoreSampleError(
-            f"no strict-core sample in general position found in {samples} draws"
+            f"no strict-core sample off every colourful boundary in {samples} draws"
         )
     return min(found, key=lambda t: t[0])

@@ -60,10 +60,11 @@ from any number of workers without coordination.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm, lgamma, log, log10
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
@@ -303,21 +304,53 @@ costs about 2.5 us at d = 3 and 4.5 us at d = 4 (Python 3.11 on a 2-vCPU
 Xeon), so that is about 25 s and 45 s.  A larger input raises `InputError`
 with the tuple count instead of running for hours."""
 
+_SHOWN_DIGITS = 4300
+"""Python's default limit on the digits of an int converted to str; a
+refused count with more digits is named without them."""
+
 
 def _check_budget(sizes: Sequence[int], k: int, what: str) -> None:
     """Refuse to enumerate more than MAX_TUPLES tuples.  The tuples pick one
     point from each of k of the classes of the given sizes, so there are
     e_k(sizes) of them, the elementary symmetric polynomial; a monochrome
     count has n classes of one point, and C(n, k) tuples.  The refusal names
-    them by `what`, the caller's noun for what it enumerates."""
+    them by `what`, the caller's noun for what it enumerates.
+
+    The check is cheap at any size.  The count is never formed when its
+    float lower bound C(n, k) * min(sizes)^k already has more digits than
+    Python prints by default (`_SHOWN_DIGITS`); such a count is named by a
+    power of ten below it.  Otherwise `_tuple_count` gives it exactly."""
+    sizes = [s for s in sizes if s]
+    n = len(sizes)
+    if not 0 < k <= n:
+        return
+    log_comb = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+    low = log_comb + k * log10(min(sizes))
+    if low < _SHOWN_DIGITS:
+        count = _tuple_count(sizes, k)
+        if count <= MAX_TUPLES:
+            return
+        if count < 10**_SHOWN_DIGITS:
+            raise InputError(f"{count} {what} to enumerate, more than the limit of {MAX_TUPLES}")
+        low = log10(count)
+    raise InputError(
+        f"at least 10^{int(low) - 1} {what} to enumerate, more than the limit of {MAX_TUPLES}"
+    )
+
+
+def _tuple_count(sizes: Sequence[int], k: int) -> int:
+    """e_k(sizes) for 0 < k <= len(sizes): the coefficient of x^k in the
+    product of (1 + s x)^m over the distinct sizes s, m being how many
+    classes have size s.  The coefficients of one factor are C(m, j) s^j, so
+    a single size gives C(n, k) s^k at once, and the last factor is read at
+    x^k alone."""
+    *first, (s, m) = Counter(sizes).items()
     e = [1] + [0] * k
-    for size in sizes:
-        for j in range(k, 0, -1):
-            e[j] += size * e[j - 1]
-    if e[k] > MAX_TUPLES:
-        raise InputError(
-            f"{e[k]} {what} to enumerate, more than the limit of {MAX_TUPLES}"
-        )
+    for size, mult in first:
+        f = [comb(mult, j) * size**j for j in range(min(mult, k) + 1)]
+        e = [sum(e[j - i] * f[i] for i in range(min(j, len(f) - 1) + 1))
+             for j in range(k + 1)]
+    return sum(c * comb(m, k - j) * s ** (k - j) for j, c in enumerate(e) if c and k - j <= m)
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:

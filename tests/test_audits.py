@@ -21,9 +21,15 @@ from colourdepth.audits import (
     write_csv,
 )
 from colourdepth import audits
-from colourdepth.constructions import gen_random_core_config, gen_sminus, gen_splus
+from colourdepth.constructions import (
+    ConstructionError,
+    gen_random_core_config,
+    gen_sminus,
+    gen_splus,
+)
 from colourdepth.depth import core_depth_samples, monochrome_depth
-from colourdepth.exact import InputError, in_convex_hull, origin
+from colourdepth.exact import InputError, in_convex_hull, in_general_position, origin, pt
+from colourdepth.sampling import DEFAULT_BOUND, random_point, random_points
 
 
 def test_parity_monochrome_small_run():
@@ -219,9 +225,13 @@ def test_csv_requires_records():
     (lambda: mu_audit(4, trials=0, core_samples=1, seed=0), "minimum"),
     (lambda: nu_audit(4, trials=0, seed=0), "maximum"),
 ])
-def test_bound_audit_without_a_usable_trial_is_a_violation(audit, extreme):
-    # The planted configuration fails to construct at d = 4 and no random
-    # trial is asked for, so nothing is measured.
+def test_bound_audit_without_a_usable_trial_is_a_violation(monkeypatch, audit, extreme):
+    # The planted configuration fails to construct at d = 4 (S- does; S+ is
+    # made to) and no random trial is asked for, so nothing is measured.
+    def fail(d):
+        raise ConstructionError(f"splus(d={d}): made to fail")
+
+    monkeypatch.setattr(audits, "gen_splus", fail)
     with pytest.raises(AuditViolation) as info:
         audit()
     assert str(info.value) == f"no usable trials in {extreme}-depth audit"
@@ -258,8 +268,61 @@ def test_every_measured_configuration_samples_its_origin_first(kind, d, seed):
     (lambda: parity_audit("colourful_even_sizes", 2, 1, 0, sizes=(2, 2)),
      "need at least 3 colour classes"),
     (lambda: depth_stats(2, 0, 0), "trials must be at least 1"),
+    # The sample count is checked before any configuration is built, at
+    # every dimension: S- fails to build at d = 4.
+    (lambda: mu_audit(4, 0, 0, 0), "samples must be at least 1"),
+    (lambda: nu_audit(2, 1, 0, samples=0), "samples must be at least 1"),
+    (lambda: mu_audit(0, 1, 0, 0), "dimension must be at least 1"),
+    (lambda: nu_audit(0, -1, 0, samples=0), "trials must be non-negative"),
 ])
 def test_audit_refusals_name_the_bad_argument(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+def _general_position_monochrome_trial(rng, d, n):
+    """The monochrome draw kept by a general-position test of S and p: the
+    reference that the count's own certificate is compared with."""
+    for _ in range(audits.MAX_TRIAL_ATTEMPTS):
+        S = random_points(rng, n, d, DEFAULT_BOUND)
+        p = random_point(rng, d, DEFAULT_BOUND)
+        if in_general_position(S + [p]):
+            rep = monochrome_depth(S, p, "open")
+            return rep, lambda: rep.count > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_parity_draws_match_the_general_position_rule(monkeypatch, d):
+    # A draw whose count has no degenerate tuple and no boundary hit is kept.
+    # General position of S plus p implies that, and a random rational p
+    # avoids the spanned hyperplanes, so on fixed seeds both keep the same
+    # draws, with the same records and core flags.
+    got = [parity_audit("monochrome", d, 200, 7000, n=n) for n in (d + 2, d + 4)]
+    monkeypatch.setattr(audits, "_monochrome_trial", _general_position_monochrome_trial)
+    want = [parity_audit("monochrome", d, 200, 7000, n=n) for n in (d + 2, d + 4)]
+    assert got == want
+
+
+def test_monochrome_trial_is_kept_by_its_own_count(monkeypatch):
+    # The first draw has three collinear points (a degenerate tuple) and is
+    # drawn again.  In the second, p = (-1, 0) is on the line through (1, 0)
+    # and (3, 0) but outside every triangle: no degenerate tuple and no
+    # boundary hit, so it is kept, although p is not in general position
+    # with S.
+    draws = iter([
+        ([pt(0, 0), pt(1, 1), pt(2, 2), pt(0, 3)], pt(1, 2)),
+        ([pt(1, 0), pt(3, 0), pt(0, 2), pt(2, 5)], pt(-1, 0)),
+    ])
+    S, p = [], []
+
+    def points(rng, n, d, bound):
+        S[:], q = next(draws)
+        p[:] = [q]
+        return S
+
+    monkeypatch.setattr(audits, "random_points", points)
+    monkeypatch.setattr(audits, "random_point", lambda rng, d, bound: p[0])
+    rep, core = audits._monochrome_trial(Random(0), 2, 4)
+    assert next(draws, None) is None and not in_general_position(S + p)
+    assert (rep.count, rep.degenerate, rep.boundary, core()) == (0, 0, 0, False)

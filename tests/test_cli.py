@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -183,6 +184,47 @@ def test_bound_audit_without_a_usable_trial_exits_as_a_violation(capsys):
     code, out, err = run(capsys, "audit", "mu", "--dim", "4", "--trials", "0")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["audit violation: no usable trials in minimum-depth audit"]
+
+
+def test_nu_audit_plants_splus_at_d4(capsys, tmp_path):
+    path = tmp_path / "nu.csv"
+    code, out, err = run(capsys, "audit", "nu", "--dim", "4", "--trials", "0",
+                         "--csv", str(path))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert (summary["min_observed"], summary["max_observed"]) == (1025, 1025)
+    assert (summary["violations"], summary["generation_failures"]) == (0, 0)
+    assert path.read_text().splitlines()[1:] == ["-1,0,1025,1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "mu", "--dim", "4", "--trials", "0", "--core-samples", "0"],
+    ["audit", "mu", "--dim", "2", "--trials", "1", "--core-samples", "0"],
+    ["audit", "nu", "--dim", "2", "--trials", "1", "--samples", "0"],
+])
+def test_bound_audit_refuses_a_bad_sample_count_first(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: samples must be at least 1\n")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["gen", "sminus", "--dim", "100"], str(101**101)),
+    (["gen", "sminus", "--dim", "1000"], str(1001**1001)),
+    (["gen", "identical", "--dim", "300"], str(301**301)),
+    (["audit", "mu", "--dim", "300", "--trials", "1"], str(301**301)),
+    (["gen", "random", "--dim", "3000"], "at least 10^10434"),
+    (["gen", "random", "--dim", "100000"], "at least 10^500004"),
+    (["gen", "splus", "--dim", "100000"], "at least 10^500004"),
+], ids=lambda v: " ".join(v[:4]) if isinstance(v, list) else "")
+def test_oversized_dimensions_are_refused_before_building(capsys, argv, count):
+    # (d+1)^(d+1) colourful tuples are refused before any point is placed;
+    # a count past Python's 4,300 printed digits is named by a power of ten.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {count} vertex tuples to enumerate, more than the limit of 10000000\n"
+
 
 def test_cells2d_refuses_an_oversized_recount_up_front(tmp_path):
     # Each of the 400 cells would be recounted over 200 * 200 generator

@@ -139,16 +139,12 @@ def test_verify_refuses_degenerate_tuples_and_wrong_point_counts():
 
 
 def test_known_failures_at_d4_are_pinned():
-    # Neither band construction meets its claim at d = 4 yet: S- lands in a
-    # cell of the wrong coverage, and S+ has the right depth but flat classes.
+    # S- does not meet its claim at d = 4 yet: its deep antipode lands in a
+    # cell of the wrong coverage.
     with pytest.raises(ConstructionError) as info:
         gen_sminus(4)
     assert str(info.value) == "sminus(d=4): open depth at origin is 22, wanted 17"
     assert info.value.achieved == 22
-    with pytest.raises(ConstructionError) as info:
-        gen_splus(4)
-    assert str(info.value) == "splus(d=4): origin is not strictly inside every colour hull"
-    assert info.value.achieved == 1025
 
 
 def test_sprime_has_unique_simplex_point():
@@ -173,10 +169,11 @@ def test_splus_depth(d, want):
 
 
 def test_splus_witness_decomposition():
-    for d in (2, 3):
+    # From d = 4 on, the polar offsets must span every direction off the
+    # meridian, or the classes are flat and miss the origin.
+    for d in (2, 3, 4, 5):
         vc = gen_splus(d)
-        counts = list(vc.last_colour_counts)
-        assert counts == [d**d] * d + [1]
+        assert vc.last_colour_counts == (d**d,) * d + (1,)
 
 
 def test_splus_core_strict():

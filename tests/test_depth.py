@@ -495,22 +495,31 @@ def test_min_core_depth_deterministic():
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("extra", [0, 2])
 def test_core_sample_candidates_match_fraction_mixtures(monkeypatch, d, extra):
-    # With both filters passing everything, every candidate is returned, so
-    # the integer mixtures must give the oracle's points in its order.
+    # Every candidate first meets one strict core test, so a spy there sees
+    # them all; the integer mixtures must give the oracle's points in its
+    # order.  The spy rejects each one, so nothing is counted.
     rng = Random(40 + d + extra)
-    monkeypatch.setattr(depth, "core_membership", lambda *a, **k: True)
-    monkeypatch.setattr(depth, "in_general_position_with", lambda *a, **k: True)
+    candidates = []
+    monkeypatch.setattr(depth, "core_membership",
+                        lambda cfg, p, strict=False: candidates.append(p))
     for seed, bound in ((0, 10_000), (1, 10_000), (2, 7), (3, 1)):
         cfg = random_core_config(rng, d, d + 1 + extra)
         samples = 6 if d == 2 else 3
-        got = [q for _, q in core_depth_samples(cfg, samples, seed, bound)]
-        assert got == core_candidates_by_fractions(cfg, samples, seed, bound)
+        candidates.clear()
+        assert core_depth_samples(cfg, samples, seed, bound) == []
+        assert candidates == core_candidates_by_fractions(cfg, samples, seed, bound)
 
 
 def test_core_depth_samples_match_fraction_mixtures():
+    # The oracle keeps strict core candidates in general position with the
+    # points, a stricter rule than the sampler's own count certificate (no
+    # boundary hit); on these configurations and seeds both keep the same.
     rng = Random(47)
-    for d, size in ((2, 3), (2, 5), (3, 4)):
-        cfg = random_core_config(rng, d, size)
+    configs = [random_core_config(rng, d, size)
+               for d, size in ((1, 2), (1, 4), (2, 3), (2, 5), (3, 4))]
+    configs += [gen_random_core_config(d, d + 1, 9000 + s).config
+                for d in (1, 2, 3) for s in range(10)]
+    for cfg in configs:
         pts = cfg.points()
         for seed in range(3):
             expected = [
@@ -519,6 +528,25 @@ def test_core_depth_samples_match_fraction_mixtures():
                 if core_membership(cfg, q, strict=True) and in_general_position_with(pts, q)
             ]
             assert core_depth_samples(cfg, 8, seed) == expected
+
+
+def test_core_samples_are_kept_by_their_own_count():
+    # The origin is strictly inside every colour hull and on the line of the
+    # colour-0 points (1,1) and (-1,-1), which is no colourful edge: the
+    # count has no boundary hit, so the origin is kept at its depth.
+    classes = [[(1, 1), (-1, -1), (1, -2), (-2, 1)],
+               [(3, 1), (-1, 4), (-3, -5)], [(-4, 2), (2, 5), (1, -6)]]
+    cfg = ColourfulConfiguration.from_lists(2, classes)
+    assert not in_general_position_with(cfg.points(), origin(2))
+    assert colourful_depth(cfg, origin(2), "open").boundary == 0
+    assert core_depth_samples(cfg, 1, 0)[0] == (10, origin(2))
+    # With (-1,-1) in class 1 that line is a colourful edge through the
+    # origin, so the origin is dropped.
+    classes[1].append(classes[0].pop(1))
+    cfg = ColourfulConfiguration.from_lists(2, classes)
+    assert core_membership(cfg, origin(2), strict=True)
+    assert colourful_depth(cfg, origin(2), "open").boundary == 3
+    assert origin(2) not in [q for _, q in core_depth_samples(cfg, 1, 0)]
 
 
 def test_min_core_depth_empty_core_error():

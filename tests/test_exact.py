@@ -990,6 +990,38 @@ def test_general_position_above_budget_is_refused(monkeypatch):
     assert not in_general_position_with(S2, _affine_combination(rng, S2[:2], big=False))
 
 
+def test_budget_counts_tuples_by_the_elementary_symmetric_polynomial(monkeypatch):
+    # The count e_k(sizes) is checked against the product recurrence over
+    # every size, at limits just below and at it.  A count past Python's
+    # 4,300 printed digits is named by a power of ten below it, whether the
+    # float bound C(n, k) min^k or the exact count shows its size.
+    rng = Random(49)
+    for _ in range(400):
+        sizes = [rng.choice([1, 2, 3, rng.randint(1, 40)]) for _ in range(rng.randint(1, 9))]
+        k = rng.randint(1, len(sizes))
+        e = [1] + [0] * k
+        for size in sizes:
+            for j in range(k, 0, -1):
+                e[j] += size * e[j - 1]
+        for limit in (e[k] - 1, e[k]):
+            monkeypatch.setattr(exact, "MAX_TUPLES", limit)
+            if limit < e[k]:
+                with pytest.raises(InputError) as info:
+                    exact._check_budget(sizes, k, "tuples")
+                want = f"{e[k]} tuples to enumerate, more than the limit of {limit}"
+                assert str(info.value) == want
+            else:
+                exact._check_budget(sizes, k, "tuples")
+    monkeypatch.setattr(exact, "MAX_TUPLES", 10)
+    exact._check_budget([100] * 3, 4, "tuples")  # no tuple picks 4 of 3 classes
+    for sizes, k, shown in (([7] * 5000, 5000, str(7**5000)),
+                            ([7] * 6000, 6000, "at least 10^5069"),
+                            ([10**5000, 1], 1, "at least 10^4999")):
+        with pytest.raises(InputError) as info:
+            exact._check_budget(sizes, k, "tuples")
+        assert str(info.value) == f"{shown} tuples to enumerate, more than the limit of 10"
+
+
 def test_open_simplex_matches_the_cofactor_status():
     # The sign-only test against barycentric coordinates of the origin solved
     # over Fractions, all positive, on random and lattice simplices (zero
