@@ -3,7 +3,10 @@ and audits together behind stable file formats.
 
 Exit codes: 0 success and all assertions hold; 1 an audit or assertion was
 violated; 2 malformed input (unknown flags, bad rationals, dimension
-mismatches); 3 a construction failed its exact verification.
+mismatches); 3 a construction failed its exact verification; 141 (128 +
+SIGPIPE, as a shell reports a process that a closed pipe ended) the reader
+of stdout closed it, as `head` does, before all output was written: nothing
+more is printed, not even an error line.
 
 `main(argv)` may be called any number of times in one process.  The parser is
 built once, on the first call, and reused: parsing never changes it, every
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -55,16 +59,15 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CONSTRUCTION = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout closed it
 
 
 def _print_report(rep, witnesses: bool):
-    print(f"mode: {rep.mode}")
-    print(f"count: {rep.count}")
-    print(f"degenerate: {rep.degenerate}")
-    print(f"boundary: {rep.boundary}")
+    lines = [f"mode: {rep.mode}", f"count: {rep.count}",
+             f"degenerate: {rep.degenerate}", f"boundary: {rep.boundary}"]
     if witnesses and rep.witnesses is not None:
-        for w in rep.witnesses:
-            print("witness:", w)
+        lines += [f"witness: {w}" for w in rep.witnesses]
+    print("\n".join(lines))
 
 
 def _cmd_gen(args) -> int:
@@ -275,11 +278,29 @@ def _join_negative_points(argv: list[str]) -> list[str]:
     return out
 
 
+def _silence_stdout() -> None:
+    """Point the file descriptor of stdout, if it has one, at os.devnull, so
+    that the interpreter's last flush of what the closed reader never took
+    neither fails nor reports it."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_negative_points(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_PIPE
     except ConstructionError as e:
         print(f"construction failed: {e}", file=sys.stderr)
         return EXIT_CONSTRUCTION

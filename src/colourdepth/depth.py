@@ -39,7 +39,12 @@ blocks of d points and a run of last points; each face of d-1 points keeps
 one row of its minors with later points, and a block slices d rows.  So a
 call computes C(n, d) minors for a monochrome count rather than
 (d+1) C(n, d+1), and 256 rather than 1,024 for colourful d = 3 with four
-classes of four.
+classes of four.  Signs decide most tuples: cofactors all positive (after
+the sign of the block's own minor) are an open hit and none negative a
+boundary hit, with no determinant formed; only the remaining tuples, and
+every tuple of a block whose minor is zero, form the affine determinant
+that finds the degenerate ones.  In the plane and in space the tests are
+written out over the slices.
 The same enumeration can tally, for every point, the counted simplices that
 pick it: `colour_decomposition` returns the depth of the origin together with
 these per-point counts, which for the points of any one colour sum to the
@@ -193,7 +198,10 @@ def _cofactor_blocks(blocks, cols: Sequence[tuple[int, ...]], ends: Sequence[int
     its i-th key, and t_d is det(cols[P]).  A face keeps one row of these
     minors, from ends[G[-1]] (the first key after the class of its last key)
     to the end, which must hold R and P[-1]: the dot products with its normal,
-    in closed form up to d = 3, else from `_cofactors` of its transpose."""
+    in closed form up to d = 3, else from `_cofactors` of its transpose.
+    The row keeps its negation beside it, so a block's slices carry their
+    signs and the sign of t_d with no work per tuple: the consumers,
+    `_count_blocks` and `_antipodal_count`, compare them with zero."""
     rows = {}
 
     def row(G):
@@ -213,13 +221,13 @@ def _cofactor_blocks(blocks, cols: Sequence[tuple[int, ...]], ends: Sequence[int
 
     # combinations(P, d - 1) drops P[d-1-j] at j: t_{d-1-j}, of sign (-1)^(j+1).
     for P, R in blocks:
-        sl = []
+        start, stop, sl = R.start, R.stop, []
         for G in combinations(P, len(P) - 1):
             lo, r, neg = rows.get(G) or row(G)
             if not sl:
                 td = r[P[-1] - lo]
                 flip = td >= 0
-            sl.append((neg if flip else r)[R.start - lo:R.stop - lo])
+            sl.append((neg if flip else r)[start - lo:stop - lo])
             flip = not flip
         yield P, R, -td if td < 0 else td, sl
 
@@ -229,37 +237,73 @@ def _count_blocks(blocks, scales, cols, ends, mode: Mode, want_witnesses: bool,
     """Shared counting core: a tuple of `_cofactor_blocks` with cofactors t
     is degenerate when det = sum(scale_i * t_i), the scales' product times
     the unscaled determinant, is zero, else a closed hit when no t_i has the
-    sign opposite to det, and an open one when no t_i is zero either.  An
-    open hit skips det: cofactors of one strict sign cannot sum to zero.
+    sign opposite to det, and an open one when no t_i is zero either.
     cols[k] is translated point k times its positive scale scales[k].
-    Witnesses are key tuples; a tally gains one at each key of each counted
-    simplex."""
+
+    After the flip t_d = |t_d|, so when it is positive the signs alone
+    decide a hit: all t > 0 is an open hit and all t >= 0 a boundary one,
+    as det >= scale_k * t_d > 0.  det is formed only for the other tuples,
+    to find the degenerate ones.  A block with t_d = 0 forms det for each
+    tuple, which is a boundary hit when no t_i has the sign opposite to it.
+    The d = 2 and d = 3 loops are these tests written out over the slices.
+    Witnesses are key tuples, in key order within a block; a tally gains
+    one at each key of each counted simplex."""
     count = degenerate = boundary = 0
     closed, witnesses = mode == "closed", [] if want_witnesses else None
+    d = len(cols[0])
     for P, R, td, sl in _cofactor_blocks(blocks, cols, ends):
-        sc, got = [scales[q] for q in P[::-1]], []
-        for k, t in zip(R, zip(*sl)):
-            m = min(t)
-            if m > 0 < td:
-                got.append(k)
-                continue
-            det = sum(map(mul, sc, t)) + scales[k] * td
-            if det == 0:
-                degenerate += 1
-                if closed and _hull_contains([cols[q] for q in P + (k,)]):
+        got, bnd, deg, sk = [], [], [], scales[R.start:R.stop]
+        if not td:
+            sc = [scales[q] for q in P[::-1]]
+            for k, t in zip(R, zip(*sl)):
+                det = sum(map(mul, sc, t))
+                if det == 0:
+                    deg.append(k)
+                elif min(t) >= 0 if det > 0 else max(t) <= 0:
+                    bnd.append(k)
+        elif d == 3:
+            c, b, a = map(scales.__getitem__, P)  # the scales of x, y, z: t_2, t_1, t_0
+            for k, s, x, y, z in zip(R, sk, *sl):
+                if x > 0 and y > 0 and z > 0:
                     got.append(k)
-            elif m >= 0 if det > 0 else td == 0 and max(t) <= 0:
-                boundary += 1
-                if closed:
+                elif x >= 0 and y >= 0 and z >= 0:
+                    bnd.append(k)
+                elif a * x + b * y + c * z + s * td == 0:
+                    deg.append(k)
+        elif d == 2:
+            b, a = map(scales.__getitem__, P)
+            for k, s, x, y in zip(R, sk, *sl):
+                if x > 0 and y > 0:
                     got.append(k)
+                elif x >= 0 and y >= 0:
+                    bnd.append(k)
+                elif a * x + b * y + s * td == 0:
+                    deg.append(k)
+        else:
+            sc = [scales[q] for q in P[::-1]]
+            for k, s, t in zip(R, sk, zip(*sl)):
+                m = min(t)
+                if m > 0:
+                    got.append(k)
+                elif m == 0:
+                    bnd.append(k)
+                elif sum(map(mul, sc, t)) + s * td == 0:
+                    deg.append(k)
+        if bnd or deg:
+            degenerate += len(deg)
+            boundary += len(bnd)
+            if closed:
+                got = sorted(got + bnd + [
+                    k for k in deg if _hull_contains([cols[q] for q in P + (k,)])])
         if not got:
             continue
-        count += len(got)
+        n = len(got)
+        count += n
         if witnesses is not None:
             witnesses += [P + (k,) for k in got]
         if tally is not None:
             for q in P:
-                tally[q] += len(got)
+                tally[q] += n
             for k in got:
                 tally[k] += 1
     return count, degenerate, boundary, witnesses

@@ -32,14 +32,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def cli_process(argv, timeout=60, module="colourdepth.cli"):
+def cli_process(argv, timeout=60, module="colourdepth.cli", stdout=subprocess.PIPE):
     """Run `python -m colourdepth.cli`, or another module, with argv in a
     fresh process."""
     root = Path(__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=timeout,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
     )
 
 
@@ -96,6 +96,43 @@ def test_gen_ngon_and_depth(capsys, tmp_path):
     code, out, _ = run(capsys, "depth", "--points", str(out_path), "--point", "0,0")
     assert code == 0
     assert "count: 14" in out
+
+
+# One degenerate colourful triple, on the x-axis through the origin, and
+# fifteen with the origin on an edge.
+DEGENERATE_QUERY = {"dimension": 2, "colours": [
+    [[0, 0], [2, 0], [-1, 1]], [[1, 0], [-2, 0], [1, -1]], [[0, 1], [0, -2], [1, 1]]]}
+
+
+@pytest.mark.parametrize("mode, count, witnesses", [("closed", 16, 16), ("open", 1, 0)])
+def test_degenerate_query_report(capsys, tmp_path, mode, count, witnesses):
+    path = tmp_path / "deg.json"
+    path.write_text(json.dumps(DEGENERATE_QUERY))
+    argv = ["cdepth", "--config", str(path), "--point=0,0", "--mode", mode]
+    code, out, _ = run(capsys, *argv, *(["--witnesses"] if witnesses else []))
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:4] == [f"mode: {mode}", f"count: {count}", "degenerate: 1", "boundary: 15"]
+    picks = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2),
+             (0, 2, 0), (0, 2, 1), (0, 2, 2), (1, 1, 0), (1, 1, 1), (1, 1, 2),
+             (2, 0, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2)][:witnesses]
+    assert lines[4:] == [f"witness: ((0, {a}), (1, {b}), (2, {c}))" for a, b, c in picks]
+
+
+def test_closed_stdout_ends_quietly_with_141(tmp_path):
+    # A reader that closed stdout, as `head` does, is no input error: the
+    # exit is 128 + SIGPIPE and nothing is printed, even by the interpreter's
+    # last flush of the buffered report.
+    path = tmp_path / "deg.json"
+    path.write_text(json.dumps(DEGENERATE_QUERY))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = cli_process(["cdepth", "--config", str(path), "--point=0,0",
+                            "--mode", "closed", "--witnesses"], stdout=w)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_cdepth_require_core_violation(capsys, tmp_path):

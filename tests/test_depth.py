@@ -951,3 +951,78 @@ def test_block_counts_match_per_tuple_loop(d):
                     assert zero_containing_count(centred, colour, k, mode) == (
                         per_tuple(origin(d), tuples, mode)[0]
                     ), (cfg, p, colour, k, mode)
+
+
+def branch_case(d):
+    """Integer points, with the query at the origin, whose blocks reach every
+    branch of the block classification.  A tuple's block is its first d
+    keys, so the order of the points decides the blocks:
+
+    - top = e_d, then the facet e_1 .. e_{d-1}, -(e_1 + ... + e_{d-1}) of
+      the hyperplane x_d = 0, with the origin inside it: top and the facet
+      put the origin on a boundary, in a block through top with t_d != 0;
+    - 2 e_1 in that hyperplane and bottom = -e_d after the facet: the block
+      of the facet has t_d = 0 and holds a degenerate tuple, a closed hit,
+      and a boundary one;
+    - low = (-1, ..., -1): with top and e_1 .. e_{d-1}, an open hit;
+    - d+1 points of the moment curve in x_d = 1, on a hyperplane away from
+      the origin: degenerate tuples whose cofactors are all nonzero."""
+    e = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    facet = [*e[:-1], (-1,) * (d - 1) + (0,)]
+    curve = [tuple(t**i for i in range(1, d)) + (1,) for t in range(d + 1)]
+    rows = [e[-1], *facet, (2,) + (0,) * (d - 1), (0,) * (d - 1) + (-1,), (-1,) * d, *curve]
+    return [Point(r) for r in rows]
+
+
+def reached_branches(S, d):
+    """The branches of the block classification that the monochrome blocks
+    of S reach at the origin, each tuple classified by the per-tuple oracle
+    and its block's t_d and cofactors read from `_cofactor_blocks`."""
+    n, o, seen = len(S), origin(d), set()
+    blocks = ((P, range(P[-1] + 1, n)) for P in combinations(range(n - 1), d))
+    for P, R, td, sl in depth._cofactor_blocks(blocks, [q.row[:-1] for q in S], range(1, n + 1)):
+        kinds = set()
+        for k, t in zip(R, zip(*sl)):
+            verts = [S[q] for q in P + (k,)]
+            if det_by_permutations([homogeneous(q) for q in verts]) == 0:
+                kinds.add("degenerate")
+                if td and 0 not in t:
+                    seen.add("degenerate, every cofactor nonzero")
+                if point_in_simplex(o, verts, "closed"):
+                    seen.add("closed degenerate hit")
+            elif point_in_simplex(o, verts, "open"):
+                seen.add("open hit")
+            elif point_in_simplex(o, verts, "closed"):
+                kinds.add("boundary")
+                if td:
+                    seen.add("boundary, t_d != 0")
+        if not td and kinds == {"degenerate", "boundary"}:
+            seen.add("t_d = 0, boundary and degenerate")
+    return seen
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_each_classification_branch_matches_per_tuple(d):
+    # d = 2 and 3 run the closed forms of the block engine, d = 4 its
+    # generic loop; each hand-built case reaches every branch of both.
+    S, o = branch_case(d), origin(d)
+    assert reached_branches(S, d) >= {
+        "open hit", "degenerate, every cofactor nonzero", "boundary, t_d != 0",
+        "t_d = 0, boundary and degenerate", "closed degenerate hit"}
+    for mode in ("open", "closed"):
+        rep = monochrome_depth(S, o, mode, want_witnesses=True)
+        tuples = [(sub, [S[i] for i in sub]) for sub in combinations(range(len(S)), d + 1)]
+        assert answers(rep) == per_tuple(o, tuples, mode), mode
+        assert counters(monochrome_depth(S, o, mode)) == counters(rep)
+
+    cfg = config(d, *(S[c::d + 1] for c in range(d + 1)))
+    sizes, scaled = cfg.class_sizes(), depth._translated_rows([q.row for q in cfg.points()], o.row)
+    for mode in ("open", "closed"):
+        rep = colourful_depth(cfg, o, mode, want_witnesses=True)
+        tuples = [(tuple(enumerate(picks)), [cls[i] for cls, i in zip(cfg.classes, picks)])
+                  for picks in product(*(range(m) for m in sizes))]
+        assert answers(rep) == per_tuple(o, tuples, mode), mode
+        tally = [0] * len(scaled)
+        assert depth._count_colourful(sizes, scaled, mode, False, tally)[:3] == counters(rep)
+        assert tally == [zero_containing_count(cfg, c, i, mode)
+                         for c, m in enumerate(sizes) for i in range(m)], mode
