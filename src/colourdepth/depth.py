@@ -32,8 +32,12 @@ open and closed counts agree and both counters are zero.
 Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
 decided by the integer kernel of `exact`: cofactor signs for a simplex, and
-hull membership (`exact._hull_contains`: the angular order in the plane,
-the integer simplex method above it) for degenerate tuples in closed mode.
+in closed mode, for a degenerate tuple whose cofactors are all zero, hull
+membership (`exact._hull_contains`: the angular order in the plane, the
+integer simplex method above it).  Any other degenerate tuple is a closed
+miss: its points span an affine space of dimension below d, and if that
+space held the query point it would be a linear one after translation, so
+the d+1 vectors would have rank below d and every d x d minor would be zero.
 A cofactor is a d x d minor on the tuple's other d points.  Tuples come in
 blocks of d points and a run of last points; each face of d-1 points keeps
 one row of its minors with later points, and a block slices d rows.  So a
@@ -246,19 +250,29 @@ def _count_blocks(blocks, scales, cols, ends, mode: Mode, want_witnesses: bool,
     to find the degenerate ones.  A block with t_d = 0 forms det for each
     tuple, which is a boundary hit when no t_i has the sign opposite to it.
     The d = 2 and d = 3 loops are these tests written out over the slices.
+
+    In closed mode a degenerate tuple is a hit when its hull holds the
+    origin, and `_hull_contains` decides that only for the tuples whose
+    cofactors are all zero, in blocks with t_d = 0.  Every other degenerate
+    tuple is a miss: its d+1 vectors have an affine hull of dimension below
+    d, which through the origin is a linear subspace, so they would have
+    rank below d and t_d and every t_i would be zero.
+
     Witnesses are key tuples, in key order within a block; a tally gains
     one at each key of each counted simplex."""
     count = degenerate = boundary = 0
     closed, witnesses = mode == "closed", [] if want_witnesses else None
     d = len(cols[0])
     for P, R, td, sl in _cofactor_blocks(blocks, cols, ends):
-        got, bnd, deg, sk = [], [], [], scales[R.start:R.stop]
+        got, bnd, deg, flat, sk = [], [], [], [], scales[R.start:R.stop]
         if not td:
             sc = [scales[q] for q in P[::-1]]
             for k, t in zip(R, zip(*sl)):
                 det = sum(map(mul, sc, t))
                 if det == 0:
                     deg.append(k)
+                    if not any(t):
+                        flat.append(k)
                 elif min(t) >= 0 if det > 0 else max(t) <= 0:
                     bnd.append(k)
         elif d == 3:
@@ -294,7 +308,7 @@ def _count_blocks(blocks, scales, cols, ends, mode: Mode, want_witnesses: bool,
             boundary += len(bnd)
             if closed:
                 got = sorted(got + bnd + [
-                    k for k in deg if _hull_contains([cols[q] for q in P + (k,)])])
+                    k for k in flat if _hull_contains([cols[q] for q in P + (k,)])])
         if not got:
             continue
         n = len(got)
@@ -497,7 +511,7 @@ def colourful_depth(
         count, degenerate, boundary, wit = _count_colourful(
             config.class_sizes(), scaled, mode, True)
         labels = [(ci, pi) for ci, cls in enumerate(config.classes) for pi in range(len(cls))]
-        wit = tuple(tuple(labels[k] for k in keys) for keys in wit)
+        wit = tuple(tuple(map(labels.__getitem__, keys)) for keys in wit)
         return DepthReport(mode, count, wit, degenerate, boundary)
     if d == 2:
         rows = tuple(q.row for q in config.points())

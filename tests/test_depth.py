@@ -15,6 +15,7 @@ from conftest import (
     det_by_permutations,
     homogeneous,
     rand_point,
+    rank_by_elimination,
 )
 from colourdepth import depth
 from colourdepth.constructions import (
@@ -883,6 +884,16 @@ def per_tuple(p, tuples, mode):
     return count, tuple(witnesses), degenerate, boundary
 
 
+def colourful_tuples(cfg):
+    """The (witness, vertices) pairs of the colourful tuples of cfg, in the
+    order of its witness lists."""
+    return [
+        (tuple(zip(colours, picks)), [cfg.classes[c][i] for c, i in zip(colours, picks)])
+        for colours in combinations(range(cfg.num_classes), cfg.dim + 1)
+        for picks in product(*(range(len(cfg.classes[c])) for c in colours))
+    ]
+
+
 def answers(rep):
     return rep.count, rep.witnesses, rep.degenerate, rep.boundary
 
@@ -929,11 +940,7 @@ def test_block_counts_match_per_tuple_loop(d):
         r = cfg.num_classes
         for mode in ("open", "closed"):
             rep = colourful_depth(cfg, p, mode, want_witnesses=True)
-            tuples = [
-                (tuple(zip(colours, picks)), [cfg.classes[c][i] for c, i in zip(colours, picks)])
-                for colours in combinations(range(r), d + 1)
-                for picks in product(*(range(len(cfg.classes[c])) for c in colours))
-            ]
+            tuples = colourful_tuples(cfg)
             assert answers(rep) == per_tuple(p, tuples, mode), (cfg, p, mode)
             assert counters(colourful_depth(cfg, p, mode)) == counters(rep)
 
@@ -966,11 +973,17 @@ def branch_case(d):
       and a boundary one;
     - low = (-1, ..., -1): with top and e_1 .. e_{d-1}, an open hit;
     - d+1 points of the moment curve in x_d = 1, on a hyperplane away from
-      the origin: degenerate tuples whose cofactors are all nonzero."""
+      the origin: degenerate tuples whose cofactors are all nonzero.  The
+      first is top again, so a block through both has t_d = 0 and holds
+      degenerate tuples with a nonzero cofactor, closed misses;
+    - ones = e_1 + ... + e_{d-1}: with e_1 .. e_{d-1} and 2 e_1 it lies in
+      x_d = 0 on one side of the origin, a closed miss whose cofactors are
+      all zero (the facet with 2 e_1 is such a tuple that is a hit)."""
     e = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
     facet = [*e[:-1], (-1,) * (d - 1) + (0,)]
     curve = [tuple(t**i for i in range(1, d)) + (1,) for t in range(d + 1)]
-    rows = [e[-1], *facet, (2,) + (0,) * (d - 1), (0,) * (d - 1) + (-1,), (-1,) * d, *curve]
+    rows = [e[-1], *facet, (2,) + (0,) * (d - 1), (0,) * (d - 1) + (-1,), (-1,) * d, *curve,
+            (1,) * (d - 1) + (0,)]
     return [Point(r) for r in rows]
 
 
@@ -978,7 +991,7 @@ def reached_branches(S, d):
     """The branches of the block classification that the monochrome blocks
     of S reach at the origin, each tuple classified by the per-tuple oracle
     and its block's t_d and cofactors read from `_cofactor_blocks`."""
-    n, o, seen = len(S), origin(d), set()
+    n, o, seen, flat = len(S), origin(d), set(), set()
     blocks = ((P, range(P[-1] + 1, n)) for P in combinations(range(n - 1), d))
     for P, R, td, sl in depth._cofactor_blocks(blocks, [q.row[:-1] for q in S], range(1, n + 1)):
         kinds = set()
@@ -986,9 +999,14 @@ def reached_branches(S, d):
             verts = [S[q] for q in P + (k,)]
             if det_by_permutations([homogeneous(q) for q in verts]) == 0:
                 kinds.add("degenerate")
+                hit = point_in_simplex(o, verts, "closed")
                 if td and 0 not in t:
                     seen.add("degenerate, every cofactor nonzero")
-                if point_in_simplex(o, verts, "closed"):
+                if not td and any(t) and not hit:
+                    seen.add("t_d = 0, degenerate, some cofactor nonzero")
+                if not td and not any(t):
+                    flat.add(hit)
+                if hit:
                     seen.add("closed degenerate hit")
             elif point_in_simplex(o, verts, "open"):
                 seen.add("open hit")
@@ -998,6 +1016,8 @@ def reached_branches(S, d):
                     seen.add("boundary, t_d != 0")
         if not td and kinds == {"degenerate", "boundary"}:
             seen.add("t_d = 0, boundary and degenerate")
+    if flat == {True, False}:  # hull-decided tuples: a closed hit and a closed miss
+        seen.add("t_d = 0, every cofactor zero")
     return seen
 
 
@@ -1008,7 +1028,8 @@ def test_each_classification_branch_matches_per_tuple(d):
     S, o = branch_case(d), origin(d)
     assert reached_branches(S, d) >= {
         "open hit", "degenerate, every cofactor nonzero", "boundary, t_d != 0",
-        "t_d = 0, boundary and degenerate", "closed degenerate hit"}
+        "t_d = 0, boundary and degenerate", "closed degenerate hit",
+        "t_d = 0, degenerate, some cofactor nonzero", "t_d = 0, every cofactor zero"}
     for mode in ("open", "closed"):
         rep = monochrome_depth(S, o, mode, want_witnesses=True)
         tuples = [(sub, [S[i] for i in sub]) for sub in combinations(range(len(S)), d + 1)]
@@ -1026,3 +1047,39 @@ def test_each_classification_branch_matches_per_tuple(d):
         assert depth._count_colourful(sizes, scaled, mode, False, tally)[:3] == counters(rep)
         assert tally == [zero_containing_count(cfg, c, i, mode)
                          for c, m in enumerate(sizes) for i in range(m)], mode
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_closed_hull_test_runs_only_where_every_minor_is_zero(monkeypatch, d):
+    # A degenerate tuple whose hull holds the query point spans a linear
+    # space of rank below d after translation, so a degenerate tuple with a
+    # nonzero minor is a closed miss: the hull test runs once for each tuple
+    # of rank below d, never in a block with t_d != 0, and the answers stay
+    # those of the per-tuple oracle.
+    calls, hull_contains = [], depth._hull_contains
+
+    def spy(cols):
+        calls.append(cols)
+        return hull_contains(cols)
+
+    monkeypatch.setattr(depth, "_hull_contains", spy)
+    rng, degenerate, hull_calls = Random(70 + d), 0, 0
+    for trial in range({2: 30, 3: 30, 4: 12}[d]):
+        S, p = (branch_case(d), origin(d)) if trial == 0 else degenerate_lattice_case(rng, d, d + 4)
+        r = d + 1 + trial % 2
+        cfg = config(d, *(S[c::r] or [p] for c in range(r)))
+        monochrome = [(sub, [S[i] for i in sub]) for sub in combinations(range(len(S)), d + 1)]
+        for count, points, tuples in ((monochrome_depth, S, monochrome),
+                                      (colourful_depth, cfg, colourful_tuples(cfg))):
+            flat = sum(rank_by_elimination([[x - y for x, y in zip(q.coords, p.coords)]
+                                            for q in verts]) < d for _, verts in tuples)
+            calls.clear()
+            rep = count(points, p, "closed", want_witnesses=True)
+            assert answers(rep) == per_tuple(p, tuples, "closed"), (S, p)
+            assert len(calls) == flat, (S, p)
+            # The first d columns of a call are its block's: t_d is zero.
+            assert all(det_by_permutations(cols[:d]) == 0 for cols in calls), (S, p)
+            degenerate += rep.degenerate
+            hull_calls += flat
+    # Both kinds are reached: hull-decided tuples, and misses decided without.
+    assert 0 < hull_calls < degenerate
