@@ -171,10 +171,8 @@ def _cmd_audit(args) -> int:
         report = mu_audit(args.dim, args.trials, args.core_samples, args.seed)
     elif args.kind == "nu":
         report = nu_audit(args.dim, args.trials, args.seed, samples=args.samples)
-    elif args.kind == "stats":
+    else:
         report = depth_stats(args.dim, args.trials, args.seed, keep_records=True)
-    else:  # pragma: no cover - argparse enforces choices
-        raise InputError(f"unknown audit kind {args.kind!r}")
     summary = report.summary()
     summary["invocation"] = {
         "command": "audit",

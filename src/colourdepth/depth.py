@@ -21,13 +21,16 @@ pairs, in O(n log n).  The certificate has two sides.  The query side, that
 the query point is none of the points and on no line through two of them,
 is read from the sweep itself: no vector is zero, no two neighbours in the
 angular order share a ray, and no half-turn count stops on an opposite ray.
-The points' side, that no two coincide and no three are collinear, is an
-O(n^2) pass hashing the line through every pair, on the points' own integer
-rows.  It does not depend on the query point, so it is computed once per
-point set in a process: `_clean_plane` is memoized on the tuple of the
-points' lowest-terms rows and holds at most 128 sets.  On clean input no
-tuple is degenerate and the query point is on no simplex boundary, so the
-open and closed counts agree and both counters are zero.
+The points' side, that no two coincide and no three are collinear, is
+planar general position, decided where all general position is: by the
+O(n^2) line pass `exact._plane_general_position`, on the points' own
+integer rows.  It does not depend on the query point, so the sweep asks it
+once per point set in a process: `_clean_plane` is that function memoized
+on the tuple of the points' lowest-terms rows, holding at most 128 sets.
+`exact.in_general_position` calls it unmemoized, so the generators' fresh
+sets leave the memo to the sweep.  On clean input no tuple is degenerate
+and the query point is on no simplex boundary, so the open and closed
+counts agree and both counters are zero.
 
 Every other count enumerates vertex tuples: dimensions above two, planar input
 that is not clean, and every call that asks for witnesses.  Each tuple is
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
@@ -94,6 +97,7 @@ from .exact import (
     _cofactors,
     _cross,
     _hull_contains,
+    _plane_general_position,
     _reduced_row,
     _translated_rows,
     in_convex_hull,
@@ -346,41 +350,10 @@ def _colourful_blocks(keys: Sequence[range], subsets: Iterable[tuple[int, ...]])
     return ((P, keys[c[-1]]) for c in subsets for P in product(*[keys[i] for i in c[:-1]]))
 
 
-@lru_cache
-def _clean_plane(rows: tuple[tuple[int, int, int], ...]) -> bool:
-    """True iff the points of the homogeneous rows (s * x, s * y, s), s > 0,
-    are pairwise distinct and no three of them lie on one line.
-
-    The answer depends on the points alone, so it is memoized on the rows,
-    the 128 most recent sets: a point set asked at many query points is
-    certified once in a process.  Every `Point` keeps its row in lowest
-    terms, so one point set has one key however its coordinates are spelled.
-
-    The difference of points j and i times s_i * s_j is s_i * X_j - s_j * X_i;
-    reduced by its gcd and sign it names the line through the two, and a
-    name repeated from one point puts three of them on one line.  O(n^2), on
-    the points' own rows: the query point plays no part, so the integers
-    are those of the input.
-
-    This is the d = 2 pencil of `exact.in_general_position`: point i is the
-    prefix, eliminated on its homogeneous coordinate s_i, and the
-    differences are the plane vectors of the later rows.
-    """
-    for i, (xi, yi, si) in enumerate(rows):
-        seen = set()
-        for xj, yj, sj in rows[i + 1:]:
-            dx = si * xj - sj * xi
-            dy = si * yj - sj * yi
-            g = gcd(dx, dy)
-            if g == 0:
-                return False
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            line = (dx // g, dy // g)
-            if line in seen:
-                return False
-            seen.add(line)
-    return True
+# The points' side of the sweep's certificate, asked of one point set at
+# many query points, so it keeps the 128 most recent sets.  Every `Point`
+# keeps its row in lowest terms, so a set has one key however it is spelled.
+_clean_plane = lru_cache(_plane_general_position)
 
 
 def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int):
@@ -430,14 +403,14 @@ def _sweep_depth(
 
     rows are the homogeneous rows of the points and vecs the points
     translated to the query, as `_translated_rows` makes them.  Clean means
-    that the points are pairwise distinct with no three on one line
-    (`_clean_plane`), and that the query point is none of them and on no
-    line through two of them: no vector is zero and no two are parallel.
-    `_half_turns` reports both from the angular order, in which a zero
-    vector is parallel to its neighbour.  The query side is read first, so
-    a query on such a line never asks for the points' side; that one is
-    computed once per point set in a process, memoized on the rows, for at
-    most 128 sets.
+    that the points are pairwise distinct with no three on one line, and
+    that the query point is none of them and on no line through two of
+    them: no vector is zero and no two are parallel.  `_half_turns` reports
+    the query side from the angular order, in which a zero vector is
+    parallel to its neighbour.  It is read first, so a query on such a line
+    never asks for the points' side.  That one is planar general position,
+    `exact._plane_general_position`, read through the memo `_clean_plane`
+    once per point set in a process, for at most 128 sets.
 
     A triple misses the origin exactly when its other two vectors lie in the
     open half-turn after its first one.  Without colours the count is over

@@ -39,19 +39,23 @@ O(n log n).  That angular order, `_angular_order`, is the package's one sort
 of plane vectors; the planar depth sweep and the circle cells read it too.
 No hull test is refused for its size.
 
-General position needs no hyperplane normal.  Facets that share their first
-d-1 points P form a pencil of hyperplanes through span(P), and two points
-q, r lie on one hyperplane with P exactly when their images in the plane
-R^(d+1) / span(P) are parallel.  Fraction-free elimination of P gives those
-plane vectors, one per d-subset, and hashing their directions decides every
-(d+1)-subset of a pencil at once: C(n, d) plane vectors instead of
-C(n, d+1) determinants.  The same pencil, `_pencil`, run on the points
-translated to a query point p, finds no d of them linearly dependent for
-almost every p, which certifies query-side general position from
-C(n, d-1) plane vectors; only when it finds a dependent d-subset, which
-may span no hyperplane, are the d-subsets enumerated.  Above the plane,
-both pencils and that enumeration are refused with more than `MAX_TUPLES`
-subsets.
+General position is decided here, by one solver in the plane and one in
+every other dimension.  In the plane, `_plane_general_position` hashes the
+reduced direction from each point to every later one, on the points' own
+rows: O(n^2), never refused.  The planar depth sweep memoizes that same
+function.  In every other dimension no hyperplane normal is needed either.
+Facets that share their first d-1 points P form a pencil of hyperplanes
+through span(P), and two points q, r lie on one hyperplane with P exactly
+when their images in the plane R^(d+1) / span(P) are parallel.
+Fraction-free elimination of P gives those plane vectors, one per d-subset,
+and hashing their directions decides every (d+1)-subset of a pencil at
+once: C(n, d) plane vectors instead of C(n, d+1) determinants.  The same
+pencil, `_pencil`, run on the points translated to a query point p, in
+every dimension, finds no d of them linearly dependent for almost every p,
+which certifies query-side general position from C(n, d-1) plane vectors;
+only when it finds a dependent d-subset, which may span no hyperplane, are
+the d-subsets enumerated.  Above the plane, both pencils and that
+enumeration are refused with more than `MAX_TUPLES` subsets.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -107,8 +111,6 @@ def parse_fraction(v) -> Fraction:
     """The rational an int, a `Fraction` or a rational string stands for;
     anything else, a bool included, is an `InputError`.  This is
     `_parse_pair` as a `Fraction`."""
-    if isinstance(v, Fraction):
-        return v
     return Fraction(*_parse_pair(v))
 
 
@@ -299,10 +301,12 @@ MAX_TUPLES = 10_000_000
 """The most vertex tuples one count enumerates.  Above the plane it also
 bounds general position: the d-subsets of a set's pencil, and on the query
 side the (d-1)-subsets of the pencil and the d-subsets of the enumeration
-that follows a dependency.  A counted tuple of random rationals
-costs about 2.5 us at d = 3 and 4.5 us at d = 4 (Python 3.11 on a 2-vCPU
-Xeon), so that is about 25 s and 45 s.  A larger input raises `InputError`
-with the tuple count instead of running for hours."""
+that follows a dependency.  In a monochrome or colourful count of 10^5
+tuples or more, a tuple of random rationals costs about 0.4-0.5 us at
+d = 3 and 1.3-1.5 us at d = 4 (Python 3.11 on a 2-vCPU Xeon, measured at
+commit d7b318d), so the limit is about 5 s and 15 s; a count of a few
+hundred tuples costs up to three times as much per tuple.  A larger input
+raises `InputError` with the tuple count instead of running for hours."""
 
 _SHOWN_DIGITS = 4300
 """Python's default limit on the digits of an int converted to str; a
@@ -587,6 +591,39 @@ def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
     return True
 
 
+def _plane_general_position(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff the points of the homogeneous rows (s * x, s * y, s), s > 0,
+    are pairwise distinct and no three of them lie on one line.  This is
+    the package's one planar general-position solver: `in_general_position`
+    answers d = 2 with it, and the planar depth sweep reads it, memoized on
+    the rows, as `depth._clean_plane`.
+
+    It is `_pencil` on the rows in Z^3, written out: point i is the
+    prefix, eliminated on its homogeneous coordinate s_i, and the
+    difference of points j and i times s_i * s_j, s_i * X_j - s_j * X_i, is
+    the plane vector of a later row.  Reduced by its gcd and sign it names
+    the line through the two, and a name repeated from one point puts three
+    of them on one line.  O(n^2), on the points' own rows, with no
+    elimination lists or recursion.  Unlike the pencil, it refuses two
+    equal points even when there is no third.
+    """
+    for i, (xi, yi, si) in enumerate(rows):
+        seen = set()
+        for xj, yj, sj in rows[i + 1:]:
+            dx = si * xj - sj * xi
+            dy = si * yj - sj * yi
+            g = gcd(dx, dy)
+            if g == 0:
+                return False
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            line = (dx // g, dy // g)
+            if line in seen:
+                return False
+            seen.add(line)
+    return True
+
+
 def _cross(a: Sequence, b: Sequence):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -726,12 +763,17 @@ def in_general_position(points: Sequence[Point]) -> bool:
     For n >= d+1 points this is equivalent to: no k-dimensional affine flat
     contains k+2 of the points, for any k < d.
 
-    That is, no d+1 of the homogeneous integer rows are linearly dependent,
-    which the pencil certificate `_pencil` decides from C(n, d) plane
-    vectors instead of C(n, d+1) determinants.  Above the plane, a set with
-    more than `MAX_TUPLES` d-subsets is refused with an `InputError`.
+    That is, no d+1 of the homogeneous integer rows are linearly dependent.
+    In the plane, the line pass `_plane_general_position` decides it in
+    O(n^2) and is never refused; fewer than three points are in general
+    position, two equal ones included.  In every other dimension, the pencil
+    certificate `_pencil` decides it from C(n, d) plane vectors instead of
+    C(n, d+1) determinants, and above the plane a set with more than
+    `MAX_TUPLES` d-subsets is refused with an `InputError`.
     """
     d = _check_dims(points)
+    if d == 2:
+        return len(points) < 3 or _plane_general_position([p.row for p in points])
     if d > 2:
         _check_budget([1] * len(points), d, "pencil subsets")
     return _pencil([list(col) for col in zip(*[p.row for p in points])])

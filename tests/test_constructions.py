@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from colourdepth import constructions
+from colourdepth.cli import main
 from colourdepth.constructions import (
+    RANDOM_CORE_TRIES,
     ConstructionError,
     gen_identical,
     gen_random_core_config,
@@ -17,12 +20,15 @@ from colourdepth.constructions import (
     _verify,
 )
 from colourdepth.depth import (
+    ColourfulConfiguration,
+    colour_decomposition,
     colourful_depth,
     core_membership,
     monochrome_depth,
     zero_containing_count,
 )
 from colourdepth.exact import InputError, in_general_position, origin
+from colourdepth.sampling import SamplingError
 
 
 def recheck(vc):
@@ -250,3 +256,97 @@ def test_generator_refusals_name_the_bad_argument(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+# --------------------------------------------------------- construction failures
+
+
+def refused(capsys, *argv) -> str:
+    """The one stderr line of a CLI run, in this process, that exits 3."""
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("construction failed: "), err
+    return err.strip()
+
+
+def test_verify_refuses_points_not_in_general_position(monkeypatch, capsys):
+    # Three points of the first colour on the line y = 2.  Each colourful
+    # triangle has one point of it, so no tuple is degenerate, and only the
+    # planar line pass of general position refuses.
+    cfg = ColourfulConfiguration.from_lists(2, [
+        [(-3, 2), (1, 2), (4, 2), (2, -2)], [(2, 6), (9, -7), (-9, 6)], [(-1, 8), (-2, -3), (6, 8)],
+    ])
+    rep, by_colour = colour_decomposition(cfg, "open")
+    assert (rep.count, rep.degenerate, rep.boundary) == (8, 0, 0)
+    with pytest.raises(ConstructionError) as info:
+        _verify(cfg, list(by_colour[-1]))
+    assert str(info.value) == "points plus origin not in general position"
+    assert info.value.achieved == 8
+    monkeypatch.setattr(constructions, "in_general_position", lambda points: False)
+    assert refused(capsys, "gen", "sprime", "--dim", "2") == (
+        "construction failed: sprime(d=2): points plus origin not in general position")
+
+
+def test_verify_refuses_an_origin_outside_a_colour_hull(monkeypatch, capsys):
+    # The first colour is a segment away from the origin, yet both colourful
+    # triangles hold the origin in their interiors.
+    cfg = ColourfulConfiguration.from_lists(2, [[(1, 0), (2, 1)], [(-1, 2)], [(-1, -2)]])
+    with pytest.raises(ConstructionError) as info:
+        _verify(cfg, [2])
+    assert str(info.value) == "origin is not strictly inside every colour hull"
+    assert info.value.achieved == 2
+    monkeypatch.setattr(constructions, "core_membership", lambda *a, **k: False)
+    assert refused(capsys, "gen", "splus", "--dim", "2") == (
+        "construction failed: splus(d=2): origin is not strictly inside every colour hull")
+
+
+def test_random_core_config_redraws_after_a_general_position_failure(monkeypatch):
+    real = constructions.in_general_position
+    asked = []
+
+    def first_fails(points):
+        asked.append(points)
+        return len(asked) > 1 and real(points)
+
+    monkeypatch.setattr(constructions, "in_general_position", first_fails)
+    vc = gen_random_core_config(2, 3, seed=0)
+    assert vc.retries == 1 and len(asked) == 2 and asked[0] != asked[1]
+    assert core_membership(vc.config, origin(2), strict=True)
+    recheck(vc)
+
+
+def test_random_core_config_gives_up_after_its_tries(monkeypatch, capsys):
+    asked = []
+
+    def never(points):
+        asked.append(points)
+        return False
+
+    monkeypatch.setattr(constructions, "in_general_position", never)
+    message = f"no general-position core configuration after {RANDOM_CORE_TRIES} attempts"
+    with pytest.raises(ConstructionError) as info:
+        gen_random_core_config(2, 3, seed=0)
+    assert str(info.value) == message and len(asked) == RANDOM_CORE_TRIES
+    assert refused(capsys, "gen", "random", "--dim", "2") == f"construction failed: {message}"
+
+
+def test_random_core_config_reports_an_exhausted_sampler(monkeypatch, capsys):
+    def exhausted(*args):
+        raise SamplingError("no draw left")
+
+    monkeypatch.setattr(constructions, "random_core_class", exhausted)
+    with pytest.raises(ConstructionError) as info:
+        gen_random_core_config(2, 3, seed=0)
+    assert str(info.value) == "core sampling budget exhausted: no draw left"
+    assert isinstance(info.value.__cause__, SamplingError)
+    assert refused(capsys, "gen", "random", "--dim", "2") == (
+        "construction failed: core sampling budget exhausted: no draw left")
+
+
+def test_ngon_refuses_points_not_in_general_position(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "in_general_position", lambda points: False)
+    with pytest.raises(ConstructionError) as info:
+        gen_regular_ngon(7)
+    assert str(info.value) == "could not place a 7-gon in general position"
+    assert refused(capsys, "gen", "ngon", "--n", "7") == (
+        "construction failed: could not place a 7-gon in general position")

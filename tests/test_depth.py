@@ -13,11 +13,12 @@ from conftest import (
     core_candidates_by_fractions,
     degenerate_lattice_case,
     det_by_permutations,
+    general_position_by_subsets,
     homogeneous,
     rand_point,
     rank_by_elimination,
 )
-from colourdepth import depth
+from colourdepth import depth, exact
 from colourdepth.constructions import (
     gen_identical,
     gen_random_core_config,
@@ -774,18 +775,30 @@ def test_depth_refusals_name_the_bad_argument(call, message):
     assert str(info.value) == message
 
 
-def test_clean_plane_is_the_planar_pencil():
-    # The sweep's certificate, `_clean_plane` on the points plus the query
-    # side read from the angular order, is `in_general_position` at d = 2 of
-    # the points and the query point: both accept exactly the clean inputs.
-    # `_clean_plane` alone is `in_general_position` of the points.
+def test_clean_plane_is_the_planar_pencil(monkeypatch):
+    # The plane has one general-position solver, the line pass of `exact`:
+    # `in_general_position` runs it at d = 2 and the sweep reads it through
+    # the memo `_clean_plane`.  Both are checked against the pencil on the
+    # transposed rows and the determinant of every triple.  Fewer than three
+    # points are in general position, but the sweep's certificate refuses
+    # two equal ones.  The sweep's whole certificate, with the query side
+    # read from the angular order, is general position of the points and
+    # the query point.  `in_general_position` reaches neither the pencil
+    # nor the memo in the plane.
+    pencil = exact._pencil
+    calls = []
+    monkeypatch.setattr(exact, "_pencil", lambda *a: calls.append(a) or pencil(*a))
+    one, two = [pt(1, 2)], [pt(1, 2), pt(1, 2)]
+    assert in_general_position(one) and in_general_position(two) and not calls
+    assert depth._clean_plane(tuple(q.row for q in one))
+    assert not depth._clean_plane(tuple(q.row for q in two))
     rng = Random(23)
     kinds = {True: 0, False: 0}
     for trial in range(400):
-        n = rng.randint(2, 9)
+        n = rng.randint(1, 9)
         S = [rand_point(rng, 2, 9) for _ in range(n)]
         p = rand_point(rng, 2, 9)
-        kind = trial % 4
+        kind = trial % 4 if n > 1 else 3
         if kind == 1:  # S[b] on the line through S[a] and p or a third point
             a, b, c = rng.sample(range(n), 3) if n > 2 else (0, 1, None)
             base = p if c is None or rng.randrange(2) else S[c]
@@ -796,12 +809,22 @@ def test_clean_plane_is_the_planar_pencil():
             S[b] = S[a]
         elif kind == 3:  # p is one of the points
             p = rng.choice(S)
+        rows = tuple(q.row for q in S)
+        want = general_position_by_subsets(S)
+        assert pencil([list(col) for col in zip(*rows)]) == want, S
+        calls.clear()  # the pencil recurses through the spy
+        info = depth._clean_plane.cache_info()
+        assert in_general_position(S) == want, S
+        with_p = in_general_position(S + [p])
+        assert depth._clean_plane.cache_info() == info and not calls
         clean = swept(S, p) is not None
-        assert clean == in_general_position(S + [p]), (S, p)
-        if n > 2:
-            assert depth._clean_plane(tuple(q.row for q in S)) == in_general_position(S), S
+        assert clean == with_p == general_position_by_subsets(S + [p]), (S, p)
+        assert depth._clean_plane(rows) == (want and len(set(S)) == n), S
         kinds[clean] += 1
     assert min(kinds.values()) > 50
+    assert in_general_position([pt(1), pt(-2), pt(3)]) and calls
+    calls.clear()
+    assert not in_general_position([pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0), pt(0, 0, 0)]) and calls
 
 
 # The points' certificate is memoized; each case is asked cold, then warm.
