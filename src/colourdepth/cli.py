@@ -77,28 +77,27 @@ def _cmd_gen(args) -> int:
         pts = gen_regular_ngon(args.n)
         config = ColourfulConfiguration(2, (tuple(pts),))
         depth = monochrome_depth(pts, origin(2), "open").count
-    elif args.kind == "random":
-        if args.dim is None:
-            raise InputError("gen random requires --dim")
-        per_colour = args.points_per_colour
-        vc = gen_random_core_config(
-            args.dim, args.dim + 1 if per_colour is None else per_colour, args.seed
-        )
-        config, depth = vc.config, vc.claimed_depth_at_origin
     else:
         if args.dim is None:
             raise InputError(f"gen {args.kind} requires --dim")
-        read = args.epsilon and args.kind != "identical"
-        epsilon = parse_fraction(args.epsilon) if read else None
-        if args.dim < 1:
-            raise InputError("dimension must be at least 1")
-        if epsilon is not None and epsilon <= 0:
-            raise InputError("epsilon must be positive")
-        if args.kind == "identical":
-            vc = gen_identical(args.dim)
+        if args.kind == "random":
+            per_colour = args.points_per_colour
+            vc = gen_random_core_config(
+                args.dim, args.dim + 1 if per_colour is None else per_colour, args.seed
+            )
         else:
-            build = {"sminus": gen_sminus, "sprime": gen_sprime, "splus": gen_splus}[args.kind]
-            vc = build(args.dim, epsilon)
+            read = args.epsilon and args.kind != "identical"
+            epsilon = parse_fraction(args.epsilon) if read else None
+            if args.dim < 1:
+                raise InputError("dimension must be at least 1")
+            if epsilon is not None and epsilon <= 0:
+                raise InputError("epsilon must be positive")
+            if args.kind == "identical":
+                vc = gen_identical(args.dim)
+            else:
+                vc = {"sminus": gen_sminus, "sprime": gen_sprime, "splus": gen_splus}[args.kind](
+                    args.dim, epsilon
+                )
         config, depth = vc.config, vc.claimed_depth_at_origin
     if args.out:
         save_config(config, args.out)

@@ -197,7 +197,7 @@ class ConeCount(NamedTuple):
     degenerate: int
 
 
-def _cofactor_blocks(blocks, cols: Sequence[tuple[int, ...]], ends: Sequence[int]):
+def _cofactor_blocks(blocks, cols: Sequence[Sequence[int]], ends: Sequence[int]):
     """For each block (P, R) of d keys and a key range, yield P, R, |t_d|
     and the slices over R of the `_cofactors` t_{d-1} .. t_0 of the tuples
     P + (k,), all times the sign of t_d (+1 when t_d is zero).
@@ -356,7 +356,7 @@ def _colourful_blocks(keys: Sequence[range], subsets: Iterable[tuple[int, ...]])
 _clean_plane = lru_cache(_plane_general_position)
 
 
-def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int):
+def _half_turns(vecs: Sequence[Sequence[int]], colours: Sequence[int], r: int):
     """For each plane vector in angular order, its index in vecs, its colour
     and the numbers of vectors of each of the r colours in the open
     half-turn counter-clockwise after it; or None when two of the vectors lie
@@ -395,7 +395,7 @@ def _half_turns(vecs: Sequence[tuple[int, int]], colours: Sequence[int], r: int)
 
 def _sweep_depth(
     rows: Sequence[tuple[int, int, int]],
-    vecs: Sequence[tuple[int, int]],
+    vecs: Sequence[Sequence[int]],
     colours: Sequence[int] | None = None,
 ) -> int | None:
     """Depth of the query point by one angular sweep, or None unless the

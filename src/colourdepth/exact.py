@@ -25,11 +25,11 @@ A strict test of exactly d+1 points, in any dimension, is a simplex test: p
 is interior exactly when the origin is in the open simplex of the
 translated vectors, so their d+1 minors must be nonzero and alternate in
 sign, and the test stops at the first that does not (`_open_simplex`).  A
-repeated point makes a minor zero; a larger set is deduplicated first, so
-d+1 distinct points listed with repeats take the same test.  Otherwise hull
-membership is one integer linear program: phase 1 of the simplex method,
-`_feasible`, on an integer tableau with fraction-free pivots and Bland's
-rule.
+repeated point makes a minor zero.  Otherwise hull membership is one
+integer linear program: phase 1 of the simplex method, `_feasible`, on an
+integer tableau with fraction-free pivots and Bland's rule.  Neither asks
+the points to be distinct, since both answers depend only on the
+directions from p.
 
 In the plane, the other hull tests need no linear program.  The points
 translated to p, sorted once by angle, leave a gap of more than a half-turn
@@ -280,7 +280,7 @@ def _reduced_row(row: list[int]) -> tuple[int, ...]:
 
 def _translated_rows(
     rows: Iterable[tuple[int, ...]], p: tuple[int, ...]
-) -> list[tuple[int, tuple[int, ...]]]:
+) -> list[tuple[int, list[int]]]:
     """(s, s * (q - p)) for the row (Q, s_q) of each point q, with
     s = s_p * s_q > 0, computed from the row (P, s_p) of the point p as
     (s_p * s_q, s_p * Q - s_q * P).
@@ -293,7 +293,7 @@ def _translated_rows(
     out = []
     for Q in rows:
         sq = Q[-1]
-        out.append((sp * sq, tuple([sp * a - sq * b for a, b in zip(Q, P)])))
+        out.append((sp * sq, [sp * a - sq * b for a, b in zip(Q, P)]))
     return out
 
 
@@ -496,7 +496,7 @@ def _feasible(A: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
     return True
 
 
-def _hull_contains(cols: Sequence[tuple[int, ...]], strict: bool = False) -> bool:
+def _hull_contains(cols: Sequence[Sequence[int]], strict: bool = False) -> bool:
     """True iff the origin lies in the closed convex hull of the integer
     vectors, or with strict, in its interior; scaling a vector by a positive
     factor changes neither answer.  This is the package's one containment
@@ -504,20 +504,17 @@ def _hull_contains(cols: Sequence[tuple[int, ...]], strict: bool = False) -> boo
 
     Strict first: exactly d+1 vectors, in every dimension, are a simplex,
     and `_open_simplex` reads its d+1 minors; a repeated or zero vector
-    makes one of them zero.  More vectors are deduplicated first, so a set
-    of d+1 distinct ones listed with repeats is a simplex too.  Otherwise
-    the plane reads the angular order.  Above it, the origin is in the
-    closed hull when sum(l_i c_i) = 0 for some l >= 0 with sum(l) = 1.  It
-    is interior when the vectors span R^d and sum(m_i c_i) = 0 for some m
-    with every m_i > 0, or, scaling m, for m = 1 + x with x >= 0:
-    sum(x_i c_i) = -sum(c_i).  `_feasible` decides both.
+    makes one of them zero.  Any other number, repeats included, goes to
+    the tests below, which read only directions.  The plane reads the
+    angular order.  Above it, the origin is in the closed hull when
+    sum(l_i c_i) = 0 for some l >= 0 with sum(l) = 1.  It is interior when
+    the vectors span R^d and sum(m_i c_i) = 0 for some m with every
+    m_i > 0, or, scaling m, for m = 1 + x with x >= 0: sum(x_i c_i) =
+    -sum(c_i).  `_feasible` decides both.
     """
     d = len(cols[0])
-    if strict:
-        if len(cols) > d + 1:
-            cols = list(dict.fromkeys(cols))
-        if len(cols) == d + 1:
-            return _open_simplex(cols)
+    if strict and len(cols) == d + 1:
+        return _open_simplex(cols)
     if d == 2:
         return _plane_hull_contains(cols, strict)
     if not strict:
@@ -649,7 +646,7 @@ def _angular_order(vecs: Sequence[Sequence[int]]) -> list[int]:
     return sorted(halves[0], key=key) + sorted(halves[1], key=key)
 
 
-def _plane_hull_contains(vecs: Sequence[tuple[int, int]], strict: bool) -> bool:
+def _plane_hull_contains(vecs: Sequence[Sequence[int]], strict: bool) -> bool:
     """True iff the origin lies in the closed convex hull of the plane
     vectors, or with strict, in its interior.
 

@@ -75,12 +75,11 @@ def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
             return list(zip(drawn[::2], drawn[1::2]))
 
 
-def _cleared(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+def _cleared(pairs: list[tuple[int, int]]) -> list[int]:
     """The point of the (numerator, denominator) pairs times the product of
-    its denominators: a positive multiple, in integers, as a tuple, which
-    `exact._hull_contains` can hash when it drops repeated vectors."""
+    its denominators: a positive multiple, in integers."""
     den = prod([q for _, q in pairs])
-    return tuple([n * (den // q) for n, q in pairs])
+    return [n * (den // q) for n, q in pairs]
 
 
 def random_point(rng: Random, dim: int, bound: int = DEFAULT_BOUND) -> Point:

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from colourdepth import arrangements
 from colourdepth.arrangements import (
     CircularArrangement,
     DegenerateArrangementError,
@@ -18,6 +19,7 @@ from colourdepth.arrangements import (
     verify_cell_depth_lemma,
 )
 from colourdepth.constructions import gen_sminus, gen_splus
+from colourdepth.cli import main
 from colourdepth.exact import InputError, Point, in_convex_hull, origin, pt
 from colourdepth.sampling import random_core_class
 
@@ -250,3 +252,50 @@ def test_rays_on_one_line_are_refused_by_the_sweep(Y):
     with pytest.raises(DegenerateArrangementError) as info:
         cell_depth_sequence(X, [*Y[:1], pt(1, 1), pt(1, 2)])
     assert str(info.value) == "0 must lie strictly inside both class hulls"
+
+
+def _cells2d_refusal(capsys, tmp_path) -> str:
+    """The one stderr line of `cells2d` on S-(2), in this process, that exits 2."""
+    path = tmp_path / "sminus.json"
+    assert main(["gen", "sminus", "--dim", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["cells2d", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, (out, err)
+    return err.strip()
+
+
+def test_propagation_that_fails_to_close_is_refused(monkeypatch, capsys, tmp_path):
+    # One more vector of each colour in the first ray's half-turn moves its
+    # crossing delta by 2, so the deltas no longer sum to zero round the circle.
+    real = arrangements._half_turns
+
+    def one_more_each(vecs, colours, r):
+        (k, colour, h), *rest = real(vecs, colours, r)
+        return [(k, colour, tuple(x + 1 for x in h)), *rest]
+
+    monkeypatch.setattr(arrangements, "_half_turns", one_more_each)
+    cfg = gen_sminus(2).config
+    with pytest.raises(DegenerateArrangementError) as info:
+        cell_depth_sequence(cfg.classes[0], cfg.classes[1])
+    assert str(info.value) == "depth propagation failed to close the loop"
+    assert _cells2d_refusal(capsys, tmp_path) == "error: depth propagation failed to close the loop"
+
+
+def test_recount_that_disagrees_with_propagation_is_refused(monkeypatch, capsys, tmp_path):
+    # Cell 0 seeds the propagation, so a recount one too high in cell 2
+    # disagrees there.
+    cfg = gen_sminus(2).config
+    depths = cell_depth_sequence(cfg.classes[0], cfg.classes[1]).cell_depths
+    real = arrangements._antipodal_count
+
+    def cell_2_one_more(sizes, subsets, cols):
+        cones, dependent = real(sizes, subsets, cols)
+        return [*cones[:2], cones[2] + 1, *cones[3:]], dependent
+
+    monkeypatch.setattr(arrangements, "_antipodal_count", cell_2_one_more)
+    message = f"propagated depth {depths[2]} disagrees with the recount in cell 2"
+    with pytest.raises(DegenerateArrangementError) as info:
+        cell_depth_sequence(cfg.classes[0], cfg.classes[1])
+    assert str(info.value) == message
+    assert _cells2d_refusal(capsys, tmp_path) == f"error: {message}"

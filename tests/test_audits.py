@@ -21,6 +21,7 @@ from colourdepth.audits import (
     write_csv,
 )
 from colourdepth import audits
+from colourdepth.cli import main
 from colourdepth.constructions import (
     ConstructionError,
     gen_random_core_config,
@@ -326,3 +327,29 @@ def test_monochrome_trial_is_kept_by_its_own_count(monkeypatch):
     rep, core = audits._monochrome_trial(Random(0), 2, 4)
     assert next(draws, None) is None and not in_general_position(S + p)
     assert (rep.count, rep.degenerate, rep.boundary, core()) == (0, 0, 0, False)
+
+
+@pytest.mark.parametrize("parity_kind, count, what", [
+    ("monochrome", "monochrome_depth", "monochrome"),
+    ("colourful_even_sizes", "colourful_depth", "colourful"),
+])
+def test_parity_draw_that_never_comes_clean_is_a_violation(monkeypatch, capsys, parity_kind,
+                                                           count, what):
+    # Every count reports a degenerate tuple, so no draw is kept, and after
+    # MAX_TRIAL_ATTEMPTS draws the audit gives up.
+    real, counted = getattr(audits, count), []
+
+    def degenerate(*args):
+        counted.append(args)
+        return real(*args)._replace(degenerate=1)
+
+    monkeypatch.setattr(audits, count, degenerate)
+    monkeypatch.setattr(audits, "MAX_TRIAL_ATTEMPTS", 3)
+    message = f"could not draw a clean {what} trial"
+    with pytest.raises(AuditViolation) as info:
+        parity_audit(parity_kind, 2, 1, 0)
+    assert str(info.value) == message and len(counted) == 3
+    argv = ["audit", "parity", "--dim", "2", "--trials", "1", "--parity-kind", parity_kind]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"audit violation: {message}\n"

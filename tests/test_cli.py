@@ -19,6 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_by_fraction_strings
+from colourdepth import cli
 from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration, _clean_plane
@@ -753,3 +754,11 @@ def test_repeated_planar_queries_reuse_the_points_certificate(tmp_path):
     assert proc.returncode == 0
     assert outs == [proc.stdout] * 3
     assert "degenerate: 0\n" in proc.stdout
+
+
+def test_audit_with_a_violation_prints_its_report_and_exits_1(monkeypatch, capsys):
+    real = cli.parity_audit
+    monkeypatch.setattr(cli, "parity_audit", lambda *a, **k: real(*a, **k)._replace(violations=1))
+    code, out, err = run(capsys, "audit", "parity", "--dim", "2", "--trials", "2")
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1 and json.loads(out)["violations"] == 1

@@ -350,3 +350,19 @@ def test_ngon_refuses_points_not_in_general_position(monkeypatch, capsys):
     assert str(info.value) == "could not place a 7-gon in general position"
     assert refused(capsys, "gen", "ngon", "--n", "7") == (
         "construction failed: could not place a 7-gon in general position")
+
+
+def test_identical_refuses_a_closed_count_unlike_its_open_one(monkeypatch, capsys):
+    real = constructions.colourful_depth
+
+    def closed_one_more(config, p, mode="open"):
+        rep = real(config, p, mode)
+        return rep._replace(count=rep.count + 1) if mode == "closed" else rep
+
+    monkeypatch.setattr(constructions, "colourful_depth", closed_one_more)
+    with pytest.raises(ConstructionError) as info:
+        gen_identical(2)
+    assert str(info.value) == "identical-class closed depth 7, wanted 6"
+    assert info.value.achieved == 7
+    assert refused(capsys, "gen", "identical", "--dim", "2") == (
+        "construction failed: identical-class closed depth 7, wanted 6")

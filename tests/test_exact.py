@@ -804,23 +804,26 @@ def _simplex_case(rng: Random, d: int, shape: str):
 
 @pytest.mark.parametrize("shape", ["generic", "repeated", "dependent"])
 def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
-    # Sets of d+1 points, and sets with d+1 distinct points listed once or
-    # with one of them twice, are decided by the minors of the simplex in
-    # every dimension, the plane included: they never reach the simplex
-    # method of larger sets, `_feasible`, nor the planar angular sort.  The
-    # repeats are dropped from the vectors translated to p, and two distinct
-    # points on one ray from p can translate to one vector, so the count of
-    # distinct points is read on those vectors.
+    # A strict test reads the minors of the simplex exactly when d+1 vectors
+    # are given, in every dimension, the plane included: they never reach
+    # the simplex method of larger sets, `_feasible`, nor the planar angular
+    # sort.  The same points with one listed twice are d+2 vectors and take
+    # the route of any larger set, repeats and all: the angular order at
+    # d = 2, and elsewhere `_feasible` once the vectors span R^d.
     feasible, angular_order = exact._feasible, exact._angular_order
-    lp_calls, sort_calls = [], []
+    open_simplex = exact._open_simplex
+    lp_calls, sort_calls, simplex_calls = [], [], []
     monkeypatch.setattr(
         exact, "_feasible", lambda A, b: lp_calls.append(A) or feasible(A, b)
     )
     monkeypatch.setattr(
         exact, "_angular_order", lambda vecs: sort_calls.append(vecs) or angular_order(vecs)
     )
+    monkeypatch.setattr(
+        exact, "_open_simplex", lambda cols: simplex_calls.append(cols) or open_simplex(cols)
+    )
     rng = Random(67)
-    hits = 0
+    hits = repeats_answered = 0
     for trial in range(240):
         d = 1 + trial % 4
         S, p = _simplex_case(rng, d, shape)
@@ -828,14 +831,23 @@ def test_strict_simplex_test_matches_facet_oracle(monkeypatch, shape):
         for T in (S, S + [rng.choice(S)]):
             lp_calls.clear()
             sort_calls.clear()
+            simplex_calls.clear()
             strict = in_convex_hull(p, T, strict=True)
             assert strict == strictly_inside_by_facets(p, T), (T, p)
-            assert not lp_calls or len(set(T)) <= d, (T, p)
-            vecs = {w for _, w in _translated_rows([q.row for q in T], p.row)}
-            if len(T) == d + 1 or len(vecs) == d + 1:
+            assert bool(simplex_calls) == (len(T) == d + 1), (T, p)
+            if len(T) == d + 1:
                 assert not lp_calls and not sort_calls, (T, p)
+            else:
+                vecs = [w for _, w in _translated_rows([q.row for q in T], p.row)]
+                if d == 2:
+                    assert not lp_calls and bool(sort_calls) == any(map(any, vecs)), (T, p)
+                else:
+                    spans = len(exact._echelon(vecs)[0]) == d
+                    assert not sort_calls and bool(lp_calls) == spans, (T, p)
+                repeats_answered += bool(sort_calls or lp_calls)
             hits += strict
     assert hits > 0 or shape != "generic"
+    assert repeats_answered > 0
 
 
 # ---------------------------------------------------- general-position pencil
@@ -1060,3 +1072,17 @@ def test_translated_rows_scale_the_rational_difference():
                 assert tuple(Fraction(x, s) for x in w) == (q - p).coords
                 *w0, s0 = (q - p).row
                 assert all(x * s0 == y * s for x, y in zip(w, w0))
+
+
+def test_int_subclass_coordinate_is_read_as_its_value():
+    class Count(int):
+        pass
+
+    q = pt(Count(3), Count(-4))
+    assert q.row == (3, -4, 1) and all(type(x) is int for x in q.row)
+    assert q == pt(3, -4) and q.coords == (3, -4)
+
+
+def test_point_length_and_repr():
+    assert len(pt(1, "1/2", 3)) == 3
+    assert repr(pt(1, "1/2")) == "Point(1, 1/2)"

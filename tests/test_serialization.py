@@ -1,10 +1,12 @@
 """Exact round-trip tests for the JSON formats."""
 
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from colourdepth.cli import main
 from colourdepth.depth import ColourfulConfiguration
 from colourdepth.exact import InputError, Point, pt
 from colourdepth.sampling import random_points
@@ -103,3 +105,18 @@ def test_empty_point_set_is_refused_both_ways(call):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == "empty point set"
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[0, 0], [1, 0], [0, 1]], "point-set file must hold a JSON object, got list"),
+    ({"dimension": 2}, "point-set file needs a 'points' (or one-colour 'colours') key"),
+])
+def test_point_set_file_without_points_is_one_line_input_error(capsys, tmp_path, data, message):
+    with pytest.raises(InputError) as info:
+        points_from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(data))
+    assert main(["depth", "--points", str(path), "--point", "0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
