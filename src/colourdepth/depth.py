@@ -668,6 +668,8 @@ def core_depth_samples(
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
+    if bound < 1:
+        raise InputError("bound must be at least 1")
     rng = Random(seed)
     d = config.dim
     out: list[tuple[int, Point]] = []

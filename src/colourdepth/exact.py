@@ -49,13 +49,14 @@ through span(P), and two points q, r lie on one hyperplane with P exactly
 when their images in the plane R^(d+1) / span(P) are parallel.
 Fraction-free elimination of P gives those plane vectors, one per d-subset,
 and hashing their directions decides every (d+1)-subset of a pencil at
-once: C(n, d) plane vectors instead of C(n, d+1) determinants.  The same
-pencil, `_pencil`, run on the points translated to a query point p, in
-every dimension, finds no d of them linearly dependent for almost every p,
-which certifies query-side general position from C(n, d-1) plane vectors;
-only when it finds a dependent d-subset, which may span no hyperplane, are
-the d-subsets enumerated.  Above the plane, both pencils and that
-enumeration are refused with more than `MAX_TUPLES` subsets.
+once: C(n, d) plane vectors instead of C(n, d+1) determinants.  Above the
+plane, a pencil is refused with more than `MAX_TUPLES` d-subsets.
+
+Query-side general position, p on no hyperplane spanned by d of the
+points, is `in_general_position_with`: its definition, one determinant per
+d-subset of the points translated to p, refused above the plane with more
+than `MAX_TUPLES` d-subsets.  The program certifies a sampled query point
+by the count that measures it instead.
 
 All functions are pure and operate on immutable values, so they can be called
 from any number of workers without coordination.
@@ -300,13 +301,13 @@ def _translated_rows(
 MAX_TUPLES = 10_000_000
 """The most vertex tuples one count enumerates.  Above the plane it also
 bounds general position: the d-subsets of a set's pencil, and on the query
-side the (d-1)-subsets of the pencil and the d-subsets of the enumeration
-that follows a dependency.  In a monochrome or colourful count of 10^5
-tuples or more, a tuple of random rationals costs about 0.4-0.5 us at
-d = 3 and 1.3-1.5 us at d = 4 (Python 3.11 on a 2-vCPU Xeon, measured at
-commit d7b318d), so the limit is about 5 s and 15 s; a count of a few
-hundred tuples costs up to three times as much per tuple.  A larger input
-raises `InputError` with the tuple count instead of running for hours."""
+side the d-subsets that `in_general_position_with` enumerates.  In a
+monochrome or colourful count of 10^5 tuples or more, a tuple of random
+rationals costs about 0.4-0.5 us at d = 3 and 1.3-1.5 us at d = 4
+(Python 3.11 on a 2-vCPU Xeon, measured at commit d7b318d), so the limit
+is about 5 s and 15 s; a count of a few hundred tuples costs up to three
+times as much per tuple.  A larger input raises `InputError` with the
+tuple count instead of running for hours."""
 
 _SHOWN_DIGITS = 4300
 """Python's default limit on the digits of an int converted to str; a
@@ -526,9 +527,8 @@ def _hull_contains(cols: Sequence[Sequence[int]], strict: bool = False) -> bool:
 
 
 def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
-    """True iff no k of the n integer vectors in Z^k, held as their k
-    columns, are linearly dependent.  At k = 1 that is: every vector is
-    nonzero.
+    """True iff no k of the n integer vectors in Z^k, k >= 2, held as their
+    k columns, are linearly dependent.
 
     Pencil certificate.  In the order of the vectors, a k-subset is a prefix
     P of k-2 vectors followed by two later vectors q, r, and
@@ -558,8 +558,6 @@ def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
     """
     if len(cols[0]) < len(cols):
         return True
-    if len(cols) == 1:
-        return all(cols[0])
     if len(cols) == 2:
         lines = set()
         for x, y in zip(*cols):
@@ -784,29 +782,19 @@ def in_general_position_with(points: Sequence[Point], p: Point) -> bool:
     query-side general position needed for open and closed containment
     counts to coincide at p.
 
-    Certify, then enumerate.  Subtracting (p, 1) from the other rows of
-    det(base + (p, 1)) leaves the d x d determinant of the vectors q - p,
-    each scaled to integers.  When no d of those vectors are linearly
-    dependent, which the pencil `_pencil` decides from C(n, d-1) plane
-    vectors, p is on no spanned hyperplane.  Otherwise the dependent subset
-    may be one that spans no hyperplane, such as a repeated point, so the
-    d-subsets are enumerated, and the normal is computed only for those
-    whose determinant with p is zero.  Above the plane, the pencil is
-    refused with an `InputError` when there are more than `MAX_TUPLES`
-    (d-1)-subsets, and the enumeration when there are more than
-    `MAX_TUPLES` d-subsets.
+    This is the definition, enumerated: subtracting (p, 1) from the other
+    rows of det(base + (p, 1)) leaves the d x d determinant of the vectors
+    q - p, each scaled to integers, so each d-subset takes that determinant,
+    and the normal is computed only for those where it is zero.  Above the
+    plane, a set with more than `MAX_TUPLES` d-subsets is refused with an
+    `InputError` first.  No program path calls it, since a sampled query
+    point is certified by its own count; it is kept for API users and tests.
     """
     d = _check_dims(list(points) + [p])
     n = len(points)
-    if n < d:
-        return True
-    vecs = [w for _, w in _translated_rows([q.row for q in points], p.row)]
-    if d > 2:
-        _check_budget([1] * n, d - 1, "pencil subsets")
-    if _pencil([list(col) for col in zip(*vecs)]):
-        return True
     if d > 2:
         _check_budget([1] * n, d, "subsets")
+    vecs = [w for _, w in _translated_rows([q.row for q in points], p.row)]
     for base in combinations(range(n), d):
         if _det_int([vecs[i] for i in base]) == 0 and any(
             _cofactors(list(zip(*(points[i].row for i in base))))

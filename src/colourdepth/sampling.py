@@ -67,7 +67,12 @@ def _randints(rng: Random, spans) -> list[int]:
 def _draw(rng: Random, dim: int, bound: int) -> list[tuple[int, int]]:
     """The coordinates of one nonzero random point as (numerator,
     denominator) pairs; each coordinate draws its numerator, then its
-    denominator."""
+    denominator.  A dimension below 1 has no nonzero point and a bound
+    below 1 no denominator, so either is refused before any draw."""
+    if dim < 1:
+        raise InputError("dimension must be at least 1")
+    if bound < 1:
+        raise InputError("bound must be at least 1")
     spans = [(-bound, bound), (1, bound)] * dim
     while True:
         drawn = _randints(rng, spans)

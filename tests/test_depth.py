@@ -768,6 +768,7 @@ def test_a_zero_vector_stops_the_sweep_at_every_position(n):
     (lambda: colourful_depth(gen_sminus(2).config, pt(0, 0, 0)),
      "query point dimension does not match configuration"),
     (lambda: core_depth_samples(gen_sminus(2).config, 0, 0), "samples must be at least 1"),
+    (lambda: core_depth_samples(gen_sminus(2).config, 3, 0, 0), "bound must be at least 1"),
 ])
 def test_depth_refusals_name_the_bad_argument(call, message):
     with pytest.raises(InputError) as info:

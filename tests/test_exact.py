@@ -930,14 +930,14 @@ def test_pencil_finds_the_planted_tuple():
 
 
 def test_pencil_matches_determinants_of_every_k_subset():
-    # _pencil on n small lattice vectors in Z^k against the Leibniz
-    # determinant of every k-subset, zero vectors included.  With n < k
-    # there is no k-subset, so nothing is dependent.
+    # _pencil on n small lattice vectors in Z^k, k = 2 to 5, against the
+    # Leibniz determinant of every k-subset, zero vectors included.  With
+    # n < k there is no k-subset, so nothing is dependent.
     assert _pencil([[0], [0]]) and _pencil([[0, 0], [0, 0], [0, 0]])  # k = 2, 3
     rng = Random(47)
     seen = {True: 0, False: 0}
     for trial in range(3000):
-        k = 1 + trial % 5
+        k = 2 + trial % 4
         n = rng.randint(1, 9)
         vecs = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
         want = all(det_by_permutations([vecs[i] for i in c]) for c in combinations(range(n), k))
@@ -958,13 +958,24 @@ def _spanned_hyperplane_case(rng: Random, d: int):
     return S, rand_point(rng, d, 50)
 
 
-def test_query_side_pencil_matches_subset_oracle():
-    # in_general_position_with certifies with the pencil on the points
-    # translated to p, and enumerates d-subsets only after the pencil finds
-    # a dependent one, which may span no hyperplane (a repeated point).  All
-    # three outcomes occur: certified; dependent and on a spanned
-    # hyperplane; dependent and on none.
-    assert _pencil([[3, -1, 2]]) and not _pencil([[3, 0, 2]])  # k = 1
+def test_query_side_general_position_matches_subset_oracle(monkeypatch):
+    # in_general_position_with is its definition: one determinant per
+    # d-subset of the points translated to p, behind one budget check above
+    # the plane and none in it.  It never runs the pencil certificate, and
+    # both answers occur, on a spanned hyperplane and on none (a repeated
+    # point spans no hyperplane).
+    def no_pencil(*args):
+        raise AssertionError("the query side ran the pencil")
+
+    budget_checks = []
+    check_budget = exact._check_budget
+
+    def counted(*args):
+        budget_checks.append(args)
+        return check_budget(*args)
+
+    monkeypatch.setattr(exact, "_pencil", no_pencil)
+    monkeypatch.setattr(exact, "_check_budget", counted)
     rng = Random(46)
     seen = set()
     for trial in range(800):
@@ -973,30 +984,30 @@ def test_query_side_pencil_matches_subset_oracle():
             S, p = _spanned_hyperplane_case(rng, d)
         else:
             S, p = degenerate_lattice_case(rng, d, d + 3)
-        vecs = [w for _, w in _translated_rows([q.row for q in S], p.row)]
-        certified = _pencil([list(c) for c in zip(*vecs)])
+        budget_checks.clear()
         got = in_general_position_with(S, p)
         assert got == general_position_with_by_subsets(S, p), (S, p)
-        assert got or not certified, (S, p)
-        seen.add((certified, got))
-    assert seen == {(True, True), (False, False), (False, True)}
+        assert budget_checks == ([([1] * len(S), d, "subsets")] if d > 2 else []), d
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_general_position_above_budget_is_refused(monkeypatch):
-    # Above the plane the pencils and the query-side enumeration are held to
-    # MAX_TUPLES subsets; the plane is never refused.
+    # Above the plane the pencil and the query-side enumeration are held to
+    # MAX_TUPLES d-subsets, whatever the query point; the plane is never
+    # refused.
     monkeypatch.setattr(exact, "MAX_TUPLES", 30)
     rng = Random(48)
-    S3 = [rand_point(rng, 3, 10**6) for _ in range(8)]  # C(8, 2) = 28, C(8, 3) = 56
+    S3 = [rand_point(rng, 3, 10**6) for _ in range(8)]  # C(8, 3) = 56
     with pytest.raises(
         InputError, match="^56 pencil subsets to enumerate, more than the limit of 30$"
     ):
         in_general_position(S3)
-    assert in_general_position_with(S3, rand_point(rng, 3, 10**6))  # certified
-    with pytest.raises(
-        InputError, match="^56 subsets to enumerate, more than the limit of 30$"
-    ):
-        in_general_position_with(S3, _affine_combination(rng, S3[:3], big=False))
+    for p in (rand_point(rng, 3, 10**6), _affine_combination(rng, S3[:3], big=False)):
+        with pytest.raises(
+            InputError, match="^56 subsets to enumerate, more than the limit of 30$"
+        ):
+            in_general_position_with(S3, p)
     S2 = [rand_point(rng, 2, 10**6) for _ in range(12)]  # C(12, 2) = 66
     assert in_general_position(S2)
     assert not in_general_position_with(S2, _affine_combination(rng, S2[:2], big=False))

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from conftest import core_class_by_rejection
+from colourdepth import sampling
 from colourdepth.exact import InputError, Point, _scaled_pairs
 from colourdepth.sampling import SamplingError, _draw, _randints, random_core_class, random_point
 
@@ -36,6 +37,34 @@ def test_core_class_below_d_plus_1_points_is_refused():
     with pytest.raises(InputError) as info:
         random_core_class(Random(0), 2, 2)
     assert str(info.value) == "need at least 3 points to surround the origin"
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng: random_point(rng, 0), "dimension must be at least 1"),
+    (lambda rng: random_point(rng, -1), "dimension must be at least 1"),
+    (lambda rng: random_core_class(rng, 1, 0), "dimension must be at least 1"),
+    (lambda rng: random_point(rng, 2, 0), "bound must be at least 1"),
+    (lambda rng: random_core_class(rng, 3, 2, bound=-1), "bound must be at least 1"),
+], ids=["point-dim0", "point-dim-1", "class-dim0", "point-bound0", "class-bound-1"])
+def test_draws_refuse_a_dimension_or_bound_below_1(monkeypatch, draw, message):
+    # No point of dimension 0 is nonzero, and a bound below 1 leaves no
+    # denominator, so the draw is refused before it takes any bits.  A
+    # draw that keeps calling the helper is stopped rather than left to run.
+    calls = []
+
+    def bounded(rng, spans):
+        calls.append(spans)
+        if len(calls) > 1000:
+            raise RuntimeError("the draw never ends")
+        return _randints(rng, spans)
+
+    monkeypatch.setattr(sampling, "_randints", bounded)
+    rng = Random(0)
+    with pytest.raises(InputError) as info:
+        draw(rng)
+    assert str(info.value) == message
+    assert calls == []
+    assert rng.getstate() == Random(0).getstate()
 
 
 def test_random_point_is_never_the_origin():
