@@ -47,10 +47,11 @@ function.  In every other dimension no hyperplane normal is needed either.
 Facets that share their first d-1 points P form a pencil of hyperplanes
 through span(P), and two points q, r lie on one hyperplane with P exactly
 when their images in the plane R^(d+1) / span(P) are parallel.
-Fraction-free elimination of P gives those plane vectors, one per d-subset,
-and hashing their directions decides every (d+1)-subset of a pencil at
-once: C(n, d) plane vectors instead of C(n, d+1) determinants.  Above the
-plane, a pencil is refused with more than `MAX_TUPLES` d-subsets.
+Fraction-free elimination of P gives those plane vectors, one per d-subset;
+keyed by their exact integer slope, with ties settled by a cross product,
+they decide every (d+1)-subset of a pencil at once: C(n, d) plane vectors
+instead of C(n, d+1) determinants.  Above the plane, a pencil is refused
+with more than `MAX_TUPLES` d-subsets.
 
 Query-side general position, p on no hyperplane spanned by d of the
 points, is `in_general_position_with`: its definition, one determinant per
@@ -526,6 +527,36 @@ def _hull_contains(cols: Sequence[Sequence[int]], strict: bool = False) -> bool:
     return _feasible(A, [-sum(row) for row in A])
 
 
+def _no_two_parallel(vecs: Iterable[tuple[int, int]]) -> bool:
+    """True iff the integer plane vectors are nonzero and pairwise
+    non-parallel.
+
+    Each vector (x, y) with x != 0 is keyed by its exact integer slope key
+    floor(2^64 * y / x), and every vector with x = 0 by one shared key.  The
+    key is the floor of the rational slope itself, so (x, y) and (-x, -y)
+    share it and no sign is normalised; parallel vectors always share a key.
+    Vectors that share a key are settled by their exact cross product, so
+    the answer does not depend on the 64, and no gcd is taken.
+    """
+    seen = {}
+    for x, y in vecs:
+        if x:
+            key = (y << 64) // x
+        elif y:
+            key = None
+        else:
+            return False
+        same = seen.get(key)
+        if same is None:
+            seen[key] = [(x, y)]
+            continue
+        for u, v in same:
+            if u * y == v * x:
+                return False
+        same.append((x, y))
+    return True
+
+
 def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
     """True iff no k of the n integer vectors in Z^k, k >= 2, held as their
     k columns, are linearly dependent.
@@ -539,8 +570,9 @@ def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
     cross(pi(q), pi(r)) = C_P[a][b] * det(P; q; r).  So no k vectors are
     dependent exactly when every prefix with two or more later vectors is
     independent and the plane vectors of its later vectors are nonzero and
-    pairwise non-parallel: reduced by gcd and sign, they go into one set per
-    prefix.  That is C(n, k-1) plane vectors instead of C(n, k)
+    pairwise non-parallel: `_no_two_parallel` keys them by their exact
+    integer slope, one hash per prefix, and settles a shared key by a cross
+    product.  That is C(n, k-1) plane vectors instead of C(n, k)
     determinants.  Geometrically, the hyperplanes through span(P) form a
     pencil, and hashing directions decides every k-subset of it at once.
 
@@ -550,24 +582,18 @@ def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
     exact.  Once the k-2 vectors of P are eliminated, q keeps two entries:
     the (k-1) x (k-1) minors of (P; q) on the pivot columns plus one other
     column, that is +-C_P[b] . q and +-C_P[a] . q for the two columns a, b
-    without a pivot.  A step is one pass per column.  In a recursive call,
-    cols holds the vectors after a prefix, eliminated by it, as k minus the
-    prefix length columns, and prev is the prefix's last pivot.  Fewer than
-    k vectors have no k-subset, so they pass; a recursive call always has k
-    or more.
+    without a pivot.  A step is one pass per column.  The last step, from
+    three columns to two, goes straight into the hash and skips the exact
+    division by prev: a common nonzero factor changes no direction and no
+    zero test.  In a recursive call, cols holds the vectors after a prefix,
+    eliminated by it, as k minus the prefix length columns, and prev is the
+    prefix's last pivot.  Fewer than k vectors have no k-subset, so they
+    pass; a recursive call always has k or more.
     """
     if len(cols[0]) < len(cols):
         return True
     if len(cols) == 2:
-        lines = set()
-        for x, y in zip(*cols):
-            g = gcd(x, y)
-            if g == 0:
-                return False  # in the span of the prefix
-            if x < 0 or (x == 0 and y < 0):
-                g = -g
-            lines.add((x // g, y // g))
-        return len(lines) == len(cols[0])
+        return _no_two_parallel(zip(*cols))
     # The next prefix vector must leave len(cols) - 1 vectors after it.
     for i in range(len(cols[0]) + 1 - len(cols)):
         for j, col in enumerate(cols):
@@ -577,11 +603,19 @@ def _pencil(cols: list[list[int]], prev: int = 1) -> bool:
             return False  # vector i is in the span of the prefix
         pivot = cols[j][i]
         below = cols[j][i + 1:]
-        nxt = [
+        rest = [col for k, col in enumerate(cols) if k != j]
+        if len(rest) == 2:
+            a, b = rest
+            ai, bi = a[i], b[i]
+            if not _no_two_parallel(
+                (pivot * x - ai * z, pivot * y - bi * z)
+                for x, y, z in zip(a[i + 1:], b[i + 1:], below)
+            ):
+                return False
+        elif not _pencil([
             [(pivot * x - col[i] * y) // prev for x, y in zip(col[i + 1:], below)]
-            for k, col in enumerate(cols) if k != j
-        ]
-        if not _pencil(nxt, pivot):
+            for col in rest
+        ], pivot):
             return False
     return True
 
@@ -599,8 +633,10 @@ def _plane_general_position(rows: Sequence[Sequence[int]]) -> bool:
     the plane vector of a later row.  Reduced by its gcd and sign it names
     the line through the two, and a name repeated from one point puts three
     of them on one line.  O(n^2), on the points' own rows, with no
-    elimination lists or recursion.  Unlike the pencil, it refuses two
-    equal points even when there is no third.
+    elimination lists or recursion.  It keeps the gcd name where the
+    pencil keys by slope, because planar rows are small and their gcd is
+    cheap.  Unlike the pencil, it refuses two equal points even when there
+    is no third.
     """
     for i, (xi, yi, si) in enumerate(rows):
         seen = set()

@@ -946,6 +946,40 @@ def test_pencil_matches_determinants_of_every_k_subset():
     assert min(seen.values()) > 500
 
 
+def test_pencil_settles_a_shared_slope_key_by_the_cross_product():
+    # At k = 2 the plane vectors are the vectors themselves.  Small lattice
+    # vectors never give two non-parallel vectors one slope key, so these
+    # big ones do: (2^80 + 1, 1) and (2^80 + 2, 1) both key to 0.
+    big = [2**80 + 1, 2**80 + 2]
+    assert _pencil([big, [1, 1]])
+    assert not _pencil([big + [2 * (2**80 + 2)], [1, 1, 2]])
+    assert not _pencil([[0, 0], [5, -3]])  # one key for every x = 0
+    assert not _pencil([[0, 1], [0, 2]]) and not _pencil([[1, 0], [2, 0]])
+    assert not _pencil([[3, -6], [4, -8]])  # opposite vectors share a key
+    assert _pencil([[3, 6], [4, -8]])
+
+
+def test_pencil_matches_determinants_at_sampler_sizes():
+    # Entries up to 2^40, the size of the rows gen_random_core_config builds,
+    # so the last elimination step and its undivided products run on the
+    # magnitudes the generators see.  Half the cases plant one dependent
+    # k-subset: a small-weight integer combination of k-1 of the vectors.
+    rng = Random(48)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        k = 3 + trial % 3
+        n = rng.randint(k, k + 3)
+        vecs = [[rng.randint(-2**40, 2**40) for _ in range(k)] for _ in range(n)]
+        if trial % 2:
+            *base, target = rng.sample(range(n), k)
+            weights = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in base]
+            vecs[target] = [sum(w * vecs[b][c] for w, b in zip(weights, base)) for c in range(k)]
+        want = all(det_by_permutations([vecs[i] for i in c]) for c in combinations(range(n), k))
+        assert _pencil([list(col) for col in zip(*vecs)]) == want, (k, vecs)
+        seen[want] += 1
+    assert seen == {True: 300, False: 300}
+
+
 def _spanned_hyperplane_case(rng: Random, d: int):
     """d to d+4 random rationals, half the time with one point repeated, and
     a query point that is generic or on the hyperplane spanned by d of them
