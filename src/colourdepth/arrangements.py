@@ -10,14 +10,15 @@ other class's count in the open half-turn after the ray.  One pass of the
 angular sweep `depth._half_turns`, which planar depth counting shares, gives
 the order of the rays and every h, and refuses two rays on one line.
 
-The depth of every cell is also counted outright, at the sum u of its two
-bounding rays, by the counter under `depth.antipodal_cone_count`: the cones
-covering u are the colourful triangles that hold 0 together with -u.  The
-recounts run on the integer vectors of the sweep, as one count with the
-cells as its last class, so the |X| |Y| generator minors are computed once
-for all cells.  Propagation must close up around the circle and must agree
-with every recount; both checks run on every construction.  Each ray is
-the integer vector of its point's row; there is no trigonometry anywhere.
+One cell is counted outright, the one between the first two rays of the
+angular order, at the sum u of those rays, by the counter under
+`depth.antipodal_cone_count`: the cones covering u are the colourful
+triangles that hold 0 together with -u.  That count, over the |X| |Y|
+generator pairs, seeds the propagation, and the count of every other cell
+follows from the crossings.  Propagation must close up around the circle;
+that check runs on every construction.  Brute-force recounts of every cell
+are the oracle of the tests, not part of the engine.  Each ray is the
+integer vector of its point's row; there is no trigonometry anywhere.
 """
 
 from __future__ import annotations
@@ -97,18 +98,18 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
 
     Requires at least three points in each class, 0 strictly inside each
     class hull, and all rays pairwise non-parallel (no equal and no
-    antipodal directions).  The hull checks run first; a parallel pair is
-    found by the sweep `_half_turns` and refused as "two rays span the same
-    line".
+    antipodal directions).  More than `exact.MAX_TUPLES` cone pairs, |X| |Y|,
+    are refused first, as the seed cell's count enumerates them all.  The
+    hull checks run next; a parallel pair is found by the sweep
+    `_half_turns` and refused as "two rays span the same line".
     """
     if len(X) < 3 or len(Y) < 3:
         raise InputError("each colour class needs at least three points")
     rays = [Ray(0, i, p) for i, p in enumerate(X)] + [Ray(1, i, p) for i, p in enumerate(Y)]
     if any(r.direction.dim != 2 for r in rays):
         raise InputError("cell arrangements are two-dimensional")
-    # Each of the |X|+|Y| cells is recounted over all |X| |Y| generator pairs.
     sizes = (len(X), len(Y))
-    _check_budget((*sizes, sum(sizes)), 3, "recount tuples")
+    _check_budget(sizes, 2, "cone pairs")
     zero = origin(2)
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
@@ -126,24 +127,15 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
     # vectors is strictly inside it, because every consecutive gap is
     # positive, no two rays being parallel, and below a half-turn: each
     # class alone has all gaps below it when 0 is interior to its hull, and
-    # merging the classes only splits gaps.  The cones holding it are those
-    # holding 0 with its antipode, appended as one more column per cell.
-    n = len(order)
-    cols = list(vecs)
-    for k in range(n):
-        a, b = vecs[order[k]], vecs[order[(k + 1) % n]]
-        cols.append((-a[0] - b[0], -a[1] - b[1]))
-    cones, _ = _antipodal_count((*sizes, n), [(0, 1)], cols)
+    # merging the classes only splits gaps.  The cones holding the sum in
+    # cell 0 are those holding 0 with its antipode, the column appended.
+    a, b = vecs[order[0]], vecs[order[1]]
+    seed, _ = _antipodal_count(sizes, [(0, 1)], [*vecs, (-a[0] - b[0], -a[1] - b[1])])
 
-    depths = list(accumulate(deltas[1:], initial=cones[0]))
+    depths = list(accumulate(deltas[1:], initial=seed))
     # closure: crossing the first ray from the last cell returns to the seed
     if depths[-1] + deltas[0] != depths[0]:
         raise DegenerateArrangementError("depth propagation failed to close the loop")
-    for k in range(n):
-        if cones[k] != depths[k]:
-            raise DegenerateArrangementError(
-                f"propagated depth {depths[k]} disagrees with the recount in cell {k}"
-            )
 
     return CircularArrangement(tuple(rays[k] for k in order), tuple(depths))
 

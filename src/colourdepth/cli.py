@@ -258,17 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_points(argv: list[str]) -> list[str]:
-    """Rewrite '--point -1/2,0' as '--point=-1/2,0', and '--epsilon -1/2'
-    as '--epsilon=-1/2'.
+    """Rewrite '--point -1/2,0' as '--point=-1/2,0', and so '--epsilon
+    -1/2' and '--sizes -2,2,2'.
 
     argparse takes a value that starts with '-' for an option unless it is a
-    plain negative number, so a negative rational query point would be
-    refused with "expected one argument", and a negative epsilon would never
-    reach the check that it is positive.
+    plain negative number, so a negative rational query point or a list of
+    sizes that starts with a negative one would be refused with "expected
+    one argument", and a negative epsilon would never reach the check that
+    it is positive.
     """
     out: list[str] = []
     for a in argv:
-        if out and out[-1] in ("--point", "--epsilon") and re.match(r"-[\d.]", a):
+        if out and out[-1] in ("--point", "--epsilon", "--sizes") and re.match(r"-[\d.]", a):
             out[-1] += "=" + a
         else:
             out.append(a)

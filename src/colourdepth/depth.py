@@ -556,22 +556,16 @@ def zero_containing_count(
     This enumerates the simplices through the one point.  It is the oracle
     for `colour_decomposition`, which gives the count of every point from the
     one enumeration of its depth."""
-    r = config.num_classes
-    d = config.dim
-    if not (0 <= colour < r):
-        raise InputError(f"colour index {colour} out of range")
-    if not (0 <= point < len(config.classes[colour])):
-        raise InputError(f"point index {point} out of range")
-    _check_query(r - 1, d, mode)
-    others = [c for c in range(r) if c != colour]
-    _check_budget([len(config.classes[c]) for c in others], d, "vertex tuples")
+    others = _other_classes(config, colour, lambda cls: 0 <= point < len(cls),
+                            f"point index {point} out of range", mode)
     scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
     keys, ends = _class_keys(config.class_sizes())
     # The fixed key is a class of its own, first; the face ending on it keeps a row of all keys.
     fixed = keys[colour][point]
     ends[fixed] = 0
     keys = [range(fixed, fixed + 1)] + [keys[c] for c in others]
-    blocks = _colourful_blocks(keys, ((0, *c) for c in combinations(range(1, r), d)))
+    subsets = combinations(range(1, len(keys)), config.dim)
+    blocks = _colourful_blocks(keys, ((0, *c) for c in subsets))
     return _count_blocks(blocks, scales, cols, ends, mode, False)[0]
 
 
@@ -607,37 +601,47 @@ def antipodal_cone_count(
     once per call instead of once per tuple.
     """
     _check_config_point(config, v)
-    r = config.num_classes
-    d = config.dim
+    others = _other_classes(config, colour, lambda cls: any(v.row[:-1]), "v must be nonzero")
+    cols = [q.row[:-1] for q in config.points() + [v]]
+    subsets = combinations(others, config.dim)
+    return ConeCount(*_antipodal_count(config.class_sizes(), subsets, cols))
+
+
+def _other_classes(config: ColourfulConfiguration, colour: int, fixed_ok, refusal: str,
+                   mode: Mode = "open") -> list[int]:
+    """The classes other than colour, from which a count at one fixed point
+    or antipode of that colour picks d points.  Refused in this order: a
+    colour out of range; the caller's own refusal when fixed_ok is false
+    on the class of the colour; a mode or a number of other classes that
+    `_check_query` refuses; more than `MAX_TUPLES` tuples of d points."""
+    r, d = config.num_classes, config.dim
     if not (0 <= colour < r):
         raise InputError(f"colour index {colour} out of range")
-    if not any(v.row[:-1]):
-        raise InputError("v must be nonzero")
-    _check_query(r - 1, d)
+    if not fixed_ok(config.classes[colour]):
+        raise InputError(refusal)
+    _check_query(r - 1, d, mode)
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d, "vertex tuples")
-    cols = [q.row[:-1] for q in config.points() + [v]]
-    counts, degenerate = _antipodal_count([*config.class_sizes(), 1], combinations(others, d), cols)
-    return ConeCount(counts[0], degenerate)
+    return others
 
 
-def _antipodal_count(sizes: Sequence[int], subsets, cols) -> tuple[list[int], int]:
-    """`antipodal_cone_count` on integer columns in classes of the given
-    sizes, at every antipode at once: for each key v of the last class, the
-    cones containing -cols[v] whose generators pick one key from each class
-    of a subset, and the number of linearly dependent generator tuples.  So
-    each generator minor is computed once for all antipodes."""
+def _antipodal_count(sizes: Sequence[int], subsets, cols) -> tuple[int, int]:
+    """`antipodal_cone_count` on integer columns: cols holds the points of
+    classes of the given sizes, in class order, and one vector v last.  The
+    number of cones containing -v whose generators pick one key from each
+    class of a subset, and the number of linearly dependent generator
+    tuples."""
     # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
     # the determinant of the generators (see `cone_contains`).
-    keys, ends = _class_keys(sizes)
-    counts, degenerate = [0] * sizes[-1], 0
-    blocks = _colourful_blocks(keys, ((*c, len(sizes) - 1) for c in subsets))
+    keys, ends = _class_keys([*sizes, 1])
+    count = degenerate = 0
+    blocks = _colourful_blocks(keys, ((*c, len(sizes)) for c in subsets))
     for _, _, td, sl in _cofactor_blocks(blocks, cols, ends):
-        degenerate += td == 0
         if td:
-            for j, t in enumerate(zip(*sl)):
-                counts[j] += min(t) >= 0
-    return counts, degenerate
+            count += all(t[0] >= 0 for t in sl)
+        else:
+            degenerate += 1
+    return count, degenerate
 
 
 def core_depth_samples(

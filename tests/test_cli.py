@@ -19,7 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_by_fraction_strings
-from colourdepth import cli
+from colourdepth import cli, exact
 from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration, _clean_plane
@@ -264,19 +264,36 @@ def test_oversized_dimensions_are_refused_before_building(capsys, argv, count):
     assert err == f"error: {count} vertex tuples to enumerate, more than the limit of 10000000\n"
 
 
-def test_cells2d_refuses_an_oversized_recount_up_front(tmp_path):
-    # Each of the 400 cells would be recounted over 200 * 200 generator
-    # pairs: 16,000,000 tuples, refused before any hull or ray check.
+def _two_classes_of_200(tmp_path) -> Path:
     rng = Random(7)
     classes = tuple(tuple(random_core_class(rng, 200, 2, bound=10**6)) for _ in range(2))
     path = tmp_path / "big.json"
     save_config(ColourfulConfiguration(2, classes), path)
+    return path
+
+
+def test_cells2d_answers_two_classes_of_200_points(tmp_path):
+    # One cell is counted over the 200 * 200 cone pairs and the other 399
+    # follow from the sweep's crossings.
+    path = _two_classes_of_200(tmp_path)
+    start = time.perf_counter()
     proc = cli_process(["cells2d", "--config", str(path)], timeout=20)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert proc.stderr.splitlines() == [
-        "error: 16000000 recount tuples to enumerate, more than the limit of 10000000"
-    ]
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    sequence, lemma = proc.stdout.splitlines()
+    assert len(sequence.removeprefix("sequence: ").split(",")) == 400
+    assert lemma == "lemma_ok: true"
+    assert elapsed < 10, elapsed
+
+
+def test_cells2d_refuses_too_many_cone_pairs_up_front(monkeypatch, capsys, tmp_path):
+    # The seed cell's count enumerates |X| * |Y| cone pairs: above the limit,
+    # refused before any hull or ray check.
+    path = _two_classes_of_200(tmp_path)
+    monkeypatch.setattr(exact, "MAX_TUPLES", 39_999)
+    code, out, err = run(capsys, "cells2d", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: 40000 cone pairs to enumerate, more than the limit of 39999"]
 
 
 @pytest.mark.parametrize("argv, classes, point, code, out, err", [
@@ -475,6 +492,15 @@ def test_dimension_zero_is_one_line_input_error(argv):
     proc = cli_process(argv)
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines() == ["error: dimension must be at least 1"]
+
+
+def test_negative_size_reaches_the_class_size_check():
+    # "--sizes -2,2,2" would read as an option to argparse and end in six
+    # lines of usage; joined to its flag it reaches the program's refusal.
+    proc = cli_process(["audit", "parity", "--dim", "2", "--parity-kind",
+                        "colourful_even_sizes", "--sizes", "-2,2,2"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: every colour class needs at least one point\n"
 
 
 @pytest.mark.parametrize("epsilon", [["--epsilon", "-1/2"], ["--epsilon=-1/2"]])
