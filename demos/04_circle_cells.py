@@ -4,9 +4,10 @@ Two classes of three or more points (each with the origin strictly inside
 its hull) cut the circle into one arc per point.  Each arc's depth counts the
 colourful cones covering it; crossing a boundary ray changes the count by the
 points of the other class ahead of the ray less those behind it, which is
-+-1 for the three-point classes below.  The engine reads the ray order and
-every crossing from one angular sweep, counts the cones over one cell, and
-propagates that count around the circle, which must close up.
++-1 for the three-point classes below.  The engine reads the ray order,
+every crossing and the depth of one cell from one angular sweep, with no
+cone enumerated, and propagates that depth around the circle, which must
+close up.
 """
 
 import math

@@ -10,15 +10,19 @@ other class's count in the open half-turn after the ray.  One pass of the
 angular sweep `depth._half_turns`, which planar depth counting shares, gives
 the order of the rays and every h, and refuses two rays on one line.
 
-One cell is counted outright, the one between the first two rays of the
-angular order, at the sum u of those rays, by the counter under
-`depth.antipodal_cone_count`: the cones covering u are the colourful
-triangles that hold 0 together with -u.  That count, over the |X| |Y|
-generator pairs, seeds the propagation, and the count of every other cell
-follows from the crossings.  Propagation must close up around the circle;
-that check runs on every construction.  Brute-force recounts of every cell
-are the oracle of the tests, not part of the engine.  Each ray is the
-integer vector of its point's row; there is no trigonometry anywhere.
+The same half-turn counts seed the propagation with the depth of cell 0,
+the arc between the first two rays of the angular order.  A cone covers
+the arc counter-clockwise from its first generator to its second, the
+second lying in the half-turn after the first.  So the first ray covers
+cell 0 with every ray of the other colour in its half-turn, and the ray at
+position i >= 1, with s_i rays in its half-turn, with the other-colour rays
+at positions 1 .. i + s_i - n, where its half-turn wraps past the first
+ray; per-colour prefix counts over the angular order give each term.  The
+depth of every other cell follows from the crossings.  Propagation must
+close up around the circle; that check runs on every construction.  No
+cone is enumerated: brute-force recounts of every cell are the oracle of
+the tests, not part of the engine.  Each ray is the integer vector of its
+point's row; there is no trigonometry anywhere.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .depth import _antipodal_count, _half_turns
-from .exact import InputError, Point, _check_budget, in_convex_hull, origin
+from .depth import _half_turns
+from .exact import InputError, Point, in_convex_hull, origin
 
 __all__ = [
     "DegenerateArrangementError",
@@ -98,46 +102,36 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
 
     Requires at least three points in each class, 0 strictly inside each
     class hull, and all rays pairwise non-parallel (no equal and no
-    antipodal directions).  More than `exact.MAX_TUPLES` cone pairs, |X| |Y|,
-    are refused first, as the seed cell's count enumerates them all.  The
-    hull checks run next; a parallel pair is found by the sweep
-    `_half_turns` and refused as "two rays span the same line".
+    antipodal directions).  The hull checks run first; a parallel pair is
+    found by the sweep `_half_turns` and refused as "two rays span the same
+    line".  The sweep gives every depth, so no class size is refused.
     """
     if len(X) < 3 or len(Y) < 3:
         raise InputError("each colour class needs at least three points")
     rays = [Ray(0, i, p) for i, p in enumerate(X)] + [Ray(1, i, p) for i, p in enumerate(Y)]
     if any(r.direction.dim != 2 for r in rays):
         raise InputError("cell arrangements are two-dimensional")
-    sizes = (len(X), len(Y))
-    _check_budget(sizes, 2, "cone pairs")
     zero = origin(2)
     if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
         raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
-    vecs = [r.direction.row[:-1] for r in rays]
-    turns = _half_turns(vecs, [r.colour for r in rays], 2)
+    sizes, n = (len(X), len(Y)), len(rays)
+    turns = _half_turns([r.direction.row[:-1] for r in rays], [r.colour for r in rays], 2)
     if turns is None:
         raise DegenerateArrangementError("two rays span the same line")
 
-    order, deltas = [], []
-    for k, colour, h in turns:
-        order.append(k)
-        deltas.append(2 * h[1 - colour] - sizes[1 - colour])
-
-    # Cell k lies between rays order[k] and order[k+1].  The sum of their
-    # vectors is strictly inside it, because every consecutive gap is
-    # positive, no two rays being parallel, and below a half-turn: each
-    # class alone has all gaps below it when 0 is interior to its hull, and
-    # merging the classes only splits gaps.  The cones holding the sum in
-    # cell 0 are those holding 0 with its antipode, the column appended.
-    a, b = vecs[order[0]], vecs[order[1]]
-    seed, _ = _antipodal_count(sizes, [(0, 1)], [*vecs, (-a[0] - b[0], -a[1] - b[1])])
-
-    depths = list(accumulate(deltas[1:], initial=seed))
-    # closure: crossing the first ray from the last cell returns to the seed
-    if depths[-1] + deltas[0] != depths[0]:
+    deltas = [2 * h[1 - c] - sizes[1 - c] for _, c, h in turns]
+    # closure: crossing every ray once returns to the depth it started from
+    if sum(deltas):
         raise DegenerateArrangementError("depth propagation failed to close the loop")
 
-    return CircularArrangement(tuple(rays[k] for k in order), tuple(depths))
+    # The seed, cell 0, as the module docstring sums it: ahead[c][m] counts
+    # the rays of colour c at positions 1 .. m of the order.
+    (_, c0, h0), *rest = turns
+    ahead = [list(accumulate((x == c for _, x, _ in rest), initial=0)) for c in (0, 1)]
+    seed = h0[1 - c0] + sum(
+        ahead[1 - c][max(i + sum(h) - n, 0)] for i, (_, c, h) in enumerate(rest, 1))
+    depths = tuple(accumulate(deltas[1:], initial=seed))
+    return CircularArrangement(tuple(rays[k] for k, _, _ in turns), depths)
 
 
 def verify_cell_depth_lemma(arr: CircularArrangement) -> CellReport:

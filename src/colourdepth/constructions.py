@@ -39,7 +39,7 @@ from .depth import (
     colourful_depth,
     core_membership,
 )
-from .exact import InputError, Point, _check_budget, in_general_position, origin
+from .exact import InputError, Point, _check_budget, _check_count, in_general_position, origin
 from .sampling import DEFAULT_BOUND, SamplingError, random_core_class
 
 __all__ = [
@@ -419,7 +419,9 @@ def gen_regular_ngon(n: int) -> list[Point]:
     The points are built once; if two coincide or two are parallel through
     the origin, so that the points plus the origin are not in general
     position, `ConstructionError` is raised.  Odd n only: with even n the
-    centre sits on diagonals.
+    centre sits on diagonals.  That general-position check reads every pair
+    of the points and the origin, so more than `exact.MAX_TUPLES` pairs,
+    C(n+1, 2), are refused before any point is built.
     """
     if n < 3:
         raise InputError("need at least 3 vertices")
@@ -428,6 +430,7 @@ def gen_regular_ngon(n: int) -> list[Point]:
             "even n is rejected: the centre lies on the long diagonals of a "
             "regular even-gon, violating general position"
         )
+    _check_count(math.comb(n + 1, 2), "point pairs")
     pts = []
     for k in range(n):
         theta = 2 * math.pi * k / n

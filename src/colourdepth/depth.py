@@ -209,7 +209,7 @@ def _cofactor_blocks(blocks, cols: Sequence[Sequence[int]], ends: Sequence[int])
     in closed form up to d = 3, else from `_cofactors` of its transpose.
     The row keeps its negation beside it, so a block's slices carry their
     signs and the sign of t_d with no work per tuple: the consumers,
-    `_count_blocks` and `_antipodal_count`, compare them with zero."""
+    `_count_blocks` and `antipodal_cone_count`, compare them with zero."""
     rows = {}
 
     def row(G):
@@ -553,20 +553,12 @@ def zero_containing_count(
     given colour is the given point.  The configuration is taken as already
     centred: the query point is the origin.
 
-    This enumerates the simplices through the one point.  It is the oracle
-    for `colour_decomposition`, which gives the count of every point from the
-    one enumeration of its depth."""
-    others = _other_classes(config, colour, lambda cls: 0 <= point < len(cls),
-                            f"point index {point} out of range", mode)
-    scales, cols = zip(*((q.row[-1], q.row[:-1]) for q in config.points()))
-    keys, ends = _class_keys(config.class_sizes())
-    # The fixed key is a class of its own, first; the face ending on it keeps a row of all keys.
-    fixed = keys[colour][point]
-    ends[fixed] = 0
-    keys = [range(fixed, fixed + 1)] + [keys[c] for c in others]
-    subsets = combinations(range(1, len(keys)), config.dim)
-    blocks = _colourful_blocks(keys, ((0, *c) for c in subsets))
-    return _count_blocks(blocks, scales, cols, ends, mode, False)[0]
+    This is one entry of `colour_decomposition`, which counts every point
+    from the one memoized enumeration of the depth: a call enumerates every
+    colourful tuple, and a loop over the points reads that one result."""
+    _other_classes(config, colour, lambda cls: 0 <= point < len(cls),
+                   f"point index {point} out of range", mode)
+    return colour_decomposition(config, mode)[1][colour][point]
 
 
 def colour_decomposition(
@@ -575,12 +567,12 @@ def colour_decomposition(
     """The colourful depth of the origin and its colour decomposition, from
     one enumeration.
 
-    counts[c][k] is `zero_containing_count(config, c, k, mode)`: the number
-    of counted colourful simplices whose pick at colour c is its point k.
-    Each simplex picks one point of each of d+1 colours, so the counts of any
-    one colour sum to the depth when there are exactly d+1 colours.  As in
-    `zero_containing_count`, the query point is the origin.  The report has
-    no witnesses.
+    counts[c][k] is the number of counted colourful simplices whose pick at
+    colour c is its point k, the tally of `_colourful_tally`.  Each simplex
+    picks one point of each of d+1 colours, so the counts of any one colour
+    sum to the depth when there are exactly d+1 colours.  The query point is
+    the origin.  The report has no witnesses.  Brute-force counts through
+    each point are the oracle of the tests.
     """
     _check_query(config.num_classes, config.dim + 1, mode)
     count, degenerate, boundary, tally = _colourful_tally(
@@ -602,9 +594,18 @@ def antipodal_cone_count(
     """
     _check_config_point(config, v)
     others = _other_classes(config, colour, lambda cls: any(v.row[:-1]), "v must be nonzero")
+    # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
+    # the determinant of the generators (see `cone_contains`).
     cols = [q.row[:-1] for q in config.points() + [v]]
-    subsets = combinations(others, config.dim)
-    return ConeCount(*_antipodal_count(config.class_sizes(), subsets, cols))
+    keys, ends = _class_keys([*config.class_sizes(), 1])
+    subsets = ((*c, config.num_classes) for c in combinations(others, config.dim))
+    count = degenerate = 0
+    for _, _, td, sl in _cofactor_blocks(_colourful_blocks(keys, subsets), cols, ends):
+        if td:
+            count += all(t[0] >= 0 for t in sl)
+        else:
+            degenerate += 1
+    return ConeCount(count, degenerate)
 
 
 def _other_classes(config: ColourfulConfiguration, colour: int, fixed_ok, refusal: str,
@@ -623,25 +624,6 @@ def _other_classes(config: ColourfulConfiguration, colour: int, fixed_ok, refusa
     others = [c for c in range(r) if c != colour]
     _check_budget([len(config.classes[c]) for c in others], d, "vertex tuples")
     return others
-
-
-def _antipodal_count(sizes: Sequence[int], subsets, cols) -> tuple[int, int]:
-    """`antipodal_cone_count` on integer columns: cols holds the points of
-    classes of the given sizes, in class order, and one vector v last.  The
-    number of cones containing -v whose generators pick one key from each
-    class of a subset, and the number of linearly dependent generator
-    tuples."""
-    # With the column -(-v) = v last, sum(t_i * g_i) = t_d * (-v) and t_d is
-    # the determinant of the generators (see `cone_contains`).
-    keys, ends = _class_keys([*sizes, 1])
-    count = degenerate = 0
-    blocks = _colourful_blocks(keys, ((*c, len(sizes)) for c in subsets))
-    for _, _, td, sl in _cofactor_blocks(blocks, cols, ends):
-        if td:
-            count += all(t[0] >= 0 for t in sl)
-        else:
-            degenerate += 1
-    return count, degenerate
 
 
 def core_depth_samples(

@@ -332,16 +332,20 @@ def _check_budget(sizes: Sequence[int], k: int, what: str) -> None:
         return
     log_comb = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
     low = log_comb + k * log10(min(sizes))
-    if low < _SHOWN_DIGITS:
-        count = _tuple_count(sizes, k)
-        if count <= MAX_TUPLES:
-            return
-        if count < 10**_SHOWN_DIGITS:
-            raise InputError(f"{count} {what} to enumerate, more than the limit of {MAX_TUPLES}")
-        low = log10(count)
-    raise InputError(
-        f"at least 10^{int(low) - 1} {what} to enumerate, more than the limit of {MAX_TUPLES}"
-    )
+    if low >= _SHOWN_DIGITS:
+        raise InputError(
+            f"at least 10^{int(low) - 1} {what} to enumerate, more than the limit of {MAX_TUPLES}"
+        )
+    _check_count(_tuple_count(sizes, k), what)
+
+
+def _check_count(count: int, what: str) -> None:
+    """Refuse to enumerate count tuples when that is more than MAX_TUPLES,
+    naming them by `what`; a count with `_SHOWN_DIGITS` digits or more is
+    named by a power of ten below it."""
+    if count > MAX_TUPLES:
+        named = count if count < 10**_SHOWN_DIGITS else f"at least 10^{int(log10(count)) - 1}"
+        raise InputError(f"{named} {what} to enumerate, more than the limit of {MAX_TUPLES}")
 
 
 def _tuple_count(sizes: Sequence[int], k: int) -> int:

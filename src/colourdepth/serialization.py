@@ -105,7 +105,8 @@ def _read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as e:  # a JSONDecodeError, or an over-long integer
+        except (ValueError, RecursionError) as e:
+            # a JSONDecodeError, an over-long integer, or nesting past the recursion limit
             raise InputError(f"{path}: not valid JSON: {e}") from e
 
 

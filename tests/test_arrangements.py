@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from colourdepth import arrangements
+from colourdepth import arrangements, depth, exact
 from colourdepth.arrangements import (
     CircularArrangement,
     DegenerateArrangementError,
@@ -159,20 +159,24 @@ def test_random_pairs_propagation_and_lemma():
     assert families  # at least one family observed
 
 
-def test_one_cone_count_seeds_the_cells(monkeypatch):
-    # Only the cell between the first two rays is counted outright, at one
-    # antipode: the last of the |X| + |Y| + 1 columns.
-    calls = []
-    real = arrangements._antipodal_count
+def test_cell_depth_sequence_enumerates_nothing(monkeypatch):
+    # The sweep's half-turn counts seed the first cell: no block of cofactors
+    # is formed and no enumeration budget is asked, and every depth is the
+    # cell's cone count by the Fraction oracle.
+    rng = Random(5)
+    pairs = [random_valid_pair(rng, *sizes) for sizes in [(3, 3), (4, 6), (9, 5)] for _ in range(8)]
 
-    def spy(sizes, subsets, cols):
-        calls.append((tuple(sizes), list(subsets), len(cols)))
-        return real(sizes, calls[-1][1], cols)
+    def refuse(*args):
+        raise AssertionError("the cells enumerated")
 
-    monkeypatch.setattr(arrangements, "_antipodal_count", spy)
-    X, Y = random_valid_pair(Random(5), 4, 6)
-    cell_depth_sequence(X, Y)
-    assert calls == [((4, 6), [(0, 1)], 11)]
+    monkeypatch.setattr(depth, "_cofactor_blocks", refuse)
+    monkeypatch.setattr(depth, "_check_budget", refuse)
+    monkeypatch.setattr(exact, "_check_budget", refuse)
+    for X, Y in pairs:
+        arr = cell_depth_sequence(X, Y)
+        dirs, n = [r.direction for r in arr.boundaries], len(X) + len(Y)
+        sums = [dirs[k] + dirs[(k + 1) % n] for k in range(n)]
+        assert cones_holding(X, Y, sums) == list(arr.cell_depths)
 
 
 @pytest.mark.parametrize("sizes", [(3, 4), (4, 4), (3, 6), (5, 7), (8, 12)])

@@ -19,7 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_by_fraction_strings
-from colourdepth import cli, exact
+from colourdepth import cli, constructions, exact
 from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration, _clean_plane
@@ -273,8 +273,8 @@ def _two_classes_of_200(tmp_path) -> Path:
 
 
 def test_cells2d_answers_two_classes_of_200_points(tmp_path):
-    # One cell is counted over the 200 * 200 cone pairs and the other 399
-    # follow from the sweep's crossings.
+    # The sweep's half-turn counts give the first cell, and its crossings
+    # the other 399.
     path = _two_classes_of_200(tmp_path)
     start = time.perf_counter()
     proc = cli_process(["cells2d", "--config", str(path)], timeout=20)
@@ -286,14 +286,47 @@ def test_cells2d_answers_two_classes_of_200_points(tmp_path):
     assert elapsed < 10, elapsed
 
 
-def test_cells2d_refuses_too_many_cone_pairs_up_front(monkeypatch, capsys, tmp_path):
-    # The seed cell's count enumerates |X| * |Y| cone pairs: above the limit,
-    # refused before any hull or ray check.
+def test_cells2d_asks_no_enumeration_budget(monkeypatch, capsys, tmp_path):
+    # The sweep alone gives every cell, so a limit of one tuple still answers.
     path = _two_classes_of_200(tmp_path)
-    monkeypatch.setattr(exact, "MAX_TUPLES", 39_999)
+    monkeypatch.setattr(exact, "MAX_TUPLES", 1)
     code, out, err = run(capsys, "cells2d", "--config", str(path))
+    assert (code, err) == (0, "")
+    sequence, lemma = out.splitlines()
+    assert len(sequence.removeprefix("sequence: ").split(",")) == 400
+    assert lemma == "lemma_ok: true"
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", "--points"], ["cdepth", "--config"], ["core", "--config"],
+], ids=lambda argv: argv[0])
+def test_deeply_nested_json_is_one_line_input_error(capsys, tmp_path, argv):
+    # Nesting past the recursion limit stops the JSON parser itself.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, *argv, str(path), "--point", "0,0")
     assert (code, out) == (2, "")
-    assert err.splitlines() == ["error: 40000 cone pairs to enumerate, more than the limit of 39999"]
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: not valid JSON: "), err
+
+
+def test_gen_ngon_refuses_too_many_point_pairs_before_building(monkeypatch, capsys):
+    # Its general-position check reads the C(n+1, 2) pairs of the n points
+    # and the origin; the limit is read when the generator runs.
+    snap = constructions._snap
+
+    def no_point(x):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(exact, "MAX_TUPLES", comb(8, 2) - 1)
+    monkeypatch.setattr(constructions, "_snap", no_point)
+    code, out, err = run(capsys, "gen", "ngon", "--n", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: 28 point pairs to enumerate, more than the limit of 27\n"
+    monkeypatch.setattr(exact, "MAX_TUPLES", comb(8, 2))
+    monkeypatch.setattr(constructions, "_snap", snap)
+    code, out, _ = run(capsys, "gen", "ngon", "--n", "7")
+    assert code == 0 and out.endswith("depth_at_origin: 14\n")
 
 
 @pytest.mark.parametrize("argv, classes, point, code, out, err", [

@@ -1,5 +1,6 @@
 """Depth counting tests: frozen examples, counters, and cross-checks."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -221,12 +222,14 @@ def test_zero_count_decomposition_by_colour():
         for _ in range(12):
             cfg = random_core_config(rng, d, d + 1)
             total = colourful_depth(cfg, origin(d), "open").count
+            oracle = per_point_by_tuples(cfg, "open")
             for j in range(d + 1):
-                s = sum(
+                counts = tuple(
                     zero_containing_count(cfg, j, k, "open")
                     for k in range(len(cfg.classes[j]))
                 )
-                assert s == total
+                assert counts == oracle[j]
+                assert sum(counts) == total
 
 
 def _decomposition_cases(rng, d):
@@ -255,10 +258,7 @@ def test_colour_decomposition_matches_per_point_oracle(d):
         for mode in ("open", "closed"):
             rep, counts = colour_decomposition(cfg, mode)
             assert rep == colourful_depth(cfg, origin(d), mode)
-            assert counts == tuple(
-                tuple(zero_containing_count(cfg, c, k, mode) for k in range(len(cls)))
-                for c, cls in enumerate(cfg.classes)
-            )
+            assert counts == per_point_by_tuples(cfg, mode), (cfg, mode)
             if cfg.num_classes == d + 1:
                 assert all(sum(row) == rep.count for row in counts)
 
@@ -320,9 +320,7 @@ def test_tally_memo_gives_the_uncached_enumeration():
             if not any(p.row[:-1]):
                 rep, counts = colour_decomposition(cfg, mode)
                 assert rep == report
-                assert counts == tuple(
-                    tuple(zero_containing_count(cfg, c, k, mode) for k in range(len(cls)))
-                    for c, cls in enumerate(cfg.classes))
+                assert counts == per_point_by_tuples(cfg, mode), (cfg, mode)
     assert {("open", False, False), ("open", True, False), ("closed", True, False)} <= kinds
 
 
@@ -445,8 +443,10 @@ def test_monochrome_enumeration_above_budget_fails_at_once():
     lambda cfg: antipodal_cone_count(cfg, 0, pt(1, 0, 0)),
 ])
 def test_colourful_enumeration_above_budget_fails_at_once(count):
-    # 4 classes of 216: e_4 = 216^4 tuples for the depth and the
-    # decomposition, e_3 = 216^3 = 10,077,696 through one point or colour.
+    # 4 classes of 216: e_4 = 216^4 tuples for the depth, the decomposition
+    # and the count through one point, which reads the decomposition;
+    # e_3 = 216^3 = 10,077,696 cones for one antipode, and the d points from
+    # the other classes that a count through one point checks first.
     assert 216**3 > depth.MAX_TUPLES
     rng = Random(6)
     cfg = config(3, *(_lattice_points(rng, 216, 3) for _ in range(4)))
@@ -908,6 +908,14 @@ def per_tuple(p, tuples, mode):
     return count, tuple(witnesses), degenerate, boundary
 
 
+def per_point_by_tuples(cfg, mode):
+    """For each point of cfg, class by class, the counted colourful
+    simplices at the origin that pick it, from `per_tuple`'s witnesses."""
+    hits = Counter(pick for w in per_tuple(origin(cfg.dim), colourful_tuples(cfg), mode)[1]
+                   for pick in w)
+    return tuple(tuple(hits[c, k] for k in range(len(cls))) for c, cls in enumerate(cfg.classes))
+
+
 def colourful_tuples(cfg):
     """The (witness, vertices) pairs of the colourful tuples of cfg, in the
     order of its witness lists."""
@@ -1069,8 +1077,7 @@ def test_each_classification_branch_matches_per_tuple(d):
         assert answers(rep) == per_tuple(o, tuples, mode), mode
         tally = [0] * len(scaled)
         assert depth._count_colourful(sizes, scaled, mode, False, tally)[:3] == counters(rep)
-        assert tally == [zero_containing_count(cfg, c, i, mode)
-                         for c, m in enumerate(sizes) for i in range(m)], mode
+        assert tuple(tally) == sum(per_point_by_tuples(cfg, mode), ()), mode
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
