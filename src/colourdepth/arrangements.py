@@ -10,6 +10,13 @@ other class's count in the open half-turn after the ray.  One pass of the
 angular sweep `depth._half_turns`, which planar depth counting shares, gives
 the order of the rays and every h, and refuses two rays on one line.
 
+The same pass decides class-hull containment.  With no two rays on one
+line and none zero, 0 lies strictly inside the hull of a class exactly when
+no gap between its cyclically consecutive rays reaches a half-turn, that is,
+when every ray of the class has another ray of its class in its open
+half-turn.  So no hull test runs; the sweep's refusal of a parallel pair
+comes first and the hull refusal after it.
+
 The same half-turn counts seed the propagation with the depth of cell 0,
 the arc between the first two rays of the angular order.  A cone covers
 the arc counter-clockwise from its first generator to its second, the
@@ -31,7 +38,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .depth import _half_turns
-from .exact import InputError, Point, in_convex_hull, origin
+from .exact import InputError, Point
 
 __all__ = [
     "DegenerateArrangementError",
@@ -46,7 +53,7 @@ __all__ = [
 ]
 
 
-class DegenerateArrangementError(ValueError):
+class DegenerateArrangementError(InputError):
     """Coincident or antipodal rays, or a class without 0 in its hull."""
 
 
@@ -102,22 +109,22 @@ def cell_depth_sequence(X: Sequence[Point], Y: Sequence[Point]) -> CircularArran
 
     Requires at least three points in each class, 0 strictly inside each
     class hull, and all rays pairwise non-parallel (no equal and no
-    antipodal directions).  The hull checks run first; a parallel pair is
-    found by the sweep `_half_turns` and refused as "two rays span the same
-    line".  The sweep gives every depth, so no class size is refused.
+    antipodal directions).  The sweep `_half_turns` finds a parallel pair
+    first and refuses it as "two rays span the same line"; the hull
+    condition is then read from its half-turn counts.  The sweep gives every
+    depth, so no class size is refused.
     """
     if len(X) < 3 or len(Y) < 3:
         raise InputError("each colour class needs at least three points")
     rays = [Ray(0, i, p) for i, p in enumerate(X)] + [Ray(1, i, p) for i, p in enumerate(Y)]
     if any(r.direction.dim != 2 for r in rays):
         raise InputError("cell arrangements are two-dimensional")
-    zero = origin(2)
-    if not in_convex_hull(zero, X, strict=True) or not in_convex_hull(zero, Y, strict=True):
-        raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
     sizes, n = (len(X), len(Y)), len(rays)
     turns = _half_turns([r.direction.row[:-1] for r in rays], [r.colour for r in rays], 2)
     if turns is None:
         raise DegenerateArrangementError("two rays span the same line")
+    if not all(h[c] for _, c, h in turns):
+        raise DegenerateArrangementError("0 must lie strictly inside both class hulls")
 
     deltas = [2 * h[1 - c] - sizes[1 - c] for _, c, h in turns]
     # closure: crossing every ray once returns to the depth it started from
@@ -145,9 +152,13 @@ def verify_cell_depth_lemma(arr: CircularArrangement) -> CellReport:
 
 
 def canonical_rotation(seq: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically smallest rotation, for stable export of cyclic lists."""
+    """Lexicographically smallest rotation, for stable export of cyclic lists.
+
+    The smallest rotation starts at a minimum, so only those rotations are
+    compared: O(n) per minimum."""
     s = tuple(seq)
-    return min((s[k:] + s[:k] for k in range(len(s))), default=())
+    least = min(s, default=None)
+    return min((s[k:] + s[:k] for k, x in enumerate(s) if x == least), default=())
 
 
 def cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -23,12 +23,7 @@ import os
 import re
 import sys
 
-from .arrangements import (
-    DegenerateArrangementError,
-    canonical_rotation,
-    cell_depth_sequence,
-    verify_cell_depth_lemma,
-)
+from .arrangements import canonical_rotation, cell_depth_sequence, verify_cell_depth_lemma
 from .audits import AuditViolation, depth_stats, mu_audit, nu_audit, parity_audit, write_csv
 from .constructions import (
     ConstructionError,
@@ -305,7 +300,7 @@ def main(argv=None) -> int:
     except AuditViolation as e:
         print(f"audit violation: {e}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (InputError, DegenerateArrangementError, OSError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

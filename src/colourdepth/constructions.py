@@ -22,8 +22,11 @@ built once and verified once: if any exact check fails, the generator raises
 `ConstructionError` carrying the achieved count, never a silently wrong
 configuration.
 
-Every generator of a claimed depth, the identical-class one and the planar
-straddle `gen_splus(1)` included, ends in the same exact check `_verify`.
+Every generator of a colourful configuration, the identical-class one and
+the planar straddle `gen_splus(1)` included, ends in the same exact check
+`_verify`.  The regular n-gon, a monochrome point set, is certified by its
+own centre count: the planar sweep at the origin, whose certificate is the
+general position of the points plus the origin, must give (n^3 - n)/24.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .depth import (
     colour_decomposition,
     colourful_depth,
     core_membership,
+    monochrome_depth,
 )
 from .exact import InputError, Point, _check_budget, _check_count, in_general_position, origin
 from .sampling import DEFAULT_BOUND, SamplingError, random_core_class
@@ -412,16 +416,23 @@ def gen_splus(d: int, epsilon=None, *, seed: int = 0) -> VerifiedConfiguration:
 
 
 def gen_regular_ngon(n: int) -> list[Point]:
-    """Rational points approximating the directions of a regular n-gon (d=2).
+    """Rational points approximating the directions of a regular n-gon (d=2),
+    with their centre depth (n^3 - n)/24 verified.
 
     Each vertex is produced from a snapped tangent half-angle, so the points
     lie exactly on the unit circle and no three of them can be collinear.
-    The points are built once; if two coincide or two are parallel through
-    the origin, so that the points plus the origin are not in general
-    position, `ConstructionError` is raised.  Odd n only: with even n the
-    centre sits on diagonals.  That general-position check reads every pair
-    of the points and the origin, so more than `exact.MAX_TUPLES` pairs,
-    C(n+1, 2), are refused before any point is built.
+    Odd n only: with even n the centre sits on diagonals.  The points are
+    built once and certified by their own centre count, `monochrome_depth`
+    at the origin: its sweep runs only when the points plus the origin are
+    in general position, the origin's side read from the angular order and
+    the points' side from the memoized line pass, so a second count of the
+    same points, as `gen ngon` prints, reuses it.  A count with a degenerate
+    or boundary tuple raises `ConstructionError` as not in general position,
+    and a count other than (n^3 - n)/24 raises it with the achieved count.
+    That certificate reads every pair of the points and the origin, so more
+    than `exact.MAX_TUPLES` pairs, C(n+1, 2), are refused before any point
+    is built.  An odd n-gon on the exact unit circle never fails the sweep's
+    certificate.
     """
     if n < 3:
         raise InputError("need at least 3 vertices")
@@ -439,8 +450,12 @@ def gen_regular_ngon(n: int) -> list[Point]:
         tf = _snap(math.tan(theta / 2))
         denom = 1 + tf * tf
         pts.append(Point(((1 - tf * tf) / denom, 2 * tf / denom)))
-    if not in_general_position(pts + [origin(2)]):
+    rep, want = monochrome_depth(pts, origin(2)), (n**3 - n) // 24
+    if rep.degenerate or rep.boundary:
         raise ConstructionError(f"could not place a {n}-gon in general position")
+    if rep.count != want:
+        raise ConstructionError(
+            f"centre depth of the {n}-gon is {rep.count}, wanted {want}", rep.count)
     return pts
 
 

@@ -142,7 +142,7 @@ def test_degenerate_inputs_rejected():
     with pytest.raises(DegenerateArrangementError):
         cell_depth_sequence(X, [pt(2, 0), pt(-1, 2), pt(-1, -2)])  # parallel rays
     with pytest.raises(DegenerateArrangementError):
-        cell_depth_sequence(X, [pt(1, 1), pt(2, 1), pt(1, 2)])  # 0 outside hull
+        cell_depth_sequence(X, [pt(2, 1), pt(1, 2), pt(3, 1)])  # 0 outside hull
     with pytest.raises(InputError):
         cell_depth_sequence(X[:2], X)
 
@@ -247,6 +247,23 @@ def test_canonical_rotation():
     assert canonical_rotation((3, 2, 3, 2, 3, 2)) == (2, 3, 2, 3, 2, 3)
 
 
+def all_rotations_minimum(seq):
+    """The oracle: the smallest of all len(seq) rotations."""
+    s = tuple(seq)
+    return min((s[k:] + s[:k] for k in range(len(s))), default=())
+
+
+def test_canonical_rotation_matches_all_rotations():
+    # Few distinct values, so the minimum repeats and its rotations tie on
+    # long prefixes.
+    rng = Random(3)
+    for _ in range(400):
+        seq = [rng.randint(1, rng.choice([2, 3, 5])) for _ in range(rng.randint(0, 30))]
+        assert canonical_rotation(seq) == all_rotations_minimum(seq), seq
+    for seq in [(), (4,), (2, 2, 2), (1, 2, 1, 2, 1, 2), (1, 1, 2, 1, 1, 3)]:
+        assert canonical_rotation(seq) == all_rotations_minimum(seq), seq
+
+
 def test_empty_sequence_rotates_to_itself():
     assert canonical_rotation(()) == ()
     assert cyclic_equal((), ())
@@ -273,10 +290,61 @@ def test_rays_on_one_line_are_refused_by_the_sweep(Y):
     with pytest.raises(DegenerateArrangementError) as info:
         cell_depth_sequence(X, Y)
     assert str(info.value) == "two rays span the same line"
-    # The hull checks come first: a class around no origin is refused as such.
+    # The sweep comes first: a class around no origin that also has a ray on
+    # another's line is refused for the line.
     with pytest.raises(DegenerateArrangementError) as info:
         cell_depth_sequence(X, [*Y[:1], pt(1, 1), pt(1, 2)])
+    assert str(info.value) == "two rays span the same line"
+    # With no two rays on one line, a class around no origin keeps the hull text.
+    with pytest.raises(DegenerateArrangementError) as info:
+        cell_depth_sequence(X, [pt(2, 1), pt(1, 2), pt(3, 1)])
     assert str(info.value) == "0 must lie strictly inside both class hulls"
+
+
+def random_class_pairs(seed: int, count: int):
+    """Seeded pairs of classes of 3-8 points, half of them lattice points in
+    [-3, 3]^2 and half random rationals, around the origin or not."""
+    rng = Random(seed)
+
+    def draw(size):
+        if rng.random() < 0.5:
+            return [pt(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)]
+        return [pt(Fraction(rng.randint(-60, 60), rng.randint(1, 9)),
+                   Fraction(rng.randint(-60, 60), rng.randint(1, 9))) for _ in range(size)]
+
+    return [(draw(rng.randint(3, 8)), draw(rng.randint(3, 8))) for _ in range(count)]
+
+
+def test_hull_containment_read_from_the_sweep_matches_the_hull_test():
+    # Among rays that the sweep accepts, 0 is strictly inside a class hull
+    # exactly when every ray of the class has one of its own class in its
+    # open half-turn.
+    seen = {True: 0, False: 0}
+    for X, Y in random_class_pairs(11, 1500):
+        rays = X + Y
+        colours = [0] * len(X) + [1] * len(Y)
+        turns = depth._half_turns([r.row[:-1] for r in rays], colours, 2)
+        if turns is None:
+            continue
+        for c, cls in enumerate((X, Y)):
+            swept = all(h[c] for _, colour, h in turns if colour == c)
+            assert swept == in_convex_hull(origin(2), cls, strict=True), cls
+            seen[swept] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_cell_depth_sequence_makes_no_hull_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hull test ran")
+
+    rng = Random(9)
+    pairs = [random_valid_pair(rng, *sizes) for sizes in [(3, 3), (5, 4), (8, 6)]]
+    for name in ("in_convex_hull", "_hull_contains", "_plane_hull_contains"):
+        monkeypatch.setattr(exact, name, refuse)
+    for X, Y in pairs:
+        assert verify_cell_depth_lemma(cell_depth_sequence(X, Y)).lemma_ok
+    with pytest.raises(DegenerateArrangementError, match="strictly inside both class hulls"):
+        cell_depth_sequence([pt(1, 0), pt(-1, 1), pt(-1, -1)], [pt(2, 1), pt(1, 2), pt(3, 1)])
 
 
 def _cells2d_refusal(capsys, tmp_path) -> str:

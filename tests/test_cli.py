@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, formats, and exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_by_fraction_strings
-from colourdepth import cli, constructions, exact
+from colourdepth import cli, constructions, depth, exact
 from colourdepth.cli import build_parser, main
 from colourdepth.serialization import load_config, save_config
 from colourdepth.depth import ColourfulConfiguration, _clean_plane
@@ -327,6 +328,38 @@ def test_gen_ngon_refuses_too_many_point_pairs_before_building(monkeypatch, caps
     monkeypatch.setattr(constructions, "_snap", snap)
     code, out, _ = run(capsys, "gen", "ngon", "--n", "7")
     assert code == 0 and out.endswith("depth_at_origin: 14\n")
+
+
+# SHA-256 of the stdout of `gen ngon --n N`; the snapped vertices come from
+# the float tangent of each half-angle, so these pin that arithmetic too.
+NGON_DIGESTS = {
+    7: "28ff9a7e1331e0c753ff21137b3a9c742e562a5b68418ea41555f8ab3925878f",
+    61: "2d97d1e9d610468e277bf6377359557275c0d7706ea3974ad0ba2b48c9dc445d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NGON_DIGESTS))
+def test_gen_ngon_prints_pinned_bytes(capsys, n):
+    code, out, err = run(capsys, "gen", "ngon", "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == NGON_DIGESTS[n]
+
+
+def test_gen_ngon_runs_the_line_pass_once(monkeypatch, capsys):
+    # The generator's centre count computes the points' side of the sweep's
+    # certificate, and the command's own count of the same points reads it
+    # from the memo.
+    real, calls = exact._plane_general_position, []
+
+    def line_pass(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(exact, "_plane_general_position", line_pass)
+    monkeypatch.setattr(depth, "_clean_plane", functools.lru_cache(line_pass))
+    code, out, _ = run(capsys, "gen", "ngon", "--n", "61")
+    assert code == 0 and out.endswith("depth_at_origin: 9455\n")
+    assert calls == [61]
 
 
 @pytest.mark.parametrize("argv, classes, point, code, out, err", [

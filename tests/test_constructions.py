@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from colourdepth import constructions
+from colourdepth import constructions, exact
 from colourdepth.cli import main
 from colourdepth.constructions import (
     RANDOM_CORE_TRIES,
@@ -344,12 +344,44 @@ def test_random_core_config_reports_an_exhausted_sampler(monkeypatch, capsys):
 
 
 def test_ngon_refuses_points_not_in_general_position(monkeypatch, capsys):
-    monkeypatch.setattr(constructions, "in_general_position", lambda points: False)
+    # The centre count is the certificate: a degenerate tuple refuses it.
+    real = constructions.monochrome_depth
+
+    def one_degenerate(S, p, mode="open"):
+        return real(S, p, mode)._replace(degenerate=1)
+
+    monkeypatch.setattr(constructions, "monochrome_depth", one_degenerate)
     with pytest.raises(ConstructionError) as info:
         gen_regular_ngon(7)
     assert str(info.value) == "could not place a 7-gon in general position"
     assert refused(capsys, "gen", "ngon", "--n", "7") == (
         "construction failed: could not place a 7-gon in general position")
+
+
+def test_ngon_refuses_a_wrong_centre_count(monkeypatch, capsys):
+    real = constructions.monochrome_depth
+
+    def one_more(S, p, mode="open"):
+        rep = real(S, p, mode)
+        return rep._replace(count=rep.count + 1)
+
+    monkeypatch.setattr(constructions, "monochrome_depth", one_more)
+    with pytest.raises(ConstructionError) as info:
+        gen_regular_ngon(7)
+    assert str(info.value) == "centre depth of the 7-gon is 15, wanted 14"
+    assert info.value.achieved == 15
+    assert refused(capsys, "gen", "ngon", "--n", "7") == (
+        "construction failed: centre depth of the 7-gon is 15, wanted 14")
+
+
+def test_ngon_asks_no_general_position_test(monkeypatch):
+    def refuse(points):
+        raise AssertionError("in_general_position ran")
+
+    monkeypatch.setattr(constructions, "in_general_position", refuse)
+    monkeypatch.setattr(exact, "in_general_position", refuse)
+    for n in (3, 7, 61):
+        assert len(gen_regular_ngon(n)) == n
 
 
 def test_identical_refuses_a_closed_count_unlike_its_open_one(monkeypatch, capsys):
